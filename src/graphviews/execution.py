@@ -1,9 +1,23 @@
 """Query evaluation over property graphs.
 
 Pattern matching starts from the most selective typed vertex of each
-connected pattern component and expands adjacent constraints.
+connected pattern component (a vertex pinned by ``name.id = 'literal'``
+is looked up directly) and expands adjacent constraints.
 Variable-length paths match edge-distinct trails (vertices may repeat,
 edge ids may not, within one path binding).
+
+Trail-shaped work (variable-length paths, ``path_lengths``, connector
+materialization) runs on one of two kernels. On an acyclic graph every
+walk is a trail, so a level-synchronous frontier sweep folds all walks
+of each length at once: (sum, x path_count) for multiplicities, (min,
+reducer) for path lengths, O(hops x reachable edges). On a cyclic graph
+a trail may not reuse an edge, and a depth-first trail search
+enumerates them one by one. ``k_hop_neighborhood`` is a breadth-first
+search on either. The work counters follow the kernel: on an acyclic
+graph ``vertices_touched`` counts each (depth, vertex) of a frontier
+that is expanded and ``edges_expanded`` each adjacency entry it scans;
+on a cyclic graph they count trail prefixes and the entries scanned
+from them.
 
 An edge may declare that it stands for several parallel contracted paths
 through an integer ``path_count`` property (written by connector view
@@ -21,6 +35,7 @@ groups as an empty cell in projections.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -185,12 +200,13 @@ def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
     pinned = _pinned_ids(q)
     anchor = _anchor_of(q, g, names, pinned)
     anchor_type = q.pattern_vertices[anchor]
-    candidates = (g.vertices_of_type(anchor_type) if anchor_type is not None
-                  else g.vertex_ids())
     if anchor in pinned:
-        want = pinned[anchor]
-        candidates = [v for v in candidates
-                      if g.vertex_props(v).get("id", v) == want]
+        candidates = [v for v in g.vertices_with_id(pinned[anchor])
+                      if anchor_type is None or g.vertex_type(v) == anchor_type]
+    elif anchor_type is not None:
+        candidates = g.vertices_of_type(anchor_type)
+    else:
+        candidates = g.vertex_ids()
 
     out: list[tuple[dict, int]] = []
     for start in candidates:
@@ -283,28 +299,128 @@ def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
                      stats: ExecutionStats) -> dict[str, int]:
     """Endpoints reachable by edge-distinct trails of length lo..hi, with
     the summed path_count-weighted trail multiplicity per endpoint."""
-    allowed = set(labels) if labels else None
-    reached: dict[str, int] = {}
-    used: set[str] = set()
+    reached = _walk(g, {g._require(start): 1}, lo, hi, _count_step(g),
+                    operator.add, forward=forward,
+                    labels=set(labels) if labels else None, stats=stats)
+    return {g._vids[v]: count for v, count in reached.items()}
 
-    def walk(v: str, depth: int, mult: int):
+
+# --------------------------------------------------------------------------
+# Traversal kernels
+# --------------------------------------------------------------------------
+#
+# Both kernels fold a value along every trail of lo..hi edges from the
+# seeds and combine the values of all trails that end at the same
+# vertex: ``extend(value, edge index)`` is one step along a trail and
+# ``plus(a, b)`` joins two trails, a semiring over the trails. The sweep
+# folds walks, which are the trails only on an acyclic graph. Both work
+# on the graph's internal integer ids and adjacency lists, return
+# {vertex index: value}, and count every adjacency entry they scan as
+# one expanded edge.
+
+def _count_step(g: PropertyGraph):
+    """``extend`` of the count semiring: multiply by the edge's path_count."""
+    eprops = g._eprops
+
+    def extend(count: int, ei: int) -> int:
+        props = eprops[ei]
+        return count * _path_count(props) if PATH_COUNT_PROP in props else count
+    return extend
+
+
+def _walk(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
+          forward: bool = True, labels=None, allowed=None,
+          stats: ExecutionStats) -> dict:
+    """Fold over every trail of lo..hi edges: one frontier sweep on an
+    acyclic graph, where every walk is a trail; edge-distinct trail
+    enumeration otherwise."""
+    kernel = _sweep if g.is_acyclic else _trails
+    return kernel(g, seeds, lo, hi, extend, plus, forward=forward,
+                  labels=labels, allowed=allowed, stats=stats)
+
+
+def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
+           forward: bool = True, labels=None, allowed=None, seen=None,
+           stats: ExecutionStats) -> dict:
+    """Level-synchronous frontier sweep: level d maps every vertex at the
+    end of a walk of d edges to ``plus`` over those walks, so the cost is
+    O(hi x reachable edges) however many walks there are. Exact for walks
+    on any graph; walks are trails only on an acyclic one.
+
+    ``labels`` keeps edges with one of the labels, ``allowed[d]`` vertices
+    of one of the types at depth d. A ``seen`` set turns the sweep into a
+    breadth-first search: a vertex in it is not entered again, and every
+    vertex entered is added to it."""
+    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
+    elabel, vtypes = g._elabel, g._vtypes
+    reached = dict(seeds) if lo == 0 else {}
+    frontier = seeds
+    for depth in range(1, hi + 1):
+        types = allowed[depth] if allowed is not None else None
+        nxt: dict = {}
+        for v, value in frontier.items():
+            edges = adj[v]
+            stats.vertices_touched += 1
+            stats.edges_expanded += len(edges)
+            for ei in edges:
+                if labels is not None and elabel[ei] not in labels:
+                    continue
+                w = far[ei]
+                if types is not None and vtypes[w] not in types:
+                    continue
+                if seen is not None:
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                x = extend(value, ei)
+                nxt[w] = plus(nxt[w], x) if w in nxt else x
+        if not nxt:
+            break
+        if depth >= lo:
+            for w, x in nxt.items():
+                reached[w] = plus(reached[w], x) if w in reached else x
+        frontier = nxt
+    return reached
+
+
+def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
+            forward: bool = True, labels=None, allowed=None,
+            stats: ExecutionStats) -> dict:
+    """Depth-first enumeration of edge-distinct trails (vertices may
+    repeat), with the arguments (but ``seen``) and result of
+    :func:`_sweep`. Its cost
+    is O(#trails); on a cyclic graph it is the only exact choice, since
+    a walk there may reuse an edge. ``plus`` joins trails in depth-first
+    order."""
+    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
+    elabel, vtypes = g._elabel, g._vtypes
+    reached: dict = {}
+    used: set[int] = set()
+
+    def walk(v: int, depth: int, value):
         stats.vertices_touched += 1
-        if lo <= depth:
-            reached[v] = reached.get(v, 0) + mult
+        if depth >= lo:
+            reached[v] = plus(reached[v], value) if v in reached else value
         if depth == hi:
             return
-        edges = g.out_edges(v) if forward else g.in_edges(v)
-        for eid, neighbor, label, props in edges:
-            stats.edges_expanded += 1
-            if allowed is not None and label not in allowed:
+        types = allowed[depth + 1] if allowed is not None else None
+        edges = adj[v]
+        stats.edges_expanded += len(edges)
+        for ei in edges:
+            if labels is not None and elabel[ei] not in labels:
                 continue
-            if eid in used:
+            if ei in used:
                 continue
-            used.add(eid)
-            walk(neighbor, depth + 1, mult * _path_count(props))
-            used.discard(eid)
+            w = far[ei]
+            if types is not None and vtypes[w] not in types:
+                continue
+            x = extend(value, ei)
+            used.add(ei)
+            walk(w, depth + 1, x)
+            used.discard(ei)
 
-    walk(start, 0, 1)
+    for v, value in seeds.items():
+        walk(v, 0, value)
     return reached
 
 
@@ -496,39 +612,24 @@ def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
                        stats: ExecutionStats | None = None) -> set[str]:
     """Vertices reachable from the source set in 1..k_max hops.
     direction: 'forward' follows out-edges (descendants), 'backward'
-    follows in-edges (ancestors)."""
+    follows in-edges (ancestors). A breadth-first search on any graph:
+    each vertex is expanded once, at its first hop."""
     if direction not in ("forward", "backward"):
         raise ValidationError(f"direction must be forward|backward, got {direction!r}")
     if stats is None:
         stats = ExecutionStats()
-    allowed = set(labels) if labels else None
-    frontier = sorted(set(sources))
-    dist = {v: 0 for v in frontier}
-    reached: set[str] = set()
-    for hop in range(1, k_max + 1):
-        nxt = []
-        for v in frontier:
-            stats.vertices_touched += 1
-            edges = g.out_edges(v) if direction == "forward" else g.in_edges(v)
-            for eid, neighbor, label, _ in edges:
-                stats.edges_expanded += 1
-                if allowed is not None and label not in allowed:
-                    continue
-                if neighbor in dist and dist[neighbor] <= hop:
-                    continue
-                dist[neighbor] = hop
-                reached.add(neighbor)
-                nxt.append(neighbor)
-        frontier = sorted(nxt)
-        if not frontier:
-            break
-    return reached
+    seeds = {g._require(v): True for v in sorted(set(sources))}
+    reached = _sweep(g, seeds, 1, k_max, lambda value, ei: value, operator.add,
+                     forward=direction == "forward",
+                     labels=set(labels) if labels else None,
+                     seen=set(seeds), stats=stats)
+    return {g._vids[v] for v in reached}
 
 
 _REDUCERS = {
     "max": max,
     "min": min,
-    "sum": lambda a, b: a + b,
+    "sum": operator.add,
 }
 
 
@@ -537,34 +638,24 @@ def path_lengths(g: PropertyGraph, source: str, k_max: int,
                  stats: ExecutionStats | None = None) -> dict[str, float]:
     """For each vertex reachable by a forward trail of <= k_max edges:
     reduce ``edge_property`` along each trail, then take the minimum
-    across trails (a weighted-distance reading)."""
+    across trails (a weighted-distance reading). Every reducer is
+    monotone, so keeping only the smallest value per vertex and depth is
+    exact."""
     if reducer not in _REDUCERS:
         raise ValidationError(f"unknown reducer {reducer!r}")
     if stats is None:
         stats = ExecutionStats()
     combine = _REDUCERS[reducer]
-    best: dict[str, float] = {}
-    used: set[str] = set()
+    eprops = g._eprops
+    context = f"edge property {edge_property!r}"
 
-    def walk(v: str, depth: int, acc):
-        stats.vertices_touched += 1
-        if depth > 0:
-            if v not in best or acc < best[v]:
-                best[v] = acc
-        if depth == k_max:
-            return
-        for eid, neighbor, _, props in g.out_edges(v):
-            stats.edges_expanded += 1
-            if eid in used:
-                continue
-            value = props.get(edge_property)
-            value = _numeric(value, f"edge property {edge_property!r}")
-            used.add(eid)
-            walk(neighbor, depth + 1, value if acc is None else combine(acc, value))
-            used.discard(eid)
+    def extend(acc, ei: int):
+        value = _numeric(eprops[ei].get(edge_property), context)
+        return value if acc is None else combine(acc, value)
 
-    walk(source, 0, None)
-    return best
+    best = _walk(g, {g._require(source): None}, 1, k_max, extend, min,
+                 stats=stats)
+    return {g._vids[v]: value for v, value in best.items()}
 
 
 def label_propagation(g: PropertyGraph, passes: int,

@@ -98,6 +98,26 @@ class GraphSchema:
         """Types that are the destination of at least one edge triple."""
         return frozenset(dst for _, dst, _ in self.edge_types)
 
+    def types_on_cycles(self) -> frozenset[str]:
+        """Types from which some chain of edge triples leads back to the
+        same type. Every vertex on a cycle of a conforming graph has one."""
+        succ: dict[str, set[str]] = {}
+        for src, dst, _ in self.edge_types:
+            succ.setdefault(src, set()).add(dst)
+        on_cycle = set()
+        for vtype in self.vertex_types:
+            seen: set[str] = set()
+            stack = list(succ.get(vtype, ()))
+            while stack:
+                t = stack.pop()
+                if t == vtype:
+                    on_cycle.add(vtype)
+                    break
+                if t not in seen:
+                    seen.add(t)
+                    stack.extend(succ.get(t, ()))
+        return frozenset(on_cycle)
+
     def root_types(self) -> frozenset[str]:
         """Types with no incoming edge triple (sources in the schema graph)."""
         return self.vertex_types - self.edge_target_types()
@@ -157,6 +177,8 @@ class PropertyGraph:
         self._in: list[list[int]] = []
         self._type_counts: dict[str, int] = {}
         self._sealed = False
+        self._acyclic: bool | None = None
+        self._explicit_ids: dict[PropertyValue, list[int]] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -249,6 +271,51 @@ class PropertyGraph:
 
     def vertices_of_type(self, vtype: str) -> list[str]:
         return [vid for vid, t in zip(self._vids, self._vtypes) if t == vtype]
+
+    def vertices_with_id(self, value: str) -> list[str]:
+        """Vertices whose ``id`` property equals ``value``, in load order.
+        A vertex without an explicit ``id`` property has its vertex id as
+        its ``id``. The explicit ones are indexed on first use."""
+        if self._explicit_ids is None:
+            explicit: dict[PropertyValue, list[int]] = {}
+            for i, props in enumerate(self._vprops):
+                if "id" in props:
+                    explicit.setdefault(props["id"], []).append(i)
+            self._explicit_ids = explicit
+        hits = list(self._explicit_ids.get(value, ()))
+        i = self._vindex.get(value)
+        if i is not None and "id" not in self._vprops[i]:
+            hits.append(i)
+            hits.sort()
+        return [self._vids[i] for i in hits]
+
+    @property
+    def is_acyclic(self) -> bool:
+        """True when the graph has no directed cycle (a self-loop is one).
+        Computed on first use, then cached, by Kahn's algorithm run
+        backwards, O(n + m), over the vertices whose type lies on a cycle
+        of the schema: a cycle of the graph passes through no others."""
+        if self._acyclic is None:
+            on_cycle = self.schema.types_on_cycles()
+            vtypes, inn, esrc = self._vtypes, self._in, self._esrc
+            members = [v for v, t in enumerate(vtypes) if t in on_cycle]
+            out_degree = [0] * len(vtypes)   # read for members only
+            for w in members:
+                for ei in inn[w]:
+                    out_degree[esrc[ei]] += 1
+            ready = [v for v in members if not out_degree[v]]
+            removed = 0
+            while ready:
+                w = ready.pop()
+                removed += 1
+                for ei in inn[w]:
+                    u = esrc[ei]
+                    if vtypes[u] in on_cycle:
+                        out_degree[u] -= 1
+                        if not out_degree[u]:
+                            ready.append(u)
+            self._acyclic = removed == len(members)
+        return self._acyclic
 
     def type_counts(self) -> dict[str, int]:
         counts = {t: 0 for t in self.schema.vertex_types}

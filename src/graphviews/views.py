@@ -7,14 +7,17 @@ higher value, then lower total weight, then lexicographically smallest
 view-id tuple (realised by include-first reconstruction over id-sorted
 items).
 
-Connector materialization contracts edge-distinct trails. Traversal is
-pruned by the vertex types that schema paths allow at each depth, which
-is also how a sparsifier-then-spanner pipeline composes: an explicit
-``through_types`` binding intersects the allowed sets. The output is one
-edge per connected (src, dst) pair carrying ``path_count`` (number of
-distinct contracted trails) plus any requested per-property trail
-aggregates; raw vertex ids and properties are preserved. Views always
-materialize from the raw graph, never from other views.
+Connector materialization contracts edge-distinct trails, per source
+with the execution kernels (a frontier sweep on acyclic graphs, a trail
+search on cyclic ones and for aggregates summed across trails).
+Traversal is pruned by the vertex types that schema paths allow at each
+depth, which is also how a sparsifier-then-spanner pipeline composes: an
+explicit ``through_types`` binding intersects the allowed sets. The
+output is one edge per connected (src, dst) pair carrying ``path_count``
+(the contracted trails, each weighted by the product of the path_counts
+it crosses) plus any requested per-property trail aggregates; raw vertex
+ids and properties are preserved. Views always materialize from the raw
+graph, never from other views.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ from .errors import (
     MixedTypeAggregationError,
     PropertyTypeMismatchError,
     ValidationError,
+)
+from .execution import (
+    _REDUCERS,
+    ExecutionStats,
+    _count_step,
+    _sweep,
+    _trails,
 )
 from .mining import schema_k_hop_paths
 from .store import (
@@ -201,12 +211,6 @@ def _knapsack_branch_bound(usable, weights, values, capacity) -> list[int]:
 # Spanner materialization
 # --------------------------------------------------------------------------
 
-@dataclass
-class _PairData:
-    count: int = 0
-    aggs: dict = field(default_factory=dict)
-
-
 def _allowed_types_by_depth(schema: GraphSchema, v: ViewInstance) -> list[set[str]]:
     """Types a trail may visit at each depth if it can still reach the
     endpoint type at one of the contracted lengths."""
@@ -226,6 +230,50 @@ def _allowed_types_by_depth(schema: GraphSchema, v: ViewInstance) -> list[set[st
     return allowed
 
 
+# a trail aggregate over an edge whose property is missing or not a number
+_NON_NUMERIC = object()
+
+
+def _reducer(name: str):
+    if name not in _REDUCERS:
+        raise ValidationError(f"unknown trail aggregate reducer {name!r}")
+    return _REDUCERS[name]
+
+
+def _connector_semiring(g: PropertyGraph, aggregates):
+    """``extend`` and ``plus`` over connector values (path_count, one
+    value per (property, along, across) aggregate). A non-numeric step
+    poisons the aggregates of every trail through it; materialization
+    raises only when such a trail reaches a view edge."""
+    eprops = g._eprops
+    count_step = _count_step(g)
+    along = [(i, prop, _reducer(name))
+             for i, (prop, name, _) in enumerate(aggregates, 1)]
+    across = [(i, _reducer(name)) for i, (_, _, name) in enumerate(aggregates, 1)]
+
+    def extend(value: tuple, ei: int) -> tuple:
+        props = eprops[ei]
+        out = [count_step(value[0], ei)]
+        for i, prop, reduce in along:
+            acc, step = value[i], props.get(prop)
+            if (acc is _NON_NUMERIC or isinstance(step, bool)
+                    or not isinstance(step, (int, float))):
+                out.append(_NON_NUMERIC)
+            else:
+                out.append(step if acc is None else reduce(acc, step))
+        return tuple(out)
+
+    def plus(a: tuple, b: tuple) -> tuple:
+        out = [a[0] + b[0]]
+        for i, reduce in across:
+            x, y = a[i], b[i]
+            out.append(_NON_NUMERIC if x is _NON_NUMERIC or y is _NON_NUMERIC
+                       else reduce(x, y))
+        return tuple(out)
+
+    return extend, plus
+
+
 def materialize_spanner(g: PropertyGraph, v: ViewInstance,
                         max_edges: int | None = None,
                         threads: int = 1) -> PropertyGraph:
@@ -234,55 +282,36 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     path_count and any requested trail aggregates."""
     if v.kind not in CONNECTOR_KINDS:
         raise ValidationError(f"{v.kind} is not a connector view")
-    lengths = set(v.lengths)
-    max_len = max(lengths)
+    lo, hi = max(min(v.lengths), 1), max(v.lengths)   # lengths are lo..hi
     allowed = _allowed_types_by_depth(g.schema, v)
     label_filter = set(v.path_labels) if v.path_labels else None
     sources = [vid for vid in sorted(g.vertices_of_type(v.x_type))
                if g.vertex_type(vid) in allowed[0]] if allowed[0] else []
+    extend, plus = _connector_semiring(g, v.edge_aggregates)
+    seed = (1,) + (None,) * len(v.edge_aggregates)
+    # a sum across trails does not distribute over the along-reducers,
+    # so only the trail search computes one
+    walk = (_sweep if g.is_acyclic and all(across != "sum" for _, _, across
+                                           in v.edge_aggregates)
+            else _trails)
 
-    def scan(chunk: list[str]) -> dict[tuple[str, str], _PairData]:
-        pairs: dict[tuple[str, str], _PairData] = {}
-        used: set[str] = set()
-        trail: list[dict] = []
-
-        def record(start: str, end: str):
-            data = pairs.setdefault((start, end), _PairData())
-            data.count += 1
-            for prop, along, across in v.edge_aggregates:
-                value = None
-                for props in trail:
-                    step = props.get(prop)
-                    if isinstance(step, bool) or not isinstance(step, (int, float)):
-                        raise PropertyTypeMismatchError(
-                            f"edge property {prop!r} must be numeric on every "
-                            f"contracted edge")
-                    value = step if value is None else _REDUCE[along](value, step)
-                if prop in data.aggs:
-                    data.aggs[prop] = _REDUCE[across](data.aggs[prop], value)
-                else:
-                    data.aggs[prop] = value
-
-        def walk(start: str, vid: str, depth: int):
-            if depth in lengths and depth > 0 and g.vertex_type(vid) == v.y_type:
-                record(start, vid)
-            if depth == max_len:
-                return
-            for eid, dst, label, props in g.out_edges(vid):
-                if eid in used:
-                    continue
-                if label_filter is not None and label not in label_filter:
-                    continue
-                if g.vertex_type(dst) not in allowed[depth + 1]:
-                    continue
-                used.add(eid)
-                trail.append(props)
-                walk(start, dst, depth + 1)
-                trail.pop()
-                used.discard(eid)
-
+    def scan(chunk: list[str]) -> dict[tuple[str, str], tuple]:
+        pairs: dict[tuple[str, str], tuple] = {}
+        stats = ExecutionStats()
         for src in chunk:
-            walk(src, src, 0)
+            reached = walk(g, {g._require(src): seed}, lo, hi, extend, plus,
+                           labels=label_filter, allowed=allowed, stats=stats)
+            for w, value in reached.items():
+                if g._vtypes[w] != v.y_type:
+                    continue
+                if _NON_NUMERIC in value:
+                    prop = next(prop for (prop, _, _), agg
+                                in zip(v.edge_aggregates, value[1:])
+                                if agg is _NON_NUMERIC)
+                    raise PropertyTypeMismatchError(
+                        f"edge property {prop!r} must be numeric on every "
+                        f"contracted edge")
+                pairs[(src, g._vids[w])] = value
         return pairs
 
     if threads <= 1 or len(sources) < 2:
@@ -292,15 +321,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
         merged = {}
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for partial in pool.map(scan, chunks):
-                for pair, data in partial.items():
-                    into = merged.setdefault(pair, _PairData())
-                    into.count += data.count
-                    for prop, _, across in v.edge_aggregates:
-                        if prop in into.aggs:
-                            into.aggs[prop] = _REDUCE[across](into.aggs[prop],
-                                                              data.aggs[prop])
-                        else:
-                            into.aggs[prop] = data.aggs[prop]
+                merged.update(partial)   # each source is in one chunk
 
     if max_edges is not None and len(merged) > max_edges:
         raise BudgetExceededError(
@@ -311,18 +332,12 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     vertices = [(vid, g.vertex_type(vid), g.vertex_props(vid)) for vid in endpoints]
     edges = []
     for i, (u, w) in enumerate(sorted(merged)):
-        data = merged[(u, w)]
-        props = {"path_count": data.count}
-        props.update(data.aggs)
+        count, *aggs = merged[(u, w)]
+        props = {"path_count": count}
+        props.update((prop, agg) for (prop, _, _), agg
+                     in zip(v.edge_aggregates, aggs))
         edges.append((f"ve{i:06d}", u, w, v.view_label, props))
     return PropertyGraph.build(view_schema, vertices, edges)
-
-
-_REDUCE = {
-    "max": max,
-    "min": min,
-    "sum": lambda a, b: a + b,
-}
 
 
 # --------------------------------------------------------------------------

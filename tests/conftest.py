@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -89,3 +90,24 @@ def random_lineage_dag(seed: int, jobs: int = 20, files: int = 30,
                               {"timestamp": ts}))
                 eid += 1
     return PropertyGraph.build(schema, vertices, edges)
+
+
+def weighted_lineage_dag(seed: int, **kwargs) -> PropertyGraph:
+    """``random_lineage_dag`` with ``path_count`` 2 or 3 on about a third
+    of the edges, as a graph of contracted edges would carry."""
+    rng = random.Random(seed)
+    g = random_lineage_dag(seed, **kwargs)
+    edges = []
+    for eid, src, dst, label, props in g.edges():
+        if rng.random() < 0.35:
+            props = {**props, "path_count": rng.randint(2, 3)}
+        edges.append((eid, src, dst, label, props))
+    return PropertyGraph.build(g.schema, list(g.vertices()), edges)
+
+
+def as_cyclic(g: PropertyGraph) -> PropertyGraph:
+    """The same graph flagged as cyclic, so every traversal over it takes
+    the edge-distinct trail search instead of the frontier sweep."""
+    h = copy.copy(g)
+    h._acyclic = False
+    return h

@@ -4,7 +4,8 @@ These deliberately do not share code with the package: the schema-path
 oracle follows the procedural fix-point formulation (seed single-edge
 chains, grow each round at both ends, keep only chains that grew,
 deduplicate), the path counter and trail enumerator are plain recursive
-searches, and the knapsack oracle enumerates subsets exhaustively.
+searches, the neighborhood oracle is a plain breadth-first search, and
+the knapsack oracle enumerates subsets exhaustively.
 """
 
 from __future__ import annotations
@@ -103,6 +104,48 @@ def enumerate_trails(g, src_type, dst_type, lengths, labels=None):
         if g.vertex_type(vid) == src_type:
             walk(vid, vid, 0, set())
     return pairs
+
+
+def has_cycle(g) -> bool:
+    """Whether some vertex reaches itself over one or more edges,
+    searched from every vertex in turn."""
+    for start in g.vertex_ids():
+        stack = [dst for _, dst, _, _ in g.out_edges(start)]
+        seen = set()
+        while stack:
+            v = stack.pop()
+            if v == start:
+                return True
+            if v not in seen:
+                seen.add(v)
+                stack.extend(dst for _, dst, _, _ in g.out_edges(v))
+    return False
+
+
+def bfs_neighborhood(g, sources, direction, k_max, labels=None):
+    """Vertices 1..k_max hops from ``sources`` by a plain breadth-first
+    search over the public adjacency, with the work it did. Returns
+    (reached, vertices expanded, adjacency entries scanned); a vertex is
+    expanded once, at the first hop that reaches it."""
+    frontier = sorted(set(sources))
+    seen = set(frontier)
+    reached = set()
+    expanded = scanned = 0
+    for _ in range(k_max):
+        nxt = []
+        for v in frontier:
+            expanded += 1
+            edges = g.out_edges(v) if direction == "forward" else g.in_edges(v)
+            for _, neighbor, label, _ in edges:
+                scanned += 1
+                if labels is not None and label not in labels:
+                    continue
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    reached.add(neighbor)
+                    nxt.append(neighbor)
+        frontier = nxt
+    return reached, expanded, scanned
 
 
 def knapsack_best_value(weights, values, budget) -> float:

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from graphviews.errors import (
@@ -5,16 +7,29 @@ from graphviews.errors import (
     TypeNotInSchemaError,
 )
 from graphviews.execution import (
+    ExecutionStats,
+    _count_step,
+    _sweep,
+    _trail_endpoints,
+    _trails,
     execute,
     k_hop_neighborhood,
     label_propagation,
     largest_community,
     path_lengths,
 )
+from graphviews.generate import generate_road_like
 from graphviews.query import parse_query
-from graphviews.store import GraphSchema, PropertyGraph
+from graphviews.store import GraphSchema, PropertyGraph, load_graph
 
-from conftest import LINEAGE_SCHEMA
+from conftest import (
+    BLAST_RADIUS_QUERY,
+    LINEAGE_SCHEMA,
+    as_cyclic,
+    random_lineage_dag,
+    weighted_lineage_dag,
+)
+from oracles import bfs_neighborhood
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
 
@@ -235,3 +250,153 @@ class TestLargestCommunity:
         labels = {"j1": "b", "f1": "b", "j2": "a", "f2": "a"}
         winner, _ = largest_community(toy_ext, labels, "Machine")
         assert winner == "a"
+
+
+def differential_dags(seed):
+    """Seeded acyclic inputs: a plain lineage DAG (with repeated reads)
+    and one whose edges carry path_count > 1."""
+    return [random_lineage_dag(seed, jobs=12, files=18),
+            weighted_lineage_dag(seed, jobs=12, files=18)]
+
+
+class TestFrontierSweep:
+    """On an acyclic graph the frontier sweep must give exactly what the
+    edge-distinct trail search gives; on a cyclic one only the trail
+    search runs."""
+
+    def test_acyclicity_flag(self):
+        assert random_lineage_dag(0).is_acyclic
+        assert single([], []).is_acyclic
+        assert single(["a", "b"], [("a", "b"), ("a", "b")]).is_acyclic
+        assert not single(["a", "b"], [("a", "b"), ("b", "a")]).is_acyclic
+        assert not single(["a", "b"], [("a", "b"), ("b", "b")]).is_acyclic
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernels_agree_on_count_semiring(self, seed):
+        for g in differential_dags(seed):
+            assert g.is_acyclic
+            extend = _count_step(g)
+            for v in range(g.n):
+                for forward in (True, False):
+                    for lo, hi in ((0, 0), (0, 3), (1, 4), (2, 6), (3, 3)):
+                        for labels in (None, {"IS_READ_BY"}):
+                            args = (g, {v: 1}, lo, hi, extend, operator.add)
+                            kw = dict(forward=forward, labels=labels)
+                            sweep = _sweep(*args, **kw, stats=ExecutionStats())
+                            dfs = _trails(*args, **kw, stats=ExecutionStats())
+                            assert sweep == dfs, (seed, v, forward, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trail_endpoints_agree(self, seed):
+        for g in differential_dags(seed):
+            h = as_cyclic(g)
+            swept, searched = ExecutionStats(), ExecutionStats()
+            for start in g.vertex_ids():
+                for lo, hi in ((0, 8), (2, 4)):
+                    for labels in (None, ("WRITES_TO", "IS_READ_BY"), ("WRITES_TO",)):
+                        for forward in (True, False):
+                            got = _trail_endpoints(g, start, lo, hi, labels,
+                                                   forward, swept)
+                            want = _trail_endpoints(h, start, lo, hi, labels,
+                                                    forward, searched)
+                            assert got == want, (seed, start, lo, hi, labels)
+            assert swept.edges_expanded <= searched.edges_expanded
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_lengths_agree(self, seed):
+        for g in differential_dags(seed):
+            h = as_cyclic(g)
+            for source in g.vertex_ids():
+                for reducer in ("max", "min", "sum"):
+                    for k in (1, 3, 6):
+                        assert (path_lengths(g, source, k, "timestamp", reducer)
+                                == path_lengths(h, source, k, "timestamp", reducer))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_execute_tables_agree(self, seed):
+        queries = [
+            BLAST_RADIUS_QUERY,
+            BLAST_RADIUS_QUERY.replace("avg(q_j2.cpu_hours)",
+                                       "count(q_j2), sum(q_j2.cpu_hours)"),
+            "MATCH (a:Job)-[p*2..4]->(b:Job) RETURN a.id, b.id",
+            "MATCH (a:Job)-[p:WRITES_TO|IS_READ_BY*0..5]->(b) RETURN b.id, count(a)",
+            "MATCH (a)-[p:IS_READ_BY*1..1]->(b:Job) RETURN a.id, count(b)",
+            "MATCH (a:File)-[p*1..6]->(b:Job) WHERE b.id = 'j11' RETURN a.id",
+        ]
+        for g in differential_dags(seed):
+            h = as_cyclic(g)
+            for text in queries:
+                q = parse_query(text)
+                got, _ = execute(q, g)
+                want, _ = execute(q, h)
+                assert got.rows == want.rows, (seed, text)
+
+    def test_invalid_path_count_raises_in_both(self):
+        g = PropertyGraph.build(
+            SINGLE, [("a", "N", {}), ("b", "N", {}), ("c", "N", {})],
+            [("e1", "a", "b", "L", {}), ("e2", "b", "c", "L", {"path_count": 0})])
+        for graph in (g, as_cyclic(g)):
+            assert _trail_endpoints(graph, "a", 1, 1, None, True,
+                                    ExecutionStats()) == {"b": 1}
+            with pytest.raises(PropertyTypeMismatchError):
+                _trail_endpoints(graph, "a", 1, 2, None, True, ExecutionStats())
+
+    def test_non_numeric_path_length_raises_in_both(self):
+        g = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                   {("a", "b"): {"ts": 1}, ("b", "c"): {"ts": "late"}})
+        for graph in (g, as_cyclic(g)):
+            assert path_lengths(graph, "a", 1, "ts") == {"b": 1}
+            with pytest.raises(PropertyTypeMismatchError):
+                path_lengths(graph, "a", 2, "ts")
+
+    def test_k_hop_matches_breadth_first_reference(self, tmp_path):
+        ds = generate_road_like(tmp_path, seed=2, rows=4, cols=5)
+        graphs = [load_graph(ds.vertex_file, ds.edge_file, ds.schema)]
+        graphs += differential_dags(3)
+        for g in graphs:
+            for source in g.vertex_ids():
+                for direction in ("forward", "backward"):
+                    for k, labels in ((1, None), (3, None), (4, ["IS_READ_BY"])):
+                        stats = ExecutionStats()
+                        got = k_hop_neighborhood(g, [source], direction, k,
+                                                 labels, stats)
+                        want = bfs_neighborhood(g, [source], direction, k,
+                                                labels)
+                        assert (got, stats.vertices_touched,
+                                stats.edges_expanded) == want
+
+    def test_cyclic_road_grid_keeps_trail_semantics(self, tmp_path):
+        # counting walks instead of trails here would return more rows
+        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        assert not g.is_acyclic
+        q = parse_query("MATCH (a:Junction)-[p*4..4]->(b:Junction) "
+                        "WHERE a.id = 'r0c0' RETURN b.id")
+        table, _ = execute(q, g)
+        assert len(table.rows) == 41
+
+
+class TestPinnedAnchor:
+    def test_explicit_id_property_wins_over_vertex_id(self):
+        g = PropertyGraph.build(
+            SINGLE,
+            [("a", "N", {"id": "b"}), ("b", "N", {}), ("c", "N", {"id": "x"}),
+             ("x", "N", {"id": "y"})],
+            [("e1", "a", "c", "L", {}), ("e2", "b", "c", "L", {}),
+             ("e3", "x", "a", "L", {})],
+        )
+        q = parse_query("MATCH (s)-[]->(t) WHERE s.id = 'b' RETURN t.id")
+        # 'a' has id 'b'; 'b' has no id property so its id is 'b'
+        table, _ = execute(q, g)
+        assert table.rows == [("x",), ("x",)]
+        q = parse_query("MATCH (s)-[]->(t) WHERE s.id = 'x' RETURN t.id")
+        # 'x' carries id 'y', so no vertex has id 'x'
+        assert execute(q, g)[0].rows == []
+
+    def test_pinned_anchor_touches_one_vertex(self, toy_ext):
+        q = parse_query("MATCH (a:Job) WHERE a.id = 'j2' RETURN a.id")
+        table, stats = execute(q, toy_ext)
+        assert table.rows == [("j2",)]
+        assert stats.vertices_touched == 1
+        q = parse_query("MATCH (a:File) WHERE a.id = 'j2' RETURN a.id")
+        assert execute(q, toy_ext)[0].rows == []

@@ -19,6 +19,7 @@ from graphviews.store import (
 )
 
 from conftest import LINEAGE_SCHEMA, random_lineage_dag
+from oracles import has_cycle
 
 
 def write(path, text):
@@ -200,6 +201,52 @@ class TestOutNeighbors:
             [("e9", "a", "b", "L", {}), ("e1", "a", "c", "L", {})],
         )
         assert out_neighbors(g, "a") == [("e1", "c"), ("e9", "b")]
+
+
+class TestVertexLookup:
+    def test_vertices_with_id_matches_full_scan(self):
+        schema = GraphSchema.of(["N", "M"], [("N", "M", "L")])
+        g = PropertyGraph.build(
+            schema,
+            [("a", "N", {"id": "b"}), ("b", "M", {}), ("c", "N", {"id": "a"}),
+             ("d", "M", {"id": 7}), ("e", "N", {"id": "b"})],
+            [],
+        )
+        for want in ("a", "b", "c", "d", "e", "7", "ghost"):
+            scan = [v for v in g.vertex_ids()
+                    if g.vertex_props(v).get("id", v) == want]
+            assert g.vertices_with_id(want) == scan, want
+        assert g.vertices_with_id("b") == ["a", "b", "e"]
+
+
+class TestAcyclicity:
+    SCHEMA = GraphSchema.of(["A", "B", "C"], [("A", "B", "L"), ("B", "C", "L"),
+                                              ("C", "B", "L")])
+
+    def graph(self, edges):
+        vertices = [("a", "A", {}), ("b", "B", {}), ("c", "C", {}),
+                    ("b2", "B", {})]
+        return PropertyGraph.build(
+            self.SCHEMA, vertices,
+            [(f"e{i}", s, d, "L", {}) for i, (s, d) in enumerate(edges)])
+
+    def test_types_on_schema_cycles(self):
+        assert self.SCHEMA.types_on_cycles() == {"B", "C"}
+        assert LINEAGE_SCHEMA.types_on_cycles() == {"Job", "File"}
+
+    def test_edges_into_the_cyclic_types(self):
+        assert self.graph([("a", "b"), ("b", "c"), ("c", "b2")]).is_acyclic
+        assert not self.graph([("a", "b"), ("b", "c"), ("c", "b")]).is_acyclic
+        assert self.graph([]).is_acyclic
+
+    def test_matches_cycle_search(self):
+        from test_costing import random_conforming_graph
+        kinds = set()
+        for seed in range(60):
+            g = random_conforming_graph(seed, max_n=12)
+            assert g.is_acyclic == (not has_cycle(g)), seed
+            kinds.add(g.is_acyclic)
+        assert kinds == {True, False}
 
 
 class TestInvariants:

@@ -3,12 +3,16 @@ import random
 import pytest
 
 from graphviews.enumeration import Predicate, ViewInstance
+from graphviews.enumeration import rewrite_with_view
 from graphviews.errors import (
     BudgetExceededError,
     CorruptCatalogError,
     MixedTypeAggregationError,
+    PropertyTypeMismatchError,
     ValidationError,
 )
+from graphviews.execution import execute
+from graphviews.query import parse_query
 from graphviews.store import GraphSchema, PropertyGraph
 from graphviews.views import (
     Candidate,
@@ -20,7 +24,14 @@ from graphviews.views import (
     select_views,
 )
 
-from conftest import LINEAGE_SCHEMA, PROVENANCE_SCHEMA, random_lineage_dag
+from conftest import (
+    BLAST_RADIUS_QUERY,
+    LINEAGE_SCHEMA,
+    PROVENANCE_SCHEMA,
+    as_cyclic,
+    random_lineage_dag,
+    weighted_lineage_dag,
+)
 from oracles import enumerate_trails, knapsack_best_subset, knapsack_best_value
 
 
@@ -218,6 +229,120 @@ class TestMaterializeSpanner:
         multi = materialize_spanner(g, KHOP2, threads=8)
         assert sorted(single_run.edges()) == sorted(multi.edges())
         assert sorted(single_run.vertices()) == sorted(multi.vertices())
+
+
+    def test_input_path_count_multiplies_trails(self):
+        # an edge standing for two contracted paths counts twice, as in
+        # execute: Q1 counts 3 raw rows, so the view edges must carry 2 + 1
+        g = PropertyGraph.build(
+            LINEAGE_SCHEMA,
+            vertices=[("j1", "Job", {}), ("j2", "Job", {}), ("j3", "Job", {}),
+                      ("f1", "File", {}), ("f2", "File", {})],
+            edges=[
+                ("e1", "j1", "f1", "WRITES_TO", {"path_count": 2}),
+                ("e2", "f1", "j2", "IS_READ_BY", {}),
+                ("e3", "j1", "f2", "WRITES_TO", {}),
+                ("e4", "f2", "j3", "IS_READ_BY", {}),
+            ],
+        )
+        q = parse_query(BLAST_RADIUS_QUERY.replace("avg(q_j2.cpu_hours)",
+                                                   "count(q_j2)"))
+        plan = rewrite_with_view(q, KHOP2, LINEAGE_SCHEMA)
+        for graph in (g, as_cyclic(g)):
+            view_g = materialize_spanner(graph, KHOP2)
+            pairs = {(s, d): p["path_count"] for _, s, d, _, p in view_g.edges()}
+            assert pairs == {("j1", "j2"): 2, ("j1", "j3"): 1}
+            assert execute(q, graph)[0].rows == [("j1", 3)]
+            assert execute(plan.rewritten, view_g)[0].rows == [("j1", 3)]
+
+
+def connector_views():
+    """Connectors over the lineage schema, with trail aggregates under
+    every along-reducer and every across-reducer."""
+    views = [
+        KHOP2,
+        ViewInstance(kind="KHopConnector", x="a", y="b",
+                     x_type="File", y_type="File", k=2),
+        ViewInstance(kind="SameVertexTypeConnector", x="a", y="b",
+                     x_type="Job", y_type="Job", lo=2, hi=4),
+        ViewInstance(kind="SourceToSinkConnector", x="a", y="b",
+                     x_type="Job", y_type="File", lo=1, hi=5),
+        ViewInstance(kind="SameEdgeTypeConnector", x="a", y="b",
+                     x_type="File", y_type="Job", label="IS_READ_BY",
+                     lo=1, hi=1),
+        ViewInstance(kind="KHopConnector", x="a", y="b",
+                     x_type="Job", y_type="Job", k=2,
+                     through_types=frozenset({"Job", "File"})),
+    ]
+    for along in ("max", "min", "sum"):
+        for across in ("min", "max", "sum"):
+            views.append(ViewInstance(
+                kind="SameVertexTypeConnector", x="a", y="b",
+                x_type="Job", y_type="Job", lo=2, hi=6,
+                edge_aggregates=(("timestamp", "max", "min"),
+                                 ("timestamp", along, across))))
+    return views
+
+
+def view_content(view_g):
+    return sorted(view_g.vertices()), sorted(view_g.edges())
+
+
+class TestConnectorSweep:
+    """On acyclic inputs the per-source frontier sweep must build the
+    same view as the trail search it replaces."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_views_match_trail_search(self, seed):
+        for g in (random_lineage_dag(seed, jobs=12, files=18),
+                  weighted_lineage_dag(seed, jobs=12, files=18)):
+            assert g.is_acyclic
+            for v in connector_views():
+                assert (view_content(materialize_spanner(g, v))
+                        == view_content(materialize_spanner(as_cyclic(g), v))), \
+                    (seed, v.view_id, v.edge_aggregates)
+
+    def test_missing_property_off_the_view_is_ignored(self):
+        # f2 is read by no job, so the trail j1 -> f2 with no timestamp
+        # ends no 2-hop trail and must not fail the view
+        g = PropertyGraph.build(
+            LINEAGE_SCHEMA,
+            vertices=[("j1", "Job", {}), ("j2", "Job", {}),
+                      ("f1", "File", {}), ("f2", "File", {})],
+            edges=[
+                ("e1", "j1", "f1", "WRITES_TO", {"ts": 3}),
+                ("e2", "f1", "j2", "IS_READ_BY", {"ts": 4}),
+                ("e3", "j1", "f2", "WRITES_TO", {}),
+            ],
+        )
+        v = ViewInstance(kind="KHopConnector", x="a", y="b",
+                         x_type="Job", y_type="Job", k=2,
+                         edge_aggregates=(("ts", "max", "min"),))
+        for graph in (g, as_cyclic(g)):
+            (edge,) = materialize_spanner(graph, v).edges()
+            assert edge[4] == {"path_count": 1, "ts": 4}
+        reader = PropertyGraph.build(
+            LINEAGE_SCHEMA, list(g.vertices()),
+            list(g.edges()) + [("e4", "f2", "j2", "IS_READ_BY", {"ts": 1})])
+        for graph in (reader, as_cyclic(reader)):
+            with pytest.raises(PropertyTypeMismatchError):
+                materialize_spanner(graph, v)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_missing_properties_raise_exactly_when_trail_search_does(self, seed):
+        rng = random.Random(seed)
+        g = random_lineage_dag(seed, jobs=12, files=18)
+        edges = [(eid, s, d, label, {} if rng.random() < 0.08 else props)
+                 for eid, s, d, label, props in g.edges()]
+        g = PropertyGraph.build(LINEAGE_SCHEMA, list(g.vertices()), edges)
+        for v in connector_views()[-9:]:
+            outcomes = []
+            for graph in (g, as_cyclic(g)):
+                try:
+                    outcomes.append(view_content(materialize_spanner(graph, v)))
+                except PropertyTypeMismatchError:
+                    outcomes.append("raised")
+            assert outcomes[0] == outcomes[1], (seed, v.edge_aggregates)
 
 
 @pytest.fixture
