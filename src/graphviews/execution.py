@@ -6,6 +6,15 @@ is looked up directly) and expands adjacent constraints.
 Variable-length paths match edge-distinct trails (vertices may repeat,
 edge ids may not, within one path binding).
 
+A binding is a tuple of the graph's internal integer indices, one slot
+per pattern vertex and per named edge. The order in which constraints
+expand depends only on which names are bound, so each component is
+compiled once into a fixed list of steps over the graph's arrays, and
+the matcher backtracks through one mutable slot list. Filters and
+projection compile to getters from a slot to the element's properties;
+external ids are used only for the ``id`` fallback and for returning a
+bound name itself.
+
 Trail-shaped work (variable-length paths, ``path_lengths``, connector
 materialization) runs on one of two kernels. On an acyclic graph every
 walk is a trail, so a level-synchronous frontier sweep folds all walks
@@ -50,6 +59,8 @@ from .query import (
     PropertyRef,
     QueryGraph,
     ResultTable,
+    _cell_sort_key,
+    _row_sort_key,
 )
 from .store import PropertyGraph
 
@@ -84,9 +95,11 @@ def execute(q: QueryGraph, g: PropertyGraph,
         stats = ExecutionStats()
     started = time.perf_counter()
     _check_types(q, g)
-    bindings = _match(q, g, stats)
-    bindings = [bm for bm in bindings if _passes_filters(q, g, bm[0])]
-    table = _project(q, g, bindings)
+    bindings, slots = _match(q, g, stats)
+    if q.filters is not None:
+        test = _compile_filter(q, g, slots, q.filters)
+        bindings = [bm for bm in bindings if test(bm[0])]
+    table = _project(q, g, slots, bindings)
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return table, stats
 
@@ -114,24 +127,25 @@ class _Constraint:
     payload: object  # PatternEdge or VarLengthPath
 
 
-def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats):
-    components = _pattern_components(q)
-    per_component: list[list[tuple[dict, int]]] = []
-    for names in components:
-        per_component.append(_match_component(q, g, names, stats))
-    # cartesian product across disconnected components
-    result = [({}, 1)]
-    for rows in per_component:
-        merged = []
-        for base, base_mult in result:
-            for binding, mult in rows:
-                combined = dict(base)
-                combined.update(binding)
-                merged.append((combined, base_mult * mult))
-        result = merged
+def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
+           ) -> tuple[list[tuple[tuple, int]], dict[str, int]]:
+    """Every binding as (slot tuple, multiplicity), and the slot of each
+    bound name. Components take consecutive slots, so the cartesian
+    product across them concatenates their tuples, base-major."""
+    slots: dict[str, int] = {}
+    per_component = []
+    for names in _pattern_components(q):
+        layout = names + [e.name for e in q.pattern_edges
+                          if e.name is not None and e.src in names]
+        per_component.append(_match_component(q, g, names, layout, stats))
+        slots.update((name, len(slots)) for name in layout)
+    result = per_component[0]
+    for rows in per_component[1:]:
         if not result:
             break
-    return result
+        result = [(base + binding, base_mult * mult)
+                  for base, base_mult in result for binding, mult in rows]
+    return result, slots
 
 
 def _pattern_components(q: QueryGraph) -> list[list[str]]:
@@ -188,30 +202,28 @@ def _anchor_of(q: QueryGraph, g: PropertyGraph, names: list[str],
 
 
 def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
-                     stats: ExecutionStats) -> list[tuple[dict, int]]:
-    constraints = []
-    for i, e in enumerate(q.pattern_edges):
-        if e.src in names or e.dst in names:
-            constraints.append(_Constraint(i, True, e.src, e.dst, e))
-    for i, p in enumerate(q.var_length_paths):
-        if p.src in names or p.dst in names:
-            constraints.append(_Constraint(100 + i, False, p.src, p.dst, p))
-
+                     layout: list[str], stats: ExecutionStats
+                     ) -> list[tuple[tuple, int]]:
     pinned = _pinned_ids(q)
     anchor = _anchor_of(q, g, names, pinned)
     anchor_type = q.pattern_vertices[anchor]
+    vtypes = g._vtypes
     if anchor in pinned:
-        candidates = [v for v in g.vertices_with_id(pinned[anchor])
-                      if anchor_type is None or g.vertex_type(v) == anchor_type]
-    elif anchor_type is not None:
-        candidates = g.vertices_of_type(anchor_type)
+        candidates = [g._vindex[v] for v in g.vertices_with_id(pinned[anchor])]
     else:
-        candidates = g.vertex_ids()
+        candidates = range(g.n)
+    if anchor_type is not None:
+        candidates = [v for v in candidates if vtypes[v] == anchor_type]
 
-    out: list[tuple[dict, int]] = []
+    out: list[tuple[tuple, int]] = []
+    slot = {name: i for i, name in enumerate(layout)}
+    first = _compile_steps(q, g, names, anchor, slot, out, stats)
+    binding = [None] * len(layout)
+    at = slot[anchor]
+    stats.vertices_touched += len(candidates)
     for start in candidates:
-        stats.vertices_touched += 1
-        _expand(q, g, {anchor: start}, 1, list(constraints), out, stats)
+        binding[at] = start
+        first(binding, 1)
     return out
 
 
@@ -230,75 +242,110 @@ def _pick_constraint(constraints: list[_Constraint], bound: set[str]) -> int:
     return best
 
 
-def _expand(q, g, binding: dict, mult: int, constraints: list[_Constraint],
-            out: list, stats: ExecutionStats):
-    if not constraints:
-        out.append((binding, mult))
-        return
-    idx = _pick_constraint(constraints, set(binding))
-    c = constraints[idx]
-    rest = constraints[:idx] + constraints[idx + 1:]
-    if c.is_edge:
-        _expand_edge(q, g, binding, mult, c, rest, out, stats)
-    else:
-        _expand_path(q, g, binding, mult, c, rest, out, stats)
+def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
+                   out: list, stats: ExecutionStats):
+    """The component's step plan as one callable ``step(binding, mult)``:
+    constraints in the order ``_pick_constraint`` gives from the anchor,
+    each extending the binding and calling the next, the last appending
+    the finished binding to ``out``."""
+    constraints = []
+    for i, e in enumerate(q.pattern_edges):
+        if e.src in names or e.dst in names:
+            constraints.append(_Constraint(i, True, e.src, e.dst, e))
+    for i, p in enumerate(q.var_length_paths):
+        if p.src in names or p.dst in names:
+            constraints.append(_Constraint(100 + i, False, p.src, p.dst, p))
+    bound = {anchor}
+    plan = []
+    while constraints:
+        c = constraints.pop(_pick_constraint(constraints, bound))
+        forward = c.src in bound
+        here, other = (c.src, c.dst) if forward else (c.dst, c.src)
+        plan.append((c, forward, slot[here], slot[other], other in bound,
+                     q.pattern_vertices[other]))
+        bound.update((c.src, c.dst))
 
+    append = out.append
 
-def _type_ok(q, g, name: str, vid: str) -> bool:
-    want = q.pattern_vertices[name]
-    return want is None or g.vertex_type(vid) == want
+    def emit(binding: list, mult: int):
+        append((tuple(binding), mult))
 
-
-def _expand_edge(q, g, binding, mult, c, rest, out, stats):
-    e = c.payload
-    src_bound = e.src in binding
-    if src_bound:
-        edges = g.out_edges(binding[e.src], e.label)
-        other, other_is_dst = e.dst, True
-    else:
-        edges = g.in_edges(binding[e.dst], e.label)
-        other, other_is_dst = e.src, False
-    for eid, neighbor, _, props in edges:
-        stats.edges_expanded += 1
-        if other in binding:
-            if binding[other] != neighbor:
-                continue
-            new_binding = dict(binding)
+    step = emit
+    for c, *args in reversed(plan):
+        if c.is_edge:
+            e = c.payload
+            named = slot[e.name] if e.name is not None else None
+            step = _edge_step(g, e.label, named, *args, step, stats)
         else:
-            if not _type_ok(q, g, other, neighbor):
-                continue
-            stats.vertices_touched += 1
-            new_binding = dict(binding)
-            new_binding[other] = neighbor
-        if e.name is not None:
-            new_binding[e.name] = eid
-        _expand(q, g, new_binding, mult * _path_count(props), rest, out, stats)
+            step = _path_step(g, c.payload, *args, step, stats)
+    return step
 
 
-def _expand_path(q, g, binding, mult, c, rest, out, stats):
-    p = c.payload
-    forward = p.src in binding
-    start = binding[p.src] if forward else binding[p.dst]
-    other = p.dst if forward else p.src
-    reached = _trail_endpoints(g, start, p.lower, p.upper, p.labels,
-                               forward, stats)
-    for endpoint, path_mult in sorted(reached.items()):
-        if other in binding:
-            if binding[other] != endpoint:
+def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
+               there: int, there_bound: bool, want, nxt, stats):
+    """One fixed edge from the vertex in slot ``here``, in ascending edge
+    id order: the far end must equal slot ``there`` when that is bound,
+    else have type ``want`` (when not None) and be bound to it. Only
+    edges that pass multiply in their ``path_count``."""
+    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
+    elabel, vtypes, eprops = g._elabel, g._vtypes, g._eprops
+
+    def step(binding: list, mult: int):
+        edges = adj[binding[here]]
+        if label is not None:
+            edges = [ei for ei in edges if elabel[ei] == label]
+        stats.edges_expanded += len(edges)
+        touched = 0
+        for ei in edges:
+            w = far[ei]
+            if there_bound:
+                if binding[there] != w:
+                    continue
+            elif want is not None and vtypes[w] != want:
                 continue
-            new_binding = dict(binding)
-        else:
-            if not _type_ok(q, g, other, endpoint):
-                continue
-            new_binding = dict(binding)
-            new_binding[other] = endpoint
-        _expand(q, g, new_binding, mult * path_mult, rest, out, stats)
+            else:
+                touched += 1
+                binding[there] = w
+            if named is not None:
+                binding[named] = ei
+            props = eprops[ei]
+            nxt(binding, mult * _path_count(props)
+                if PATH_COUNT_PROP in props else mult)
+        stats.vertices_touched += touched
+    return step
+
+
+def _path_step(g: PropertyGraph, p, forward: bool, here: int, there: int,
+               there_bound: bool, want, nxt, stats):
+    """One variable-length path from the vertex in slot ``here``: every
+    trail endpoint, in ascending external id order, weighted by its
+    summed trail multiplicity."""
+    extend = _count_step(g)
+    labels = set(p.labels) if p.labels else None
+    vids, vtypes = g._vids, g._vtypes
+
+    def step(binding: list, mult: int):
+        reached = _walk(g, {binding[here]: 1}, p.lower, p.upper, extend,
+                        operator.add, forward=forward, labels=labels,
+                        stats=stats)
+        if there_bound:
+            count = reached.get(binding[there])
+            if count is not None:
+                nxt(binding, mult * count)
+            return
+        ends = [w for w in reached if want is None or vtypes[w] == want]
+        ends.sort(key=vids.__getitem__)
+        for w in ends:
+            binding[there] = w
+            nxt(binding, mult * reached[w])
+    return step
 
 
 def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
                      stats: ExecutionStats) -> dict[str, int]:
     """Endpoints reachable by edge-distinct trails of length lo..hi, with
-    the summed path_count-weighted trail multiplicity per endpoint."""
+    the summed path_count-weighted trail multiplicity per endpoint: what
+    a variable-length step sees, keyed by external id."""
     reached = _walk(g, {g._require(start): 1}, lo, hi, _count_step(g),
                     operator.add, forward=forward,
                     labels=set(labels) if labels else None, stats=stats)
@@ -384,14 +431,15 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
 
 
 def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
-            forward: bool = True, labels=None, allowed=None,
+            forward: bool = True, labels=None, allowed=None, finish=None,
             stats: ExecutionStats) -> dict:
     """Depth-first enumeration of edge-distinct trails (vertices may
     repeat), with the arguments (but ``seen``) and result of
     :func:`_sweep`. Its cost
     is O(#trails); on a cyclic graph it is the only exact choice, since
     a walk there may reuse an edge. ``plus`` joins trails in depth-first
-    order."""
+    order. ``finish``, when given, maps each trail's value once, as it
+    joins its endpoint, so it may weigh the trail as a whole."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes = g._elabel, g._vtypes
     reached: dict = {}
@@ -400,7 +448,8 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     def walk(v: int, depth: int, value):
         stats.vertices_touched += 1
         if depth >= lo:
-            reached[v] = plus(reached[v], value) if v in reached else value
+            x = value if finish is None else finish(value)
+            reached[v] = plus(reached[v], x) if v in reached else x
         if depth == hi:
             return
         types = allowed[depth + 1] if allowed is not None else None
@@ -428,68 +477,68 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
 # Filters and projection
 # --------------------------------------------------------------------------
 
-def _resolve(q, g, binding: dict, name: str, key: str):
-    """Property lookup for a bound vertex or edge; ``id`` falls back to
-    the element id. Returns None when missing."""
-    element = binding[name]
-    if name in q.pattern_vertices:
-        props = g.vertex_props(element)
+def _getter(q: QueryGraph, g: PropertyGraph, slots: dict[str, int], ref):
+    """``NameRef``: the element's external id. ``PropertyRef``: the
+    property, None when missing, except that ``id`` falls back to the
+    element id."""
+    at = slots[ref.name]
+    if ref.name in q.pattern_vertices:
+        ids, props = g._vids, g._vprops
     else:
-        props = g.edge_props(element)
-    if key in props:
-        return props[key]
-    if key == "id":
-        return element
-    return None
+        ids, props = g._eids, g._eprops
+    if isinstance(ref, NameRef):
+        return lambda binding: ids[binding[at]]
+    key = ref.key
+    if key != "id":
+        return lambda binding: props[binding[at]].get(key)
+
+    def element_id(binding):
+        i = binding[at]
+        own = props[i]
+        return own["id"] if "id" in own else ids[i]
+    return element_id
 
 
-def _eval_filter(q, g, binding, expr) -> bool:
-    if isinstance(expr, And):
-        return all(_eval_filter(q, g, binding, child) for child in expr.children)
-    if isinstance(expr, Or):
-        return any(_eval_filter(q, g, binding, child) for child in expr.children)
+def _compile_filter(q, g, slots, expr):
+    """A predicate over binding tuples; And/Or short-circuit in order."""
+    if isinstance(expr, (And, Or)):
+        tests = [_compile_filter(q, g, slots, child) for child in expr.children]
+        fold = all if isinstance(expr, And) else any
+        return lambda binding: fold(test(binding) for test in tests)
     if isinstance(expr, Not):
-        return not _eval_filter(q, g, binding, expr.child)
-    return _eval_comparison(q, g, binding, expr)
+        test = _compile_filter(q, g, slots, expr.child)
+        return lambda binding: not test(binding)
+    lhs, op = _getter(q, g, slots, expr.lhs), expr.op
+    if isinstance(expr.rhs, PropertyRef):
+        rhs = _getter(q, g, slots, expr.rhs)
+        return lambda binding: _compare(lhs(binding), op, rhs(binding))
+    value = expr.rhs.value
+    return lambda binding: _compare(lhs(binding), op, value)
 
 
-def _eval_comparison(q, g, binding, cmp: Comparison) -> bool:
-    lhs = _resolve(q, g, binding, cmp.lhs.name, cmp.lhs.key)
-    if isinstance(cmp.rhs, PropertyRef):
-        rhs = _resolve(q, g, binding, cmp.rhs.name, cmp.rhs.key)
-    else:
-        rhs = cmp.rhs.value
+def _compare(lhs, op: str, rhs) -> bool:
     if lhs is None or rhs is None:
         return False
     lhs_num = isinstance(lhs, (int, float)) and not isinstance(lhs, bool)
     rhs_num = isinstance(rhs, (int, float)) and not isinstance(rhs, bool)
     comparable = (lhs_num and rhs_num) or type(lhs) is type(rhs)
-    if cmp.op == "=":
+    if op == "=":
         return lhs == rhs if comparable else False
-    if cmp.op == "<>":
+    if op == "<>":
         return lhs != rhs if comparable else True
     if not comparable:
         raise PropertyTypeMismatchError(
             f"cannot order {type(lhs).__name__} against {type(rhs).__name__}")
-    if cmp.op == "<":
+    if op == "<":
         return lhs < rhs
-    if cmp.op == "<=":
+    if op == "<=":
         return lhs <= rhs
-    if cmp.op == ">":
+    if op == ">":
         return lhs > rhs
     return lhs >= rhs
 
 
-def _passes_filters(q, g, binding) -> bool:
-    if q.filters is None:
-        return True
-    return _eval_filter(q, g, binding, q.filters)
-
-
-def _eval_projection(q, g, binding, expr):
-    if isinstance(expr, NameRef):
-        return binding[expr.name]
-    return _resolve(q, g, binding, expr.name, expr.key)
+_NUMBERS = (int, float)   # exact types; _numeric decides the others
 
 
 def _numeric(value, context: str):
@@ -499,65 +548,83 @@ def _numeric(value, context: str):
     return value
 
 
-class _Accumulator:
-    def __init__(self, func: str):
-        self.func = func
-        self.total = 0
-        self.weight = 0
-        self.extreme = None
-
-    def add(self, value, mult: int):
-        if self.func == "count":
-            self.total += mult
-            return
-        value = _numeric(value, self.func)
-        if self.func in ("sum", "avg"):
-            self.total += value * mult
-            self.weight += mult
-        elif self.func == "max":
-            self.extreme = value if self.extreme is None else max(self.extreme, value)
-        elif self.func == "min":
-            self.extreme = value if self.extreme is None else min(self.extreme, value)
-
-    def result(self):
-        if self.func == "count":
-            return self.total
-        if self.func == "sum":
-            return self.total
-        if self.func == "avg":
-            return self.total / self.weight if self.weight else None
-        return self.extreme
+def _tuple_getter(getters):
+    """binding -> tuple of every getter's value."""
+    if len(getters) == 1:
+        (only,) = getters
+        return lambda binding: (only(binding),)
+    return lambda binding: tuple(get(binding) for get in getters)
 
 
-def _project(q: QueryGraph, g: PropertyGraph, bindings) -> ResultTable:
+def _aggregate(func: str, get, at: int):
+    """``add(acc, binding, mult)`` and ``result(acc)`` of one aggregate
+    over a group's accumulator list, which holds its running value at
+    ``at`` (a total, or the extreme so far) and, for avg, its weight at
+    ``at + 1``. Missing values are skipped; sum and avg weight each value
+    by the binding's multiplicity."""
+    weight = at + 1
+    if func == "count":
+        def add(acc, binding, mult):
+            if get(binding) is not None:
+                acc[at] += mult
+    elif func in ("sum", "avg"):
+        def add(acc, binding, mult):
+            value = get(binding)
+            if value is not None:
+                if type(value) not in _NUMBERS:
+                    _numeric(value, func)
+                acc[at] += value * mult
+                acc[weight] += mult
+    else:
+        pick = max if func == "max" else min
+
+        def add(acc, binding, mult):
+            value = get(binding)
+            if value is not None:
+                if type(value) not in _NUMBERS:
+                    _numeric(value, func)
+                best = acc[at]
+                acc[at] = value if best is None else pick(best, value)
+    if func == "avg":
+        def result(acc):
+            return acc[at] / acc[weight] if acc[weight] else None
+    else:
+        def result(acc):
+            return acc[at]
+    return add, result
+
+
+def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
+             bindings) -> ResultTable:
     columns = tuple(item.alias for item in q.projection)
     group_items = q.group_keys()
     agg_items = q.aggregates()
+    key_of = (_tuple_getter([_getter(q, g, slots, item.expr)
+                             for item in group_items])
+              if group_items else lambda binding: ())
 
     if not agg_items:
         rows = []
         for binding, mult in bindings:
-            row = tuple(_eval_projection(q, g, binding, i.expr) for i in q.projection)
-            rows.extend([row] * mult)
+            rows.extend([key_of(binding)] * mult)
         return _order_and_limit(q, ResultTable(columns, rows))
 
-    groups: dict[tuple, dict[int, _Accumulator]] = {}
+    adds, results, initial = [], [], []
+    for item in agg_items:
+        agg: Aggregate = item.expr
+        add, result = _aggregate(agg.func, _getter(q, g, slots, agg.arg),
+                                 len(initial))
+        adds.append(add)
+        results.append(result)
+        initial += [None, 0] if agg.func in ("max", "min") else [0, 0]
+    groups: dict[tuple, list] = {}
     for binding, mult in bindings:
-        key = tuple(_eval_projection(q, g, binding, i.expr) for i in group_items)
-        if key not in groups:
-            groups[key] = {
-                idx: _Accumulator(item.expr.func)
-                for idx, item in enumerate(q.projection)
-                if isinstance(item.expr, Aggregate)
-            }
-        for idx, acc in groups[key].items():
-            agg: Aggregate = q.projection[idx].expr
-            if isinstance(agg.arg, NameRef):
-                acc.add(binding[agg.arg.name], mult)
-            else:
-                value = _resolve(q, g, binding, agg.arg.name, agg.arg.key)
-                if value is not None:
-                    acc.add(value, mult)
+        key = key_of(binding)
+        acc = groups.get(key)
+        if acc is None:
+            acc = groups[key] = list(initial)
+        for add in adds:
+            add(acc, binding, mult)
 
     if not groups and not group_items:
         # aggregate over an empty match: count()/sum() are 0, others null
@@ -566,41 +633,22 @@ def _project(q: QueryGraph, g: PropertyGraph, bindings) -> ResultTable:
         return _order_and_limit(q, ResultTable(columns, rows))
 
     rows = []
-    for key in groups:
-        accs = groups[key]
-        row = []
-        key_iter = iter(key)
-        for idx, item in enumerate(q.projection):
-            if isinstance(item.expr, Aggregate):
-                row.append(accs[idx].result())
-            else:
-                row.append(next(key_iter))
-        rows.append(tuple(row))
+    for key, acc in groups.items():
+        keys, aggs = iter(key), iter(results)
+        rows.append(tuple(next(aggs)(acc) if isinstance(item.expr, Aggregate)
+                          else next(keys) for item in q.projection))
     return _order_and_limit(q, ResultTable(columns, rows))
 
 
 def _order_and_limit(q: QueryGraph, table: ResultTable) -> ResultTable:
-    rows = sorted(table.rows, key=_row_key)
+    rows = sorted(table.rows, key=_row_sort_key)
     if q.order_by is not None:
         idx = table.columns.index(q.order_by.alias)
-        rows.sort(key=lambda r: _cell_key(r[idx]), reverse=q.order_by.descending)
+        rows.sort(key=lambda r: _cell_sort_key(r[idx]),
+                  reverse=q.order_by.descending)
     if q.limit is not None:
         rows = rows[:q.limit]
     return ResultTable(table.columns, rows)
-
-
-def _cell_key(value):
-    if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, float(value))
-    return (3, value)
-
-
-def _row_key(row):
-    return tuple(_cell_key(v) for v in row)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ graph, never from other views.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -242,7 +243,8 @@ def _reducer(name: str):
 
 def _connector_semiring(g: PropertyGraph, aggregates):
     """``extend`` and ``plus`` over connector values (path_count, one
-    value per (property, along, across) aggregate). A non-numeric step
+    value per (property, along, across) aggregate), and the ``finish``
+    a sum across trails needs, or None. A non-numeric step
     poisons the aggregates of every trail through it; materialization
     raises only when such a trail reaches a view edge."""
     eprops = g._eprops
@@ -250,6 +252,7 @@ def _connector_semiring(g: PropertyGraph, aggregates):
     along = [(i, prop, _reducer(name))
              for i, (prop, name, _) in enumerate(aggregates, 1)]
     across = [(i, _reducer(name)) for i, (_, _, name) in enumerate(aggregates, 1)]
+    summed = [i for i, (_, _, name) in enumerate(aggregates, 1) if name == "sum"]
 
     def extend(value: tuple, ei: int) -> tuple:
         props = eprops[ei]
@@ -271,7 +274,15 @@ def _connector_semiring(g: PropertyGraph, aggregates):
                        else reduce(x, y))
         return tuple(out)
 
-    return extend, plus
+    def finish(value: tuple) -> tuple:
+        # a trail of multiplicity m adds m times its value to a sum
+        out = list(value)
+        for i in summed:
+            if out[i] is not _NON_NUMERIC:
+                out[i] = out[i] * value[0]
+        return tuple(out)
+
+    return extend, plus, (finish if summed else None)
 
 
 def materialize_spanner(g: PropertyGraph, v: ViewInstance,
@@ -287,13 +298,12 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     label_filter = set(v.path_labels) if v.path_labels else None
     sources = [vid for vid in sorted(g.vertices_of_type(v.x_type))
                if g.vertex_type(vid) in allowed[0]] if allowed[0] else []
-    extend, plus = _connector_semiring(g, v.edge_aggregates)
+    extend, plus, finish = _connector_semiring(g, v.edge_aggregates)
     seed = (1,) + (None,) * len(v.edge_aggregates)
     # a sum across trails does not distribute over the along-reducers,
     # so only the trail search computes one
-    walk = (_sweep if g.is_acyclic and all(across != "sum" for _, _, across
-                                           in v.edge_aggregates)
-            else _trails)
+    walk = (_sweep if g.is_acyclic and finish is None
+            else functools.partial(_trails, finish=finish))
 
     def scan(chunk: list[str]) -> dict[tuple[str, str], tuple]:
         pairs: dict[tuple[str, str], tuple] = {}

@@ -4,8 +4,10 @@ These deliberately do not share code with the package: the schema-path
 oracle follows the procedural fix-point formulation (seed single-edge
 chains, grow each round at both ends, keep only chains that grew,
 deduplicate), the path counter and trail enumerator are plain recursive
-searches, the neighborhood oracle is a plain breadth-first search, and
-the knapsack oracle enumerates subsets exhaustively.
+searches, the neighborhood oracle is a plain breadth-first search, the
+query oracle is a plain recursive backtracking matcher over the public
+graph API with one binding per trail, and the knapsack oracle
+enumerates subsets exhaustively.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from graphviews.errors import PropertyTypeMismatchError
+from graphviews.query import (
+    Aggregate, And, Comparison, NameRef, Not, Or, PropertyRef)
 
 
 def k_hop_schema_paths_procedural(schema_edges, paths, k, curr_k):
@@ -178,3 +184,178 @@ def knapsack_best_subset(items, budget):
                 best_key = key
                 best = (ids, v, w)
     return best
+
+
+def query_rows(g, q) -> list[tuple]:
+    """The result rows of parsed query ``q`` over ``g``, in the order the
+    engine returns them. Bindings come from a recursive search over the
+    pattern constraints in query order, with one binding per trail of a
+    variable-length link and multiplicity the product of the
+    ``path_count`` of every edge it traverses."""
+    links = [(e, None) for e in q.pattern_edges]
+    links += [(None, p) for p in q.var_length_paths]
+    bindings = []
+
+    def type_ok(name, vid):
+        want = q.pattern_vertices[name]
+        return want is None or g.vertex_type(vid) == want
+
+    def extend(binding, name, vid):
+        if name in binding:
+            return binding if binding[name] == vid else None
+        if not type_ok(name, vid):
+            return None
+        return {**binding, name: vid}
+
+    def trails(start, lo, hi, labels, forward):
+        ends = []
+
+        def walk(v, depth, mult, used):
+            if depth >= lo:
+                ends.append((v, mult))
+            if depth == hi:
+                return
+            adjacent = g.out_edges(v) if forward else g.in_edges(v)
+            for eid, other, label, props in adjacent:
+                if eid in used or (labels and label not in labels):
+                    continue
+                used.add(eid)
+                walk(other, depth + 1, mult * props.get("path_count", 1), used)
+                used.discard(eid)
+
+        walk(start, 0, 1, set())
+        return ends
+
+    def solve(binding, mult, i):
+        if i == len(links):
+            free = [n for n in q.pattern_vertices if n not in binding]
+            if not free:
+                bindings.append((binding, mult))
+                return
+            for vid in g.vertex_ids():
+                if type_ok(free[0], vid):
+                    solve({**binding, free[0]: vid}, mult, i)
+            return
+        edge, path = links[i]
+        src, dst = (edge or path).src, (edge or path).dst
+        if src not in binding and dst not in binding:
+            for vid in g.vertex_ids():
+                if type_ok(src, vid):
+                    solve({**binding, src: vid}, mult, i)
+            return
+        forward = src in binding
+        here, there = (src, dst) if forward else (dst, src)
+        if edge is not None:
+            adjacent = (g.out_edges(binding[here], edge.label) if forward
+                        else g.in_edges(binding[here], edge.label))
+            for eid, other, _, props in adjacent:
+                nxt = extend(binding, there, other)
+                if nxt is None:
+                    continue
+                if edge.name is not None:
+                    nxt = {**nxt, edge.name: eid}
+                solve(nxt, mult * props.get("path_count", 1), i + 1)
+        else:
+            for other, trail_mult in trails(binding[here], path.lower,
+                                            path.upper, path.labels, forward):
+                nxt = extend(binding, there, other)
+                if nxt is not None:
+                    solve(nxt, mult * trail_mult, i + 1)
+
+    solve({}, 1, 0)
+
+    def value(binding, ref):
+        element = binding[ref.name]
+        if isinstance(ref, NameRef):
+            return element
+        if ref.name in q.pattern_vertices:
+            props = g.vertex_props(element)
+        else:
+            props = g.edge_props(element)
+        if ref.key in props:
+            return props[ref.key]
+        return element if ref.key == "id" else None
+
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def holds(binding, expr):
+        if isinstance(expr, And):
+            return all(holds(binding, c) for c in expr.children)
+        if isinstance(expr, Or):
+            return any(holds(binding, c) for c in expr.children)
+        if isinstance(expr, Not):
+            return not holds(binding, expr.child)
+        assert isinstance(expr, Comparison)
+        a = value(binding, expr.lhs)
+        b = (value(binding, expr.rhs) if isinstance(expr.rhs, PropertyRef)
+             else expr.rhs.value)
+        if a is None or b is None:
+            return False
+        same = (is_number(a) and is_number(b)) or type(a) is type(b)
+        if expr.op in ("=", "<>"):
+            return (a == b if same else False) == (expr.op == "=")
+        if not same:
+            raise PropertyTypeMismatchError(f"cannot order {a!r} and {b!r}")
+        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[expr.op]
+
+    if q.filters is not None:
+        bindings = [(b, m) for b, m in bindings if holds(b, q.filters)]
+
+    items = [item.expr for item in q.projection]
+    aggs = [x for x in items if isinstance(x, Aggregate)]
+    if not aggs:
+        rows = [tuple(value(b, x) for x in items) for b, m in bindings
+                for _ in range(m)]
+    else:
+        groups = {}
+        for b, m in bindings:
+            key = tuple(value(b, x) for x in items if not isinstance(x, Aggregate))
+            groups.setdefault(key, []).append((b, m))
+        if not groups and len(aggs) == len(items):
+            groups[()] = []
+        rows = []
+        for key, members in groups.items():
+            cells = iter(key)
+            row = []
+            for x in items:
+                if not isinstance(x, Aggregate):
+                    row.append(next(cells))
+                    continue
+                seen = [(value(b, x.arg), m) for b, m in members]
+                seen = [(v, m) for v, m in seen if v is not None]
+                if x.func == "count":
+                    row.append(sum(m for _, m in seen))
+                    continue
+                for v, _ in seen:
+                    if not is_number(v):
+                        raise PropertyTypeMismatchError(f"{x.func} of {v!r}")
+                total = sum(v * m for v, m in seen)
+                weight = sum(m for _, m in seen)
+                if x.func == "sum":
+                    row.append(total)
+                elif x.func == "avg":
+                    row.append(total / weight if weight else None)
+                elif not seen:
+                    row.append(None)
+                else:
+                    pick = max if x.func == "max" else min
+                    row.append(pick(v for v, _ in seen))
+            rows.append(tuple(row))
+
+    def cell_order(v):
+        if v is None:
+            return (0, "")
+        if isinstance(v, bool):
+            return (1, v)
+        if is_number(v):
+            return (2, float(v))
+        return (3, v)
+
+    rows.sort(key=lambda r: [cell_order(v) for v in r])
+    if q.order_by is not None:
+        at = [item.alias for item in q.projection].index(q.order_by.alias)
+        rows.sort(key=lambda r: cell_order(r[at]), reverse=q.order_by.descending)
+    if q.limit is not None:
+        rows = rows[:q.limit]
+    return rows

@@ -16,8 +16,10 @@ from graphviews.execution import (
     k_hop_neighborhood,
     path_lengths,
 )
+from graphviews.generate import generate_road_like
 from graphviews.mining import mine_constraints
 from graphviews.query import ResultTable, parse_query
+from graphviews.store import load_graph
 from graphviews.views import materialize
 
 from conftest import (
@@ -139,3 +141,27 @@ class TestSparsifierCountsDiffer:
             predicate=Predicate(types=frozenset(PROVENANCE_SCHEMA.vertex_types)))
         over_identity, _ = execute(q5, materialize(g, incl))
         assert raw.rows == over_identity.rows
+
+
+class TestCyclicRewrites:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: on a cyclic graph two view hops are two "
+        "independent trails, and the rewriter does not refuse such plans"))
+    def test_two_view_hops_on_a_cyclic_grid(self, tmp_path):
+        # a plan must be refused or sound. Today it is neither: raw gives
+        # 41 rows, over the 2-hop view 47 (two hops may reuse a raw edge,
+        # and one view edge cannot be taken twice)
+        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        assert not g.is_acyclic
+        view = ViewInstance(kind="KHopConnector", x="a", y="b",
+                            x_type="Junction", y_type="Junction", k=2)
+        q = parse_query("MATCH (a:Junction)-[p*4..4]->(b:Junction) "
+                        "WHERE a.id = 'r0c0' RETURN b.id")
+        try:
+            plan = rewrite_with_view(q, view, g.schema)
+        except RewriteInfeasibleError:
+            return
+        raw, _ = execute(q, g)
+        rewritten, _ = execute(plan.rewritten, materialize(g, view))
+        assert raw.multiset_equal(rewritten)

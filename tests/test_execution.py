@@ -29,7 +29,7 @@ from conftest import (
     random_lineage_dag,
     weighted_lineage_dag,
 )
-from oracles import bfs_neighborhood
+from oracles import bfs_neighborhood, query_rows
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
 
@@ -400,3 +400,90 @@ class TestPinnedAnchor:
         assert stats.vertices_touched == 1
         q = parse_query("MATCH (a:File) WHERE a.id = 'j2' RETURN a.id")
         assert execute(q, toy_ext)[0].rows == []
+
+
+ORACLE_QUERIES = [
+    # two components: a cartesian product
+    "MATCH (a:Job)-[:WRITES_TO]->(f:File), (b:Job) WHERE b.cpu_hours > 25 "
+    "RETURN a.id, count(b)",
+    # a named edge: edge-property filter and e.id projection
+    "MATCH (f:File)-[e:IS_READ_BY]->(j:Job) WHERE e.timestamp > 20 "
+    "RETURN e.id, j.id",
+    # the bound names themselves
+    "MATCH (j:Job)-[w:WRITES_TO]->(f) RETURN j, w",
+    "MATCH (j:Job)-[w:WRITES_TO]->(f) RETURN j, count(w)",
+    # the only typed vertex is the destination, so steps walk in-edges
+    "MATCH (a)-[:IS_READ_BY]->(b:Job) RETURN a.id, b.id",
+    "MATCH (a)-[p*1..3]->(b:Job) RETURN a.id, count(b)",
+    "MATCH (a)-[:WRITES_TO]->(f)-[:IS_READ_BY]->(b:Job) "
+    "WHERE NOT a.cpu_hours < 10 OR b.id = 'j3' RETURN a.id, b.id",
+    # steps whose far end is already bound
+    "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job), "
+    "(a)-[p*2..2]->(b) RETURN a.id, b.id",
+    "MATCH (f:File)-[:IS_READ_BY]->(j:Job), (f)-[r:IS_READ_BY]->(j) "
+    "RETURN f.id, r.id",
+    # pinned anchors, on either end
+    "MATCH (a:File)-[p*1..6]->(b:Job) WHERE b.id = 'j7' RETURN a.id",
+    BLAST_RADIUS_QUERY.replace("RETURN", "WHERE q_j1.id = 'j2' RETURN"),
+    # label alternation, and a zero-length lower bound
+    "MATCH (a:Job)-[p:WRITES_TO|IS_READ_BY*0..4]->(b) RETURN b.id, count(a)",
+    "MATCH (a:File)-[p:IS_READ_BY*0..0]->(b) RETURN a.id, b.id",
+    # every aggregate, weighted by multiplicity
+    BLAST_RADIUS_QUERY.replace(
+        "avg(q_j2.cpu_hours)",
+        "count(q_j2), sum(q_j2.cpu_hours), avg(q_j2.cpu_hours), "
+        "max(q_j2.cpu_hours), min(q_j2.cpu_hours)"),
+    "MATCH (a:Job)-[p*2..4]->(b:Job) RETURN count(a), sum(b.cpu_hours), "
+    "avg(b.cpu_hours), max(b.cpu_hours), min(b.cpu_hours)",
+    "MATCH (a:Job) WHERE a.cpu_hours > 99 RETURN count(a), sum(a.cpu_hours), "
+    "avg(a.cpu_hours), max(a.cpu_hours), min(a.cpu_hours)",
+    # ordering and limits
+    "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) "
+    "RETURN a.id AS s, count(b) AS n ORDER BY n DESC LIMIT 3",
+    "MATCH (a:Job)-[p*1..4]->(b:Job) RETURN b.id AS t, a.cpu_hours AS c "
+    "ORDER BY c LIMIT 7",
+]
+
+
+class TestMatcherOracle:
+    """``execute`` against a plain recursive matcher over the public
+    graph API, on acyclic graphs (frontier sweep) and on the same graphs
+    flagged cyclic (trail search)."""
+
+    @staticmethod
+    def graphs(seed):
+        for g in differential_dags(seed):
+            yield g
+            yield as_cyclic(g)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tables_match_oracle(self, seed):
+        for g in self.graphs(seed):
+            for text in ORACLE_QUERIES:
+                q = parse_query(text)
+                table, _ = execute(q, g)
+                assert table.rows == query_rows(g, q), (seed, text)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_type_mismatch_raises_in_both(self, seed):
+        q = parse_query("MATCH (a:Job)-[:WRITES_TO]->(f:File) "
+                        "RETURN a.id, sum(f.id)")
+        for g in self.graphs(seed):
+            with pytest.raises(PropertyTypeMismatchError):
+                execute(q, g)
+            with pytest.raises(PropertyTypeMismatchError):
+                query_rows(g, q)
+
+    def test_counters_are_pinned(self):
+        # values of the dict-binding matcher this one replaced; only
+        # adjacency entries with the link's label count as expanded
+        g = random_lineage_dag(7)
+        q = parse_query(BLAST_RADIUS_QUERY)
+        for graph, counters in ((g, (275, 274)), (as_cyclic(g), (360, 410))):
+            table, stats = execute(q, graph)
+            assert len(table.rows) == 9
+            assert (stats.edges_expanded, stats.vertices_touched) == counters
+        q = parse_query("MATCH (a)-[:WRITES_TO]->(b) RETURN count(b)")
+        table, stats = execute(q, g)
+        assert table.rows == [(30,)]
+        assert (stats.edges_expanded, stats.vertices_touched) == (30, 80)

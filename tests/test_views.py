@@ -255,6 +255,27 @@ class TestMaterializeSpanner:
             assert execute(q, graph)[0].rows == [("j1", 3)]
             assert execute(plan.rewritten, view_g)[0].rows == [("j1", 3)]
 
+    def test_input_path_count_weights_sum_across_trails(self):
+        # the trail through e1 stands for two paths, so it adds its
+        # timestamp sum twice: 2 * (1 + 10) + (3 + 30) = 55
+        g = PropertyGraph.build(
+            LINEAGE_SCHEMA,
+            vertices=[("j1", "Job", {}), ("j2", "Job", {}),
+                      ("f1", "File", {}), ("f2", "File", {})],
+            edges=[
+                ("e1", "j1", "f1", "WRITES_TO", {"path_count": 2, "ts": 1}),
+                ("e2", "f1", "j2", "IS_READ_BY", {"ts": 10}),
+                ("e3", "j1", "f2", "WRITES_TO", {"ts": 3}),
+                ("e4", "f2", "j2", "IS_READ_BY", {"ts": 30}),
+            ],
+        )
+        v = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
+                         x_type="Job", y_type="Job", k=2,
+                         edge_aggregates=(("ts", "sum", "sum"),))
+        for graph in (g, as_cyclic(g)):
+            (edge,) = materialize_spanner(graph, v).edges()
+            assert edge[4] == {"path_count": 3, "ts": 55}
+
 
 def connector_views():
     """Connectors over the lineage schema, with trail aggregates under
