@@ -17,7 +17,6 @@ from .costing import (
     exact_path_count,
 )
 from .enumeration import (
-    EnumerationStats,
     Predicate,
     RewritePlan,
     VIEW_KINDS,
@@ -50,7 +49,6 @@ from .store import (
     PropertyGraph,
     degree_summary,
     load_graph,
-    out_neighbors,
 )
 from .views import (
     Candidate,

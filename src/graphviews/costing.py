@@ -195,34 +195,12 @@ def _dfs_path_count(g: PropertyGraph, k: int, src_type, dst_type,
 # Query evaluation cost proxy
 # --------------------------------------------------------------------------
 
-def _components(q: QueryGraph) -> list[set[str]]:
-    parent: dict[str, str] = {name: name for name in q.pattern_vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str):
-        parent[find(a)] = find(b)
-
-    for e in q.pattern_edges:
-        union(e.src, e.dst)
-    for p in q.var_length_paths:
-        union(p.src, p.dst)
-    groups: dict[str, set[str]] = {}
-    for name in q.pattern_vertices:
-        groups.setdefault(find(name), set()).add(name)
-    return [groups[root] for root in sorted(groups)]
-
-
 def eval_cost(q: QueryGraph, d: DegreeSummary, alpha: int = DEFAULT_ALPHA) -> float:
     """Proxy evaluation cost of ``q`` over a graph summarised by ``d``.
     See the module docstring for the formula and its guarantees."""
     branch = max((d.deg(t, alpha) for t in d.edge_source_types), default=0)
     total = 0.0
-    for component in _components(q):
+    for component in q.components():
         typed = [d.n_of(q.pattern_vertices[v]) for v in component
                  if q.pattern_vertices[v] is not None]
         anchor = min(typed) if typed else d.total_vertices

@@ -96,10 +96,6 @@ class ViewInstance:
     across-paths reducer) values onto view edges; ``through_types``
     optionally restricts contraction to trails through the given types,
     which is how a sparsifier-then-spanner pipeline is expressed.
-
-    ``defining_query`` is query text over the raw schema. For connectors
-    it is the contraction source; for sparsifiers it is the scan skeleton
-    the predicate filters.
     """
 
     kind: str
@@ -197,17 +193,6 @@ class ViewInstance:
             return labels if labels is not None else schema.labels()
         return schema.labels() - (labels or frozenset())
 
-    @property
-    def defining_query(self) -> str:
-        if self.kind == "KHopConnector":
-            return (f"MATCH (src:{self.x_type})-[p*{self.k}..{self.k}]->"
-                    f"(dst:{self.y_type}) RETURN src, dst")
-        if self.kind in CONNECTOR_KINDS:
-            label = f":{self.label}" if self.label else ""
-            return (f"MATCH (src:{self.x_type})-[p{label}*{self.lo}..{self.hi}]->"
-                    f"(dst:{self.y_type}) RETURN src, dst")
-        return "MATCH (keep_src)-[keep_edge]->(keep_dst) RETURN keep_src, keep_edge, keep_dst"
-
     def unification(self) -> str:
         """Instance bindings in unification notation for the CLI."""
         if self.kind == "KHopConnector":
@@ -248,24 +233,14 @@ class RewritePlan:
     hop_mapping: HopMapping | None
 
 
-@dataclass
-class EnumerationStats:
-    """KHopConnector bindings examined, for pruning-effectiveness checks."""
-
-    bindings_examined: int = 0
-
-
 # --------------------------------------------------------------------------
 # Enumeration
 # --------------------------------------------------------------------------
 
 def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
-                    max_k: int = DEFAULT_MAX_K,
-                    stats: EnumerationStats | None = None) -> list[ViewInstance]:
+                    max_k: int = DEFAULT_MAX_K) -> list[ViewInstance]:
     """All template instances consistent with the query and schema
     constraints, deterministically ordered by kind then bindings."""
-    if stats is None:
-        stats = EnumerationStats()
     provenance = _provenance(q)
     instances: list[ViewInstance] = []
     projected = set()
@@ -286,9 +261,7 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
             continue
         # k-hop connectors: one per in-range hop count with a schema path
         for k in range(max(2, b.k_min), hi + 1):
-            matching = c.paths_between(x_type, y_type, k)
-            stats.bindings_examined += len(matching)
-            if matching:
+            if c.has_path(x_type, y_type, k):
                 instances.append(ViewInstance(
                     kind="KHopConnector", x=b.src, y=b.dst,
                     x_type=x_type, y_type=y_type, k=k,

@@ -134,7 +134,7 @@ def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
     product across them concatenates their tuples, base-major."""
     slots: dict[str, int] = {}
     per_component = []
-    for names in _pattern_components(q):
+    for names in q.components():
         layout = names + [e.name for e in q.pattern_edges
                           if e.name is not None and e.src in names]
         per_component.append(_match_component(q, g, names, layout, stats))
@@ -146,25 +146,6 @@ def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
         result = [(base + binding, base_mult * mult)
                   for base, base_mult in result for binding, mult in rows]
     return result, slots
-
-
-def _pattern_components(q: QueryGraph) -> list[list[str]]:
-    parent = {name: name for name in q.pattern_vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in q.pattern_edges:
-        parent[find(e.src)] = find(e.dst)
-    for p in q.var_length_paths:
-        parent[find(p.src)] = find(p.dst)
-    groups: dict[str, list[str]] = {}
-    for name in q.pattern_vertices:
-        groups.setdefault(find(name), []).append(name)
-    return [sorted(groups[root]) for root in sorted(groups)]
 
 
 def _pinned_ids(q: QueryGraph) -> dict[str, str]:
@@ -339,17 +320,6 @@ def _path_step(g: PropertyGraph, p, forward: bool, here: int, there: int,
             binding[there] = w
             nxt(binding, mult * reached[w])
     return step
-
-
-def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
-                     stats: ExecutionStats) -> dict[str, int]:
-    """Endpoints reachable by edge-distinct trails of length lo..hi, with
-    the summed path_count-weighted trail multiplicity per endpoint: what
-    a variable-length step sees, keyed by external id."""
-    reached = _walk(g, {g._require(start): 1}, lo, hi, _count_step(g),
-                    operator.add, forward=forward,
-                    labels=set(labels) if labels else None, stats=stats)
-    return {g._vids[v]: count for v, count in reached.items()}
 
 
 # --------------------------------------------------------------------------
@@ -557,11 +527,11 @@ def _tuple_getter(getters):
 
 
 def _aggregate(func: str, get, at: int):
-    """``add(acc, binding, mult)`` and ``result(acc)`` of one aggregate
-    over a group's accumulator list, which holds its running value at
-    ``at`` (a total, or the extreme so far) and, for avg, its weight at
-    ``at + 1``. Missing values are skipped; sum and avg weight each value
-    by the binding's multiplicity."""
+    """``add(acc, binding, mult)``, ``result(acc)`` and the initial two
+    slots of one aggregate in a group's accumulator list, which holds its
+    running value at ``at`` (a total, or the extreme so far) and, for
+    avg, its weight at ``at + 1``. Missing values are skipped; sum and
+    avg weight each value by the binding's multiplicity."""
     weight = at + 1
     if func == "count":
         def add(acc, binding, mult):
@@ -591,7 +561,7 @@ def _aggregate(func: str, get, at: int):
     else:
         def result(acc):
             return acc[at]
-    return add, result
+    return add, result, [None, 0] if func in ("max", "min") else [0, 0]
 
 
 def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
@@ -612,11 +582,11 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
     adds, results, initial = [], [], []
     for item in agg_items:
         agg: Aggregate = item.expr
-        add, result = _aggregate(agg.func, _getter(q, g, slots, agg.arg),
-                                 len(initial))
+        add, result, start = _aggregate(
+            agg.func, _getter(q, g, slots, agg.arg), len(initial))
         adds.append(add)
         results.append(result)
-        initial += [None, 0] if agg.func in ("max", "min") else [0, 0]
+        initial += start
     groups: dict[tuple, list] = {}
     for binding, mult in bindings:
         key = key_of(binding)

@@ -363,18 +363,6 @@ class ConstraintSet:
         return any(p.src_type == src_type and p.dst_type == dst_type
                    for p in self.schema_paths(k))
 
-    def types_by_depth(self, src_type: str, dst_type: str,
-                       lengths: list[int]) -> list[frozenset[str]]:
-        """Vertex types allowed at each traversal depth 0..max(lengths)
-        on any qualifying schema path; used to prune materialization."""
-        max_len = max(lengths)
-        allowed: list[set[str]] = [set() for _ in range(max_len + 1)]
-        for k in lengths:
-            for p in self.paths_between(src_type, dst_type, k):
-                for depth, vtype in enumerate(p.type_sequence()):
-                    allowed[depth].add(vtype)
-        return [frozenset(a) for a in allowed]
-
 
 def mine_constraints(q: QueryGraph, s: GraphSchema) -> ConstraintSet:
     """Mine all explicit facts and eagerly derivable implicit constraints

@@ -234,7 +234,7 @@ def _estimate_weight(v: ViewInstance, summary: DegreeSummary, graph,
     if v.kind in CONNECTOR_KINDS:
         total = sum(estimate_heterogeneous(summary, length, alpha).estimated_edges
                     for length in v.lengths)
-        return _range_estimate(total, v.hi, alpha)
+        return SizeEstimate(total, "HeterogeneousPercentile", v.hi, alpha)
     # sparsifier selectivity: exact counting on the loaded graph
     view_schema = v.view_schema(graph.schema)
     kept_types = view_schema.vertex_types
@@ -246,10 +246,6 @@ def _estimate_weight(v: ViewInstance, summary: DegreeSummary, graph,
                 and label in kept_labels):
             count += 1
     return exact_estimate(count, 1)
-
-
-def _range_estimate(total: float, k: int, alpha: int) -> SizeEstimate:
-    return SizeEstimate(total, "HeterogeneousPercentile", k, alpha)
 
 
 def _rewritten_cost_query(pq: _Prepared, v: ViewInstance,
@@ -559,6 +555,9 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
             view_id: degree_summary(entry.graph)
             for view_id, entry in catalog.entries.items()
         }
+        first_connector = min(
+            (c for c in chosen if c.view.kind in CONNECTOR_KINDS),
+            key=lambda c: c.view.view_id, default=None)
         for pq in prepared:
             raw_result, raw_stats = _run_raw(pq, graph)
             report = QueryReport(
@@ -569,35 +568,27 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
                 raw=StatsReport.of(raw_stats),
             )
             pick = _pick_view(pq, chosen, materialized_summaries, spec.alpha)
+            rew_stats = None
             if pick is not None:
                 cand, plan = pick
                 entry = catalog.entries[cand.view.view_id]
                 rew_result, rew_stats = _run_over_view(pq, plan, entry.graph)
-                report.view_id = cand.view.view_id
-                report.rewritten = StatsReport.of(rew_stats)
                 report.results_match = raw_result.multiset_equal(
                     rew_result, rel_tol=1e-9)
+            elif pq.spec.op in REPORT_ONLY_OPS and first_connector is not None:
+                # similarity is reported, not asserted: results_match stays None
+                cand = first_connector
+                entry = catalog.entries[cand.view.view_id]
+                _, rew_stats = _run_report_only_op(pq, entry.graph)
+            if rew_stats is None:
+                report.speedup = report.work_ratio = 1.0
+            else:
+                report.view_id = cand.view.view_id
+                report.rewritten = StatsReport.of(rew_stats)
                 report.work_ratio = (rew_stats.edges_expanded
                                      / max(raw_stats.edges_expanded, 1))
                 report.speedup = (raw_stats.wall_ms
                                   / max(rew_stats.wall_ms, 1e-9))
-            elif pq.spec.op in REPORT_ONLY_OPS and chosen:
-                connectors = [c for c in chosen
-                              if c.view.kind in CONNECTOR_KINDS]
-                if connectors:
-                    cand = min(connectors, key=lambda c: c.view.view_id)
-                    entry = catalog.entries[cand.view.view_id]
-                    rew_result, rew_stats = _run_report_only_op(pq, entry.graph)
-                    report.view_id = cand.view.view_id
-                    report.rewritten = StatsReport.of(rew_stats)
-                    report.results_match = None  # similarity reported, not asserted
-                    report.work_ratio = (rew_stats.edges_expanded
-                                         / max(raw_stats.edges_expanded, 1))
-                    report.speedup = (raw_stats.wall_ms
-                                      / max(rew_stats.wall_ms, 1e-9))
-            if report.speedup is None:
-                report.speedup = 1.0
-                report.work_ratio = 1.0
             query_reports.append(report)
 
     return BenchReport(

@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedConstructError,
     ValidationError,
 )
+from .store import components
 
 AGGREGATE_FUNCS = ("count", "sum", "avg", "max", "min")
 
@@ -174,6 +175,13 @@ class QueryGraph:
 
     def group_keys(self) -> tuple[ProjectionItem, ...]:
         return tuple(i for i in self.projection if not isinstance(i.expr, Aggregate))
+
+    def components(self) -> list[list[str]]:
+        """Pattern vertex names grouped by the fixed edges and paths that
+        connect them, in :func:`store.components` order."""
+        return components(self.pattern_vertices,
+                          [(e.src, e.dst) for e in self.pattern_edges]
+                          + [(p.src, p.dst) for p in self.var_length_paths])
 
     def referenced_names(self) -> set[str]:
         """Names used by filters, projection or ordering."""
@@ -742,9 +750,6 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValidationError(
                     f"row arity {len(row)} != column arity {len(self.columns)}")
-
-    def sorted(self) -> "ResultTable":
-        return ResultTable(self.columns, sorted(self.rows, key=_row_sort_key))
 
     def multiset_equal(self, other: "ResultTable", rel_tol: float = 0.0) -> bool:
         """Multiset row equality; numeric cells compared within rel_tol."""

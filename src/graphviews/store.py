@@ -87,9 +87,6 @@ class GraphSchema:
     def labels(self) -> frozenset[str]:
         return frozenset(label for _, _, label in self.edge_types)
 
-    def triples_from(self, src_type: str) -> list[tuple[str, str, str]]:
-        return sorted(t for t in self.edge_types if t[0] == src_type)
-
     def edge_source_types(self) -> frozenset[str]:
         """Types that are the source of at least one edge triple."""
         return frozenset(src for src, _, _ in self.edge_types)
@@ -257,9 +254,6 @@ class PropertyGraph:
     def vertex_ids(self) -> list[str]:
         return list(self._vids)
 
-    def edge_ids(self) -> list[str]:
-        return list(self._eids)
-
     def has_vertex(self, vid: str) -> bool:
         return vid in self._vindex
 
@@ -321,17 +315,6 @@ class PropertyGraph:
         counts = {t: 0 for t in self.schema.vertex_types}
         counts.update(self._type_counts)
         return counts
-
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._eindex
-
-    def edge(self, eid: str) -> tuple[str, str, str, PropertyMap]:
-        """Return (src id, dst id, label, props) for an edge."""
-        if eid not in self._eindex:
-            raise UnknownVertexError(f"unknown edge id {eid!r}")
-        i = self._eindex[eid]
-        return (self._vids[self._esrc[i]], self._vids[self._edst[i]],
-                self._elabel[i], self._eprops[i])
 
     def edge_props(self, eid: str) -> PropertyMap:
         return self._eprops[self._eindex[eid]]
@@ -401,11 +384,26 @@ class PropertyGraph:
                                  json.dumps(props, sort_keys=True) if props else ""])
 
 
-def out_neighbors(g: PropertyGraph, vid: str, label: str | None = None
-                  ) -> list[tuple[str, str]]:
-    """All outgoing (edge id, dst vertex id) of ``vid``, optionally filtered
-    by edge label, in ascending edge id order."""
-    return [(eid, dst) for eid, dst, _, _ in g.out_edges(vid, label)]
+def components(names: Iterable[str], links: Iterable[tuple[str, str]]
+               ) -> list[list[str]]:
+    """Connected components of the undirected graph over ``names`` with
+    ``links`` as edges, by union-find: a link (a, b) hangs a's root under
+    b's. Each component's names come sorted, the components in the
+    order of their roots, which callers that sum per component rely on."""
+    parent = {name: name for name in names}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    groups: dict[str, list[str]] = {}
+    for name in parent:
+        groups.setdefault(find(name), []).append(name)
+    return [sorted(groups[root]) for root in sorted(groups)]
 
 
 def _parse_props_cell(cell: str, line: int) -> PropertyMap:

@@ -47,17 +47,20 @@ from .errors import (
 from .execution import (
     _REDUCERS,
     ExecutionStats,
+    _aggregate,
     _count_step,
     _sweep,
     _trails,
 )
 from .mining import schema_k_hop_paths
+from .query import AGGREGATE_FUNCS
 from .store import (
     DegreeSummary,
     GraphSchema,
     PERCENTILE_ALPHAS,
     PropertyGraph,
     TypeDegrees,
+    components,
 )
 
 
@@ -356,6 +359,9 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
 
 def materialize_sparsifier(g: PropertyGraph, v: ViewInstance) -> PropertyGraph:
     """Materialize a filter or aggregator view over ``g``."""
+    for _, func in v.aggregations:
+        if func not in AGGREGATE_FUNCS:
+            raise ValidationError(f"unknown aggregate function {func!r}")
     if v.kind == "VertexInclusion":
         return _filter_vertices(g, v, keep_matching=True)
     if v.kind == "VertexRemoval":
@@ -401,68 +407,42 @@ def _filter_edges(g, v, keep_matching: bool) -> PropertyGraph:
     return PropertyGraph.build(v.view_schema(g.schema), vertices, edges)
 
 
-def _aggregate(values: list, func: str):
-    if func == "count":
-        return len(values)
-    numeric = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PropertyTypeMismatchError(
-                f"cannot {func} non-numeric value {value!r}")
-        numeric.append(value)
-    if not numeric:
-        return None
-    if func == "sum":
-        return sum(numeric)
-    if func == "avg":
-        return sum(numeric) / len(numeric)
-    if func == "max":
-        return max(numeric)
-    if func == "min":
-        return min(numeric)
-    raise ValidationError(f"unknown aggregate function {func!r}")
-
-
-def _member_type(g, members) -> str:
+def _member_type(g, members) -> str | None:
     types = {g.vertex_type(m) for m in members}
     if len(types) > 1:
         raise MixedTypeAggregationError(
             f"cannot aggregate vertices of different types {sorted(types)}")
-    return types.pop()
+    return next(iter(types), None)
 
 
-def _aggregate_vertices(g, v: ViewInstance) -> PropertyGraph:
-    pred = _require_predicate(v)
-    if not v.group_key:
-        raise ValidationError("VertexAggregator needs a group_key")
-    matching = [vid for vid, vtype, props in g.vertices()
-                if pred.matches(vtype, props)]
-    if matching:
-        _member_type(g, matching)
-    groups: dict[object, list[str]] = {}
-    for vid in matching:
-        props = g.vertex_props(vid)
-        if v.group_key in props:
-            groups.setdefault(props[v.group_key], []).append(vid)
+def _aggregate_members(aggregations, members: list[dict], props: dict) -> dict:
+    """``props`` plus each (property, function) aggregate over the
+    members' property maps. A non-count aggregate over members that all
+    lack the property is left out, not written as 0."""
+    for prop, func in aggregations:
+        if func != "count" and not any(prop in m for m in members):
+            continue
+        add, result, acc = _aggregate(func, lambda m: m.get(prop), 0)
+        for m in members:
+            add(acc, m, 1)
+        props[prop] = result(acc)
+    return props
+
+
+def _contract(g, v: ViewInstance, groups) -> PropertyGraph:
+    """Replace the members of each (super id, base props, members) group
+    by one supervertex of their type, carrying the base props and the
+    view's aggregations over them. Other vertices stay; edges are
+    rewired onto the supervertices, and dropped when they fall inside
+    one."""
     remap: dict[str, str] = {}
     vertices = []
-    for value in sorted(groups, key=repr):
-        members = groups[value]
-        vtype = g.vertex_type(members[0])
-        super_id = f"agg:{vtype}:{value}"
-        props = {v.group_key: value}
-        for prop, func in v.aggregations:
-            member_values = [g.vertex_props(m)[prop] for m in members
-                             if prop in g.vertex_props(m)]
-            result = _aggregate(member_values, func)
-            if result is not None:
-                props[prop] = result
-        vertices.append((super_id, vtype, props))
-        for m in members:
-            remap[m] = super_id
-    for vid, vtype, props in g.vertices():
-        if vid not in remap:
-            vertices.append((vid, vtype, props))
+    for super_id, props, members in groups:
+        member_props = [g.vertex_props(m) for m in members]
+        vertices.append((super_id, g.vertex_type(members[0]),
+                         _aggregate_members(v.aggregations, member_props, props)))
+        remap.update((m, super_id) for m in members)
+    vertices += [vertex for vertex in g.vertices() if vertex[0] not in remap]
     edges = []
     for eid, src, dst, label, props in g.edges():
         new_src = remap.get(src, src)
@@ -473,77 +453,51 @@ def _aggregate_vertices(g, v: ViewInstance) -> PropertyGraph:
     return PropertyGraph.build(g.schema, vertices, edges)
 
 
+def _aggregate_vertices(g, v: ViewInstance) -> PropertyGraph:
+    pred = _require_predicate(v)
+    if not v.group_key:
+        raise ValidationError("VertexAggregator needs a group_key")
+    matching = [vid for vid, vtype, props in g.vertices()
+                if pred.matches(vtype, props)]
+    vtype = _member_type(g, matching)
+    groups: dict[object, list[str]] = {}
+    for vid in matching:
+        props = g.vertex_props(vid)
+        if v.group_key in props:
+            groups.setdefault(props[v.group_key], []).append(vid)
+    return _contract(g, v, [(f"agg:{vtype}:{value}", {v.group_key: value},
+                             groups[value])
+                            for value in sorted(groups, key=repr)])
+
+
 def _aggregate_edges(g, v: ViewInstance) -> PropertyGraph:
     pred = _require_predicate(v)
-    groups: dict[tuple[str, str, str], list[tuple[str, dict]]] = {}
+    groups: dict[tuple[str, str, str], list[dict]] = {}
     edges = []
     for eid, src, dst, label, props in g.edges():
         if pred.matches(label, props):
-            groups.setdefault((src, dst, label), []).append((eid, props))
+            groups.setdefault((src, dst, label), []).append(props)
         else:
             edges.append((eid, src, dst, label, props))
     for i, key in enumerate(sorted(groups)):
-        src, dst, label = key
         members = groups[key]
-        props = {"member_count": len(members)}
-        for prop, func in v.aggregations:
-            values = [p[prop] for _, p in members if prop in p]
-            result = _aggregate(values, func)
-            if result is not None:
-                props[prop] = result
-        edges.append((f"eagg{i:06d}", src, dst, label, props))
-    vertices = list(g.vertices())
-    return PropertyGraph.build(g.schema, vertices, edges)
+        edges.append((f"eagg{i:06d}", *key, _aggregate_members(
+            v.aggregations, members, {"member_count": len(members)})))
+    return PropertyGraph.build(g.schema, list(g.vertices()), edges)
 
 
 def _aggregate_subgraphs(g, v: ViewInstance) -> PropertyGraph:
     pred = _require_predicate(v)
     members = [vid for vid, vtype, props in g.vertices()
                if pred.matches(vtype, props)]
+    vtype = _member_type(g, members)
     member_set = set(members)
-    if members:
-        _member_type(g, members)
-    parent = {m: m for m in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, src, dst, _, _ in g.edges():
-        if src in member_set and dst in member_set:
-            parent[find(src)] = find(dst)
-    components: dict[str, list[str]] = {}
-    for m in members:
-        components.setdefault(find(m), []).append(m)
-    remap: dict[str, str] = {}
-    vertices = []
-    for root in sorted(components, key=lambda r: min(components[r])):
-        group = sorted(components[root])
-        vtype = g.vertex_type(group[0])
-        super_id = f"agg:{vtype}:{group[0]}"
-        props = {"member_count": len(group)}
-        for prop, func in v.aggregations:
-            values = [g.vertex_props(m)[prop] for m in group
-                      if prop in g.vertex_props(m)]
-            result = _aggregate(values, func)
-            if result is not None:
-                props[prop] = result
-        vertices.append((super_id, vtype, props))
-        for m in group:
-            remap[m] = super_id
-    for vid, vtype, props in g.vertices():
-        if vid not in remap:
-            vertices.append((vid, vtype, props))
-    edges = []
-    for eid, src, dst, label, props in g.edges():
-        new_src = remap.get(src, src)
-        new_dst = remap.get(dst, dst)
-        if new_src == new_dst and (src in remap or dst in remap):
-            continue
-        edges.append((eid, new_src, new_dst, label, props))
-    return PropertyGraph.build(g.schema, vertices, edges)
+    links = [(src, dst) for _, src, dst, _, _ in g.edges()
+             if src in member_set and dst in member_set]
+    # sorted lists of disjoint sorted groups: ordered by smallest member
+    return _contract(g, v, [(f"agg:{vtype}:{group[0]}",
+                             {"member_count": len(group)}, group)
+                            for group in sorted(components(members, links))])
 
 
 def materialize(g: PropertyGraph, v: ViewInstance,
@@ -706,9 +660,11 @@ def catalog_load(path: str | Path) -> ViewCatalog:
     catalog = ViewCatalog()
     for raw in views:
         try:
+            view_id = raw["id"]
             schema = GraphSchema.load(root / raw["schema"])
             graph = load_graph(root / raw["vertices"], root / raw["edges"], schema)
             view = _instance_from_dict(raw["instance"])
+            stored_id = view.view_id
             entry = CatalogEntry(
                 view=view, graph=graph,
                 actual_edges=raw["actual_edges"],
@@ -718,9 +674,12 @@ def catalog_load(path: str | Path) -> ViewCatalog:
             raise CorruptCatalogError(f"catalog file missing: {exc}") from exc
         except (KeyError, TypeError, ValidationError) as exc:
             raise CorruptCatalogError(f"catalog entry invalid: {exc}") from exc
+        if stored_id != view_id:
+            raise CorruptCatalogError(
+                f"manifest id {view_id!r} names a {stored_id!r} view")
         if entry.actual_edges != graph.m:
             raise CorruptCatalogError(
-                f"view {raw['id']!r}: manifest says {entry.actual_edges} edges, "
+                f"view {view_id!r}: manifest says {entry.actual_edges} edges, "
                 f"files contain {graph.m}")
-        catalog.entries[raw["id"]] = entry
+        catalog.entries[view_id] = entry
     return catalog

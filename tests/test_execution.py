@@ -10,8 +10,8 @@ from graphviews.execution import (
     ExecutionStats,
     _count_step,
     _sweep,
-    _trail_endpoints,
     _trails,
+    _walk,
     execute,
     k_hop_neighborhood,
     label_propagation,
@@ -32,6 +32,17 @@ from conftest import (
 from oracles import bfs_neighborhood, query_rows
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
+
+
+def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
+                     stats: ExecutionStats) -> dict[str, int]:
+    """Endpoints reachable by edge-distinct trails of length lo..hi, with
+    the summed path_count-weighted trail multiplicity per endpoint: what
+    a variable-length step sees, keyed by external id."""
+    reached = _walk(g, {g._require(start): 1}, lo, hi, _count_step(g),
+                    operator.add, forward=forward,
+                    labels=set(labels) if labels else None, stats=stats)
+    return {g._vids[v]: count for v, count in reached.items()}
 
 
 def single(vertices, edges, props=None):

@@ -1,5 +1,6 @@
 import random
 
+from graphviews.enumeration import ViewInstance
 from graphviews.mining import (
     SchemaPath,
     mine_constraints,
@@ -11,6 +12,7 @@ from graphviews.mining import (
 )
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema
+from graphviews.views import _allowed_types_by_depth
 
 from conftest import BLAST_RADIUS_QUERY, LINEAGE_SCHEMA
 from oracles import schema_paths_oracle
@@ -220,7 +222,7 @@ class TestConstraintSet:
         assert c.sink_types == {"Machine"}
 
     def test_types_by_depth(self):
-        q = parse_query(BLAST_RADIUS_QUERY)
-        c = mine_constraints(q, LINEAGE_SCHEMA)
-        depths = c.types_by_depth("Job", "Job", [2])
+        v = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
+                         x_type="Job", y_type="Job", k=2)
+        depths = _allowed_types_by_depth(LINEAGE_SCHEMA, v)
         assert depths == [frozenset({"Job"}), frozenset({"File"}), frozenset({"Job"})]

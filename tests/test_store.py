@@ -12,10 +12,10 @@ from graphviews.errors import (
 from graphviews.store import (
     GraphSchema,
     PropertyGraph,
+    components,
     degree_summary,
     load_graph,
     nearest_rank,
-    out_neighbors,
 )
 
 from conftest import LINEAGE_SCHEMA, random_lineage_dag
@@ -174,7 +174,13 @@ class TestDegreeSummary:
         assert nearest_rank([], 95) == 0
 
 
+def out_pairs(g, vid, label=None):
+    return [(eid, dst) for eid, dst, _, _ in g.out_edges(vid, label)]
+
+
 class TestOutNeighbors:
+    """Outgoing (edge id, neighbour) pairs, through ``out_edges``."""
+
     def test_star_hub_and_leaf(self):
         schema = GraphSchema.of(["N"], [("N", "N", "L")])
         g = PropertyGraph.build(
@@ -182,16 +188,16 @@ class TestOutNeighbors:
             [(f"v{i}", "N", {}) for i in range(5)],
             [(f"e{i}", "v0", f"v{i}", "L", {}) for i in range(1, 5)],
         )
-        assert len(out_neighbors(g, "v0")) == 4
-        assert out_neighbors(g, "v1") == []
+        assert len(g.out_edges("v0")) == 4
+        assert g.out_edges("v1") == []
 
     def test_label_filter(self, toy_lineage):
-        assert out_neighbors(toy_lineage, "j1", "WRITES_TO") == [("e1", "f1")]
-        assert out_neighbors(toy_lineage, "j1", "IS_READ_BY") == []
+        assert out_pairs(toy_lineage, "j1", "WRITES_TO") == [("e1", "f1")]
+        assert toy_lineage.out_edges("j1", "IS_READ_BY") == []
 
     def test_unknown_vertex(self, toy_lineage):
         with pytest.raises(UnknownVertexError):
-            out_neighbors(toy_lineage, "ghost")
+            toy_lineage.out_edges("ghost")
 
     def test_order_is_ascending_edge_id(self):
         schema = GraphSchema.of(["N"], [("N", "N", "L")])
@@ -200,7 +206,17 @@ class TestOutNeighbors:
             [("a", "N", {}), ("b", "N", {}), ("c", "N", {})],
             [("e9", "a", "b", "L", {}), ("e1", "a", "c", "L", {})],
         )
-        assert out_neighbors(g, "a") == [("e1", "c"), ("e9", "b")]
+        assert out_pairs(g, "a") == [("e1", "c"), ("e9", "b")]
+
+
+class TestComponents:
+    def test_sorted_groups_in_root_order(self):
+        # a link (x, y) hangs x's root under y's, so {a, c} has root a
+        # and comes before {b}; eval_cost sums components in this order
+        assert components("abc", [("c", "a")]) == [["a", "c"], ["b"]]
+        assert components("dcba", [("d", "a"), ("b", "c"), ("a", "c")]) == [
+            ["a", "b", "c", "d"]]
+        assert components([], []) == []
 
 
 class TestVertexLookup:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -474,6 +475,72 @@ class TestMaterializeSparsifier:
         }
         assert out.m == 0
 
+    def test_aggregator_views_exactly(self):
+        # b2 lacks the group key, a carries a self-loop, e3/e4/e5 become
+        # parallel edges between the two key groups, x, bytes and tag are
+        # carried by some members only (y and z by none), and the
+        # subgraph {a, b, c, d} precedes {b2} though its union-find root
+        # (d) sorts after b2's
+        schema = GraphSchema.of(["N", "M"], [("N", "N", "L"), ("N", "N", "K"),
+                                             ("N", "M", "L"), ("M", "N", "L")])
+        g = PropertyGraph.build(
+            schema,
+            [("a", "N", {"g": 1, "w": 2, "x": 5}), ("b", "N", {"g": 1, "w": 3}),
+             ("c", "N", {"g": 2, "w": 4, "x": 1.5}), ("d", "N", {"g": 2}),
+             ("b2", "N", {"w": 7}), ("m", "M", {})],
+            [("e1", "a", "b", "L", {"bytes": 1}), ("e2", "a", "a", "L", {"bytes": 10}),
+             ("e3", "b", "c", "L", {"bytes": 2}), ("e4", "a", "d", "L", {"bytes": 3}),
+             ("e5", "b", "c", "L", {"bytes": 5, "tag": "p"}),
+             ("e6", "c", "m", "L", {}), ("e7", "m", "b2", "L", {}),
+             ("e8", "d", "b", "K", {})],
+        )
+        nodes = Predicate(types=frozenset({"N"}))
+
+        out = materialize_sparsifier(g, ViewInstance(
+            kind="VertexAggregator", predicate=nodes, group_key="g",
+            aggregations=(("w", "avg"), ("x", "max"), ("y", "count"), ("z", "sum"))))
+        assert list(out.vertices()) == [
+            ("agg:N:1", "N", {"g": 1, "w": 2.5, "x": 5, "y": 0}),
+            ("agg:N:2", "N", {"g": 2, "w": 4.0, "x": 1.5, "y": 0}),
+            ("b2", "N", {"w": 7}), ("m", "M", {})]
+        assert list(out.edges()) == [
+            ("e3", "agg:N:1", "agg:N:2", "L", {"bytes": 2}),
+            ("e4", "agg:N:1", "agg:N:2", "L", {"bytes": 3}),
+            ("e5", "agg:N:1", "agg:N:2", "L", {"bytes": 5, "tag": "p"}),
+            ("e6", "agg:N:2", "m", "L", {}), ("e7", "m", "b2", "L", {}),
+            ("e8", "agg:N:2", "agg:N:1", "K", {})]
+
+        out = materialize_sparsifier(g, ViewInstance(
+            kind="SubgraphAggregator", predicate=nodes,
+            aggregations=(("w", "sum"), ("x", "min"), ("z", "avg"))))
+        assert list(out.vertices()) == [
+            ("agg:N:a", "N", {"member_count": 4, "w": 9, "x": 1.5}),
+            ("agg:N:b2", "N", {"member_count": 1, "w": 7}), ("m", "M", {})]
+        assert list(out.edges()) == [("e6", "agg:N:a", "m", "L", {}),
+                                     ("e7", "m", "agg:N:b2", "L", {})]
+
+        out = materialize_sparsifier(g, ViewInstance(
+            kind="EdgeAggregator", predicate=Predicate(types=frozenset({"L"})),
+            aggregations=(("bytes", "sum"), ("tag", "count"), ("z", "max"))))
+        assert list(out.vertices()) == list(g.vertices())
+        assert list(out.edges()) == [
+            ("e8", "d", "b", "K", {}),
+            ("eagg000000", "a", "a", "L", {"member_count": 1, "bytes": 10, "tag": 0}),
+            ("eagg000001", "a", "b", "L", {"member_count": 1, "bytes": 1, "tag": 0}),
+            ("eagg000002", "a", "d", "L", {"member_count": 1, "bytes": 3, "tag": 0}),
+            ("eagg000003", "b", "c", "L", {"member_count": 2, "bytes": 7, "tag": 1}),
+            ("eagg000004", "c", "m", "L", {"member_count": 1, "tag": 0}),
+            ("eagg000005", "m", "b2", "L", {"member_count": 1, "tag": 0})]
+
+    @pytest.mark.parametrize("kind", ["VertexAggregator", "EdgeAggregator",
+                                      "SubgraphAggregator"])
+    def test_unknown_aggregation_rejected_without_values(self, provenance_toy, kind):
+        # no member carries "zzz", so no value ever reaches the function
+        v = ViewInstance(kind=kind, predicate=Predicate(types=frozenset({"File"})),
+                         group_key="dir", aggregations=(("zzz", "median"),))
+        with pytest.raises(ValidationError, match="median"):
+            materialize_sparsifier(provenance_toy, v)
+
     def test_size_law(self, provenance_toy):
         cases = [
             ViewInstance(kind="VertexInclusion",
@@ -518,6 +585,19 @@ class TestCatalog:
         catalog_save(catalog, tmp_path / "cat")
         (tmp_path / "cat" / "view000_edges.csv").unlink()
         with pytest.raises(CorruptCatalogError):
+            catalog_load(tmp_path / "cat")
+
+    def test_manifest_id_must_name_its_view(self, tmp_path, toy_lineage):
+        catalog = ViewCatalog()
+        v = ViewInstance(kind="VertexInclusion",
+                         predicate=Predicate(types=frozenset({"Job"})))
+        catalog.add(v, materialize_sparsifier(toy_lineage, v))
+        catalog_save(catalog, tmp_path / "cat")
+        manifest = tmp_path / "cat" / "manifest.json"
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        raw["views"][0]["id"] = "khop:Job:Job:02"
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(CorruptCatalogError, match="khop:Job:Job:02"):
             catalog_load(tmp_path / "cat")
 
     def test_bad_manifest_corrupt(self, tmp_path):
