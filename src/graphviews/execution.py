@@ -680,36 +680,71 @@ def label_propagation(g: PropertyGraph, passes: int,
                       stats: ExecutionStats | None = None) -> dict[str, str]:
     """Synchronous label propagation. Labels start as vertex ids; each
     pass every vertex adopts the most frequent label among its in- and
-    out-neighbors (its own current label casts one vote), ties broken by
-    the smallest label. Deterministic."""
+    out-neighbors (its own current label casts one vote, an edge casts
+    its ``path_count``), ties broken by the smallest label. Deterministic.
+
+    A label is held as the rank of its vertex id in sorted order, so the
+    smallest label is the smallest int; ids are read back only for the
+    returned {vertex id: label} dict, in ascending vertex id order."""
     if passes < 1:
         raise ValidationError("passes must be >= 1")
     if stats is None:
         stats = ExecutionStats()
-    order = sorted(g.vertex_ids())
-    labels = {v: v for v in order}
-    neighbors: dict[str, list[tuple[str, int]]] = {v: [] for v in order}
-    for _, src, dst, _, props in g.edges():
-        weight = _path_count(props)
-        neighbors[src].append((dst, weight))
-        neighbors[dst].append((src, weight))
+    vids = g._vids
+    n, m = len(vids), len(g._esrc)
+    order = sorted(range(n), key=vids.__getitem__)
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    src = list(map(rank.__getitem__, g._esrc))
+    dst = list(map(rank.__getitem__, g._edst))
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for s, d in zip(src, dst):
+        neighbors[s].append(d)
+        neighbors[d].append(s)
+    weights: list[list[int] | None] = [None] * n
+    if any(PATH_COUNT_PROP in props for props in g._eprops):
+        counts: list[list[int]] = [[] for _ in range(n)]
+        for s, d, w in zip(src, dst, map(_path_count, g._eprops)):
+            counts[s].append(w)
+            counts[d].append(w)
+        # a vertex whose edges all weigh 1 takes the unweighted count
+        weights = [ws if max(ws, default=1) > 1 else None for ws in counts]
+    labels = list(range(n))
     for _ in range(passes):
-        updated = {}
-        changed = False
-        for v in order:
-            stats.vertices_touched += 1
-            votes: dict[str, int] = {labels[v]: 1}
-            for neighbor, weight in neighbors[v]:
-                stats.edges_expanded += 1
-                lab = labels[neighbor]
-                votes[lab] = votes.get(lab, 0) + weight
-            best = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            updated[v] = best
-            changed = changed or best != labels[v]
-        labels = updated
-        if not changed:
+        stats.vertices_touched += n
+        stats.edges_expanded += 2 * m
+        label_of = labels.__getitem__
+        updated = []
+        adopt = updated.append
+        for own, nbs, ws in zip(labels, neighbors, weights):
+            if ws is not None:
+                votes = {own: 1}
+                for lab, w in zip(map(label_of, nbs), ws):
+                    votes[lab] = votes.get(lab, 0) + w
+            elif len(nbs) == 2:
+                a, b = label_of(nbs[0]), label_of(nbs[1])
+                if a == b or own == a or own == b:
+                    adopt(a if a == b else own)
+                else:
+                    adopt(min(own, a, b))
+                continue
+            else:
+                labs = [own, *map(label_of, nbs)]
+                distinct = len(set(labs))
+                if distinct == 1 or distinct == len(labs):
+                    adopt(min(labs))    # one label, or one vote each
+                    continue
+                votes = {}
+                for lab in labs:
+                    votes[lab] = votes.get(lab, 0) + 1
+            # most votes, then the smallest label
+            adopt(-max(zip(votes.values(), map(operator.neg, votes)))[1])
+        if updated == labels:
             break
-    return labels
+        labels = updated
+    ids = list(map(vids.__getitem__, order))
+    return dict(zip(ids, map(ids.__getitem__, labels)))
 
 
 def largest_community(g: PropertyGraph, labels: dict[str, str],

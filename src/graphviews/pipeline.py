@@ -178,20 +178,40 @@ def _stage(name: str):
 # Preparation
 # --------------------------------------------------------------------------
 
+def _require_params(spec: QuerySpec, *names: str) -> None:
+    for name in names:
+        if name not in spec.params:
+            raise InvalidParamsError(f"op {spec.op!r} needs param {name!r}")
+
+
+def _int_param(spec: QuerySpec, name: str, least: int | None = None) -> int:
+    _require_params(spec, name)
+    value = spec.params[name]
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        wanted = "an integer" if least is None else f"an integer >= {least}"
+        raise InvalidParamsError(
+            f"op {spec.op!r}: param {name!r} must be {wanted}, got {value!r}")
+    return value
+
+
 def _prepare(spec: QuerySpec) -> _Prepared:
+    """Parse a pattern query, or check an op's params, so that a bad
+    param fails at stage ``parse``, before views are enumerated."""
     if spec.op is None:
         text = Path(spec.file).read_text(encoding="utf-8")
         query = parse_query(text)
         return _Prepared(spec, query, query)
     if spec.op in REPORT_ONLY_OPS:
+        _int_param(spec, "passes", least=1)
+        if spec.op == "largest_community":
+            _require_params(spec, "count_type")
         return _Prepared(spec, None, None)
-    try:
-        hops = int(spec.params["hops"])
-        result_type = spec.params["result_type"]
-        spec.params["source"]
-    except KeyError as exc:
-        raise InvalidParamsError(
-            f"op {spec.op!r} needs param {exc}") from exc
+    hops = _int_param(spec, "hops")
+    _require_params(spec, "result_type", "source")
+    if spec.op == "path_lengths":
+        _require_params(spec, "property")
+    result_type = spec.params["result_type"]
     synth = parse_query(
         f"MATCH (x:{result_type})-[p*1..{hops}]->(y:{result_type}) RETURN x, y")
     return _Prepared(spec, None, synth)
@@ -205,7 +225,7 @@ def _op_rewrite(pq: _Prepared, v: ViewInstance,
     if v.kind != "KHopConnector":
         return None
     vtype = pq.spec.params["result_type"]
-    hops = int(pq.spec.params["hops"])
+    hops = pq.spec.params["hops"]
     if v.x_type != vtype or v.y_type != vtype:
         return None
     if hops % v.k != 0:
@@ -442,25 +462,25 @@ def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
     if spec.op in ("ancestors", "descendants"):
         direction = "backward" if spec.op == "ancestors" else "forward"
         reached = _timed(lambda: k_hop_neighborhood(
-            g, [params["source"]], direction, int(params["hops"]),
+            g, [params["source"]], direction, params["hops"],
             stats=stats), stats)
         kept = {v for v in reached
                 if g.vertex_type(v) == params["result_type"]}
         return _result_table_for_set(kept), stats
     if spec.op == "path_lengths":
         values = _timed(lambda: path_lengths(
-            g, params["source"], int(params["hops"]), params["property"],
+            g, params["source"], params["hops"], params["property"],
             stats=stats), stats)
         kept = {v: x for v, x in values.items()
                 if g.vertex_type(v) == params["result_type"]}
         return _result_table_for_map(kept), stats
     if spec.op == "label_propagation":
         labels = _timed(lambda: label_propagation(
-            g, int(params["passes"]), stats=stats), stats)
+            g, params["passes"], stats=stats), stats)
         return ResultTable(("vertex", "label"), sorted(labels.items())), stats
     # largest_community
     def run():
-        labels = label_propagation(g, int(params["passes"]), stats=stats)
+        labels = label_propagation(g, params["passes"], stats=stats)
         return largest_community(g, labels, params["count_type"])
     label, sub = _timed(run, stats)
     return ResultTable(("label", "vertices", "edges"),
@@ -491,7 +511,7 @@ def _run_over_view(pq: _Prepared, plan, view_graph) -> tuple[ResultTable, Execut
 def _run_report_only_op(pq: _Prepared, view_graph) -> tuple[ResultTable, ExecutionStats]:
     stats = ExecutionStats()
     params = pq.spec.params
-    passes = max(1, math.ceil(int(params["passes"]) / 2))
+    passes = max(1, math.ceil(params["passes"] / 2))
 
     def run():
         labels = label_propagation(view_graph, passes, stats=stats)

@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -460,14 +461,36 @@ def _aggregate_vertices(g, v: ViewInstance) -> PropertyGraph:
     matching = [vid for vid, vtype, props in g.vertices()
                 if pred.matches(vtype, props)]
     vtype = _member_type(g, matching)
-    groups: dict[object, list[str]] = {}
+    groups: dict[tuple[bool, object], list[str]] = {}
     for vid in matching:
         props = g.vertex_props(vid)
         if v.group_key in props:
-            groups.setdefault(props[v.group_key], []).append(vid)
-    return _contract(g, v, [(f"agg:{vtype}:{value}", {v.group_key: value},
-                             groups[value])
-                            for value in sorted(groups, key=repr)])
+            value = props[v.group_key]
+            # True == 1 and hashes alike: keep bool groups apart from int ones
+            groups.setdefault((isinstance(value, bool), value), []).append(vid)
+    keys = sorted(groups, key=lambda key: repr(key[1]))
+    ids = _group_ids(f"agg:{vtype}:", [value for _, value in keys])
+    return _contract(g, v, [(super_id, {v.group_key: key[1]}, groups[key])
+                            for super_id, key in zip(ids, keys)])
+
+
+def _group_ids(prefix: str, values: list) -> list[str]:
+    """``prefix`` plus each value as printed. Values that print alike
+    (``1`` and ``"1"``) get ``#1``, ``#2``, ... in order instead, skipping
+    ids that another value prints as, so every id is distinct."""
+    names = [str(value) for value in values]
+    printed = Counter(names)
+    taken = set(names)
+    ids = []
+    for name in names:
+        if printed[name] > 1:
+            suffix = 1
+            while f"{name}#{suffix}" in taken:
+                suffix += 1
+            name = f"{name}#{suffix}"
+            taken.add(name)
+        ids.append(prefix + name)
+    return ids
 
 
 def _aggregate_edges(g, v: ViewInstance) -> PropertyGraph:

@@ -6,8 +6,9 @@ chains, grow each round at both ends, keep only chains that grew,
 deduplicate), the path counter and trail enumerator are plain recursive
 searches, the neighborhood oracle is a plain breadth-first search, the
 query oracle is a plain recursive backtracking matcher over the public
-graph API with one binding per trail, and the knapsack oracle
-enumerates subsets exhaustively.
+graph API with one binding per trail, the label-propagation oracle
+recounts string-labelled votes edge by edge each pass, and the knapsack
+oracle enumerates subsets exhaustively.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from graphviews.errors import PropertyTypeMismatchError
+from graphviews.errors import PropertyTypeMismatchError, ValidationError
 from graphviews.query import (
     Aggregate, And, Comparison, NameRef, Not, Or, PropertyRef)
 
@@ -152,6 +153,37 @@ def bfs_neighborhood(g, sources, direction, k_max, labels=None):
                     nxt.append(neighbor)
         frontier = nxt
     return reached, expanded, scanned
+
+
+def label_propagation_oracle(g, passes):
+    """Synchronous label propagation as its docstring states it: labels
+    start as the vertex ids; each pass every vertex takes the label with
+    the most votes, where its own label casts one and each incident edge
+    casts ``path_count`` (default 1) for the label at its other end (a
+    self-loop, incident twice, casts twice); ties go to the smallest
+    label; a pass that changes nothing ends the run. The ``path_count``
+    of every edge is checked before the first pass."""
+    if passes < 1:
+        raise ValidationError("passes must be >= 1")
+    links = []
+    for _, src, dst, _, props in g.edges():
+        weight = props.get("path_count", 1)
+        if type(weight) is not int or weight < 1:
+            raise PropertyTypeMismatchError(f"path_count {weight!r}")
+        links.append((src, dst, weight))
+    labels = {v: v for v in sorted(g.vertex_ids())}
+    for _ in range(passes):
+        votes = {v: {labels[v]: 1} for v in labels}
+        for src, dst, weight in links:
+            for here, there in ((src, dst), (dst, src)):
+                ballot = votes[here]
+                ballot[labels[there]] = ballot.get(labels[there], 0) + weight
+        updated = {v: min((-n, label) for label, n in votes[v].items())[1]
+                   for v in labels}
+        if updated == labels:
+            break
+        labels = updated
+    return labels
 
 
 def knapsack_best_value(weights, values, budget) -> float:

@@ -123,6 +123,13 @@ class TestCommands:
         table = capsys.readouterr().out
         assert "q1" in table and "match" in table
 
+    @pytest.mark.parametrize("params", [{}, {"passes": "six"}, {"passes": 0}])
+    def test_bench_bad_op_params_exit_2_at_parse(self, tmp_path, capsys, params):
+        workload = write_workload(tmp_path, queries=[
+            {"name": "q7", "op": "label_propagation", "params": params}])
+        assert main(["bench", "--workload", str(workload)]) == 2
+        assert "stage 'parse'" in capsys.readouterr().err
+
     def test_unknown_view_id_exits_2(self, tmp_path, capsys):
         workload = write_workload(tmp_path)
         rc = main(["materialize", "--workload", str(workload),

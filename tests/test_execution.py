@@ -1,10 +1,12 @@
 import operator
+import random
 
 import pytest
 
 from graphviews.errors import (
     PropertyTypeMismatchError,
     TypeNotInSchemaError,
+    ValidationError,
 )
 from graphviews.execution import (
     ExecutionStats,
@@ -29,7 +31,7 @@ from conftest import (
     random_lineage_dag,
     weighted_lineage_dag,
 )
-from oracles import bfs_neighborhood, query_rows
+from oracles import bfs_neighborhood, label_propagation_oracle, query_rows
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
 
@@ -241,6 +243,104 @@ class TestLabelPropagation:
         from conftest import random_lineage_dag
         g = random_lineage_dag(13)
         assert label_propagation(g, 25) == label_propagation(g, 25)
+
+
+def random_multigraph(seed: int, n: int = 14, m: int = 20) -> PropertyGraph:
+    """Seeded single-type graph with self-loops, parallel edges and a
+    ``path_count`` of 2 or 3 on some edges; ids v0..v13 are loaded in an
+    order that differs from their string order (v10 < v2)."""
+    rng = random.Random(seed)
+    edges = [(f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(m)]
+    weights = {pair: {"path_count": rng.randint(2, 3)}
+               for pair in edges if rng.random() < 0.2}
+    return single([f"v{i}" for i in range(n)], edges, weights)
+
+
+class TestLabelPropagationOracle:
+    """``label_propagation`` against a restatement of its docstring over
+    the public graph API, with string labels."""
+
+    @staticmethod
+    def assert_same(g, passes):
+        got = label_propagation(g, passes)
+        want = label_propagation_oracle(g, passes)
+        assert got == want
+        assert list(got) == list(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("passes", [1, 2, 25])
+    def test_seeded_graphs_match_oracle(self, seed, passes):
+        for g in differential_dags(seed) + [random_lineage_dag(seed),
+                                            weighted_lineage_dag(seed)]:
+            self.assert_same(g, passes)
+            self.assert_same(as_cyclic(g), passes)
+        for k in range(5):
+            self.assert_same(random_multigraph(10 * seed + k), passes)
+
+    @pytest.mark.parametrize("passes", [1, 2, 25])
+    def test_road_grid_matches_oracle(self, tmp_path, passes):
+        ds = generate_road_like(tmp_path, rows=5, cols=5, seed=1)
+        self.assert_same(load_graph(ds.vertex_file, ds.edge_file, ds.schema),
+                         passes)
+
+    def test_string_order_not_load_order(self):
+        g = single(["v2", "v10"], [("v2", "v10")])
+        labels = label_propagation(g, 1)
+        assert list(labels) == ["v10", "v2"]
+        assert labels == {"v10": "v10", "v2": "v10"}
+        self.assert_same(g, 3)
+
+    def test_isolated_vertex_keeps_its_label(self):
+        g = single(["a", "b", "c"], [("a", "c")])
+        assert label_propagation(g, 4) == {"a": "a", "b": "b", "c": "a"}
+
+    def test_self_loop_votes_twice(self):
+        # z: own 1 + self-loop 2 outvotes the two parallel edges from a
+        g = single(["a", "z"], [("a", "z"), ("a", "z"), ("z", "z")])
+        assert label_propagation(g, 1) == {"a": "z", "z": "z"}
+        self.assert_same(g, 5)
+
+    def test_own_label_ties_with_neighbour(self):
+        # one vote each way: the smaller label wins on both ends
+        g = single(["b", "a"], [("b", "a")])
+        assert label_propagation(g, 1) == {"a": "a", "b": "a"}
+        # two distinct neighbours: every label has one vote
+        g = single(["c", "d", "b"], [("c", "d"), ("b", "c")])
+        assert label_propagation(g, 1) == {"b": "b", "c": "b", "d": "c"}
+
+    def test_path_count_outvotes_two_neighbours(self):
+        edges = [("a", "x"), ("a", "x"), ("y", "x")]
+        g = single(["a", "x", "y"], edges, {("y", "x"): {"path_count": 3}})
+        assert label_propagation(g, 1)["x"] == "y"
+        g = single(["a", "x", "y"], edges, {("y", "x"): {"path_count": 2}})
+        assert label_propagation(g, 1)["x"] == "a"
+
+    @pytest.mark.parametrize("bad", [0, "2", True])
+    def test_invalid_path_count_raises_in_both(self, bad):
+        g = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                   {("b", "c"): {"path_count": bad}})
+        with pytest.raises(PropertyTypeMismatchError):
+            label_propagation(g, 1)
+        with pytest.raises(PropertyTypeMismatchError):
+            label_propagation_oracle(g, 1)
+
+    def test_zero_passes_rejected(self):
+        g = single(["a", "b"], [("a", "b")])
+        with pytest.raises(ValidationError):
+            label_propagation(g, 0)
+        with pytest.raises(ValidationError):
+            label_propagation_oracle(g, 0)
+
+    def test_counters_are_pinned(self):
+        # values of the string-keyed implementation this one replaced:
+        # every pass run adds n to vertices_touched and 2m to edges_expanded;
+        # random_lineage_dag(1) converges after 5 of 25 passes
+        for g, passes, counters in ((weighted_lineage_dag(7), 1, (122, 50)),
+                                    (weighted_lineage_dag(7), 25, (3050, 1250)),
+                                    (random_lineage_dag(1), 25, (690, 250))):
+            stats = ExecutionStats()
+            label_propagation(g, passes, stats)
+            assert (stats.edges_expanded, stats.vertices_touched) == counters
 
 
 class TestLargestCommunity:

@@ -76,6 +76,30 @@ class TestWorkloadSpec:
             QuerySpec("x", file="f", op="ancestors")
 
 
+BAD_OP_PARAMS = [
+    ("label_propagation", {}),
+    ("label_propagation", {"passes": "six"}),
+    ("label_propagation", {"passes": 0}),
+    ("label_propagation", {"passes": True}),
+    ("largest_community", {"passes": 6}),
+    ("largest_community", {"passes": 2.5, "count_type": "Job"}),
+    ("ancestors", {"source": "j2", "hops": "four", "result_type": "Job"}),
+    ("descendants", {"source": "j2", "result_type": "Job"}),
+    ("path_lengths", {"source": "j2", "hops": 4, "result_type": "Job"}),
+]
+
+
+class TestOpParams:
+    @pytest.mark.parametrize("op,params", BAD_OP_PARAMS)
+    def test_bad_params_fail_at_parse(self, tmp_path, op, params):
+        queries = [{"name": "q1", "file": "q1.query"},
+                   {"name": "bad", "op": op, "params": params}]
+        spec = WorkloadSpec.from_file(write_workload(tmp_path, queries=queries))
+        with pytest.raises(InvalidParamsError) as exc:
+            run_pipeline(spec)
+        assert exc.value.stage == "parse"
+
+
 class TestPipeline:
     def test_generous_budget_selects_spanner_and_rewrites(self, tmp_path):
         spec = WorkloadSpec.from_file(write_workload(tmp_path))

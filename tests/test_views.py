@@ -558,6 +558,44 @@ class TestMaterializeSparsifier:
             assert out.n < provenance_toy.n or out.m < provenance_toy.m
 
 
+class TestVertexAggregatorIds:
+    """Group values that print alike, or compare equal across bool and
+    int, still give one supervertex each, with distinct ids."""
+
+    @staticmethod
+    def aggregate(values):
+        schema = GraphSchema.of(["N"], [("N", "N", "L")])
+        g = PropertyGraph.build(
+            schema,
+            [(f"v{i}", "N", {"g": value, "w": i + 1})
+             for i, value in enumerate(values)],
+            [("e0", "v0", "v1", "L", {})])
+        return materialize_sparsifier(g, ViewInstance(
+            kind="VertexAggregator", predicate=Predicate(types=frozenset({"N"})),
+            group_key="g", aggregations=(("w", "sum"),)))
+
+    def test_int_and_string_that_print_alike(self):
+        out = self.aggregate([1, "1"])
+        # groups in repr order: '1' < 1
+        assert list(out.vertices()) == [
+            ("agg:N:1#1", "N", {"g": "1", "w": 2}),
+            ("agg:N:1#2", "N", {"g": 1, "w": 1})]
+        assert list(out.edges()) == [("e0", "agg:N:1#2", "agg:N:1#1", "L", {})]
+
+    def test_bool_and_int_stay_apart(self):
+        out = self.aggregate([True, 1])
+        assert list(out.vertices()) == [
+            ("agg:N:1", "N", {"g": 1, "w": 2}),
+            ("agg:N:True", "N", {"g": True, "w": 1})]
+        assert list(out.edges()) == [("e0", "agg:N:True", "agg:N:1", "L", {})]
+
+    def test_suffix_skips_a_printed_value(self):
+        # "1#1" is unique, so "1" and 1 go on to #2 and #3
+        out = self.aggregate(["1#1", 1, "1"])
+        assert [(vid, props["g"]) for vid, _, props in out.vertices()] == [
+            ("agg:N:1#1", "1#1"), ("agg:N:1#2", "1"), ("agg:N:1#3", 1)]
+
+
 class TestCatalog:
     def test_round_trip(self, tmp_path, toy_lineage):
         catalog = ViewCatalog()
