@@ -162,6 +162,8 @@ def cmd_select(args) -> int:
         mark = "*" if c.view.view_id in chosen_ids else ""
         print(f"{c.view.view_id:<28} {c.view.kind:<24} "
               f"{c.weight:>12.1f} {c.value:>12.6f}  {mark}")
+        if c.twins:
+            print(f"  same content as: {', '.join(c.twins)}")
     total = sum(c.weight for c in chosen)
     print(f"selected {len(chosen)} views, total weight {total:.1f} "
           f"<= budget {spec.budget}")
@@ -172,6 +174,12 @@ def cmd_materialize(args) -> int:
     spec = _workload(args)
     graph, _, candidates = _candidates_for(spec)
     matching = [c for c in candidates if c.view.view_id == args.view_id]
+    kept = next((c.view.view_id for c in candidates
+                 if args.view_id in c.twins), None)
+    if kept is not None:
+        raise ValidationError(
+            f"view {args.view_id!r} has the same content as {kept!r}; "
+            f"materialize {kept!r} instead")
     if not matching:
         known = ", ".join(c.view.view_id for c in candidates)
         raise ValidationError(

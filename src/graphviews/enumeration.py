@@ -47,6 +47,7 @@ VIEW_KINDS = (
 
 CONNECTOR_KINDS = VIEW_KINDS[:4]
 SPARSIFIER_KINDS = VIEW_KINDS[4:]
+FILTER_KINDS = VIEW_KINDS[4:8]
 AGGREGATOR_KINDS = VIEW_KINDS[8:]
 
 DEFAULT_MAX_K = 10
@@ -180,6 +181,15 @@ class ViewInstance:
             return GraphSchema.of(
                 schema.vertex_types, [t for t in schema.edge_types if t[2] in kept])
         return schema
+
+    def is_identity(self, schema: GraphSchema) -> bool:
+        """True for a type or label filter that keeps all of ``schema``:
+        it materializes a copy of the base graph. An aggregator keeps the
+        schema but contracts, and a property predicate keeps it but drops
+        elements, so neither is an identity."""
+        return (self.kind in FILTER_KINDS and self.predicate is not None
+                and self.predicate.prop is None
+                and self.view_schema(schema) == schema)
 
     def _kept_types(self, schema: GraphSchema) -> frozenset[str]:
         types = self.predicate.types if self.predicate else None

@@ -62,9 +62,7 @@ from .query import (
     _cell_sort_key,
     _row_sort_key,
 )
-from .store import PropertyGraph
-
-PATH_COUNT_PROP = "path_count"
+from .store import PATH_COUNT_PROP, PropertyGraph
 
 
 @dataclass
@@ -328,15 +326,20 @@ def _path_step(g: PropertyGraph, p, forward: bool, here: int, there: int,
 #
 # Both kernels fold a value along every trail of lo..hi edges from the
 # seeds and combine the values of all trails that end at the same
-# vertex: ``extend(value, edge index)`` is one step along a trail and
-# ``plus(a, b)`` joins two trails, a semiring over the trails. The sweep
+# vertex: ``extend(value, edge index)`` is one step along a trail (None
+# when a step leaves the value as it is) and ``plus(a, b)`` joins two
+# trails, a semiring over the trails. The sweep
 # folds walks, which are the trails only on an acyclic graph. Both work
 # on the graph's internal integer ids and adjacency lists, return
 # {vertex index: value}, and count every adjacency entry they scan as
 # one expanded edge.
 
 def _count_step(g: PropertyGraph):
-    """``extend`` of the count semiring: multiply by the edge's path_count."""
+    """``extend`` of the count semiring: multiply by the edge's path_count.
+    None on a graph where no edge carries one, so the kernels pass the
+    count through without a call per edge."""
+    if not g._has_path_count:
+        return None
     eprops = g._eprops
 
     def extend(count: int, ei: int) -> int:
@@ -389,7 +392,7 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
                     if w in seen:
                         continue
                     seen.add(w)
-                x = extend(value, ei)
+                x = value if extend is None else extend(value, ei)
                 nxt[w] = plus(nxt[w], x) if w in nxt else x
         if not nxt:
             break
@@ -433,7 +436,7 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
             w = far[ei]
             if types is not None and vtypes[w] not in types:
                 continue
-            x = extend(value, ei)
+            x = value if extend is None else extend(value, ei)
             used.add(ei)
             walk(w, depth + 1, x)
             used.discard(ei)
@@ -637,7 +640,7 @@ def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
     if stats is None:
         stats = ExecutionStats()
     seeds = {g._require(v): True for v in sorted(set(sources))}
-    reached = _sweep(g, seeds, 1, k_max, lambda value, ei: value, operator.add,
+    reached = _sweep(g, seeds, 1, k_max, None, operator.add,
                      forward=direction == "forward",
                      labels=set(labels) if labels else None,
                      seen=set(seeds), stats=stats)
@@ -703,7 +706,7 @@ def label_propagation(g: PropertyGraph, passes: int,
         neighbors[s].append(d)
         neighbors[d].append(s)
     weights: list[list[int] | None] = [None] * n
-    if any(PATH_COUNT_PROP in props for props in g._eprops):
+    if g._has_path_count:
         counts: list[list[int]] = [[] for _ in range(n)]
         for s, d, w in zip(src, dst, map(_path_count, g._eprops)):
             counts[s].append(w)

@@ -69,6 +69,7 @@ from .views import (
     Candidate,
     ViewCatalog,
     catalog_save,
+    connector_content,
     materialize,
     select_views,
     sparsifier_degree_summary,
@@ -289,12 +290,18 @@ def _rewritten_cost_query(pq: _Prepared, v: ViewInstance,
 def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                      summary: DegreeSummary, graph, alpha: int,
                      max_k: int) -> list[Candidate]:
+    """One candidate per view content, in view id order, with its plans
+    and value. A filter that keeps the whole schema is a copy of the
+    base graph and is no candidate; connectors that differ only in
+    their edge label are merged by :func:`_merge_twins`."""
     by_id: dict[str, Candidate] = {}
     for pq in prepared:
         if pq.synth is None:
             continue
         constraints = mine_constraints(pq.synth, schema)
         for v in enumerate_views(pq.synth, schema, constraints, max_k=max_k):
+            if v.is_identity(schema):
+                continue
             if v.view_id not in by_id:
                 est = _estimate_weight(v, summary, graph, alpha)
                 by_id[v.view_id] = Candidate(
@@ -316,7 +323,25 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                                 eval_cost_rewritten=rew_cost)
             cand.value += pq.spec.weight * report.improvement / report.creation_cost
             cand.per_query_plans[pq.spec.name] = plan
-    return [by_id[i] for i in sorted(by_id)]
+    return _merge_twins([by_id[i] for i in sorted(by_id)])
+
+
+def _merge_twins(candidates: list[Candidate]) -> list[Candidate]:
+    """Among connectors of equal :func:`connector_content`, keep the one
+    with the smallest id, and drop each other one (recording it in the
+    kept one's ``twins``) when the kept one plans every query it plans.
+    A dropped twin's plans name its own edge label, so none carry over."""
+    first: dict[tuple, Candidate] = {}
+    kept = []
+    for cand in candidates:
+        if cand.view.kind in CONNECTOR_KINDS:
+            twin_of = first.setdefault(connector_content(cand.view), cand)
+            if (twin_of is not cand
+                    and cand.per_query_plans.keys() <= twin_of.per_query_plans.keys()):
+                twin_of.twins.append(cand.view.view_id)
+                continue
+        kept.append(cand)
+    return kept
 
 
 def _plan_for(pq: _Prepared, v: ViewInstance, schema: GraphSchema,
@@ -388,9 +413,10 @@ class ViewReport:
     value: float
     selected: bool
     actual_edges: int | None = None
+    twins: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "view_id": self.view_id, "kind": self.kind,
             "estimated_edges": round(self.estimated_edges, 3),
             "weight": round(self.weight, 3),
@@ -398,6 +424,9 @@ class ViewReport:
             "selected": self.selected,
             "actual_edges": self.actual_edges,
         }
+        if self.twins:   # so a report without twins keeps its bytes
+            out["twins"] = self.twins
+        return out
 
 
 @dataclass
@@ -565,6 +594,7 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
             selected=c.view.view_id in chosen_ids,
             actual_edges=catalog.entries[c.view.view_id].graph.m
             if c.view.view_id in chosen_ids else None,
+            twins=c.twins,
         )
         for c in candidates
     ]

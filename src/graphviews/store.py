@@ -38,6 +38,9 @@ PropertyMap = dict[str, PropertyValue]
 
 PERCENTILE_ALPHAS = (50, 90, 95, 100)
 
+# the number of contracted paths an edge stands for (1 when absent)
+PATH_COUNT_PROP = "path_count"
+
 
 def _check_props(props: Mapping[str, object], context: str) -> PropertyMap:
     out: PropertyMap = {}
@@ -175,6 +178,7 @@ class PropertyGraph:
         self._type_counts: dict[str, int] = {}
         self._sealed = False
         self._acyclic: bool | None = None
+        self._has_path_count = False          # set by _seal
         self._explicit_ids: dict[PropertyValue, list[int]] | None = None
 
     # -- construction -------------------------------------------------
@@ -224,6 +228,8 @@ class PropertyGraph:
             adj.sort(key=lambda i: self._eids[i])
         for adj in self._in:
             adj.sort(key=lambda i: self._eids[i])
+        self._has_path_count = any(PATH_COUNT_PROP in props
+                                   for props in self._eprops)
         self._sealed = True
 
     @classmethod

@@ -23,8 +23,11 @@ graph, never from other views.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import os
+import re
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -72,13 +75,16 @@ from .store import (
 @dataclass
 class Candidate:
     """One view candidate for selection: weight is its estimated edge
-    count, value the summed per-query improvement over creation cost."""
+    count, value the summed per-query improvement over creation cost.
+    ``twins`` are the ids of connectors with the same content that were
+    dropped in its favour."""
 
     view: ViewInstance
     weight: float
     value: float
     per_query_plans: dict[str, RewritePlan] = field(default_factory=dict)
     size_estimate: SizeEstimate | None = None
+    twins: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -248,7 +254,9 @@ def _reducer(name: str):
 def _connector_semiring(g: PropertyGraph, aggregates):
     """``extend`` and ``plus`` over connector values (path_count, one
     value per (property, along, across) aggregate), and the ``finish``
-    a sum across trails needs, or None. A non-numeric step
+    a sum across trails needs, or None. ``extend`` is None when a step
+    leaves every value as it is: no aggregates, and no path_count on
+    ``g``. A non-numeric step
     poisons the aggregates of every trail through it; materialization
     raises only when such a trail reaches a view edge."""
     eprops = g._eprops
@@ -260,7 +268,7 @@ def _connector_semiring(g: PropertyGraph, aggregates):
 
     def extend(value: tuple, ei: int) -> tuple:
         props = eprops[ei]
-        out = [count_step(value[0], ei)]
+        out = [value[0] if count_step is None else count_step(value[0], ei)]
         for i, prop, reduce in along:
             acc, step = value[i], props.get(prop)
             if (acc is _NON_NUMERIC or isinstance(step, bool)
@@ -286,7 +294,16 @@ def _connector_semiring(g: PropertyGraph, aggregates):
                 out[i] = out[i] * value[0]
         return tuple(out)
 
+    if count_step is None and not aggregates:
+        extend = None
     return extend, plus, (finish if summed else None)
+
+
+def connector_content(v: ViewInstance) -> tuple:
+    """Everything :func:`materialize_spanner` reads of ``v`` but its edge
+    label: connectors with equal keys materialize the same edges."""
+    return (v.x_type, v.y_type, tuple(v.lengths), v.path_labels,
+            v.through_types, v.edge_aggregates)
 
 
 def materialize_spanner(g: PropertyGraph, v: ViewInstance,
@@ -294,7 +311,8 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
                         threads: int = 1) -> PropertyGraph:
     """Materialize a connector view over ``g``. One edge per ordered
     (src, dst) pair connected by at least one qualifying trail, carrying
-    path_count and any requested trail aggregates."""
+    path_count and any requested trail aggregates. ``max_edges`` is
+    checked as pairs are found: the pair past it raises."""
     if v.kind not in CONNECTOR_KINDS:
         raise ValidationError(f"{v.kind} is not a connector view")
     lo, hi = max(min(v.lengths), 1), max(v.lengths)   # lengths are lo..hi
@@ -308,6 +326,8 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     # so only the trail search computes one
     walk = (_sweep if g.is_acyclic and finish is None
             else functools.partial(_trails, finish=finish))
+    # numbers the pairs found in all chunks; next() on it is atomic
+    filled = itertools.count(1)
 
     def scan(chunk: list[str]) -> dict[tuple[str, str], tuple]:
         pairs: dict[tuple[str, str], tuple] = {}
@@ -325,6 +345,10 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
                     raise PropertyTypeMismatchError(
                         f"edge property {prop!r} must be numeric on every "
                         f"contracted edge")
+                if max_edges is not None and next(filled) > max_edges:
+                    raise BudgetExceededError(
+                        f"spanner would materialize more than its cap of "
+                        f"{max_edges} edges")
                 pairs[(src, g._vids[w])] = value
         return pairs
 
@@ -336,10 +360,6 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for partial in pool.map(scan, chunks):
                 merged.update(partial)   # each source is in one chunk
-
-    if max_edges is not None and len(merged) > max_edges:
-        raise BudgetExceededError(
-            f"spanner would materialize {len(merged)} edges, cap is {max_edges}")
 
     view_schema = v.view_schema(g.schema)
     endpoints = sorted({u for u, _ in merged} | {w for _, w in merged})
@@ -525,9 +545,19 @@ def _aggregate_subgraphs(g, v: ViewInstance) -> PropertyGraph:
 
 def materialize(g: PropertyGraph, v: ViewInstance,
                 max_edges: int | None = None, threads: int = 1) -> PropertyGraph:
-    if v.kind in CONNECTOR_KINDS:
-        return materialize_spanner(g, v, max_edges=max_edges, threads=threads)
-    return materialize_sparsifier(g, v)
+    """Materialize ``v`` over ``g``, with the view's acyclicity settled
+    here rather than by the first query over it."""
+    if v.kind not in CONNECTOR_KINDS:
+        view_graph = materialize_sparsifier(g, v)
+    else:
+        view_graph = materialize_spanner(g, v, max_edges=max_edges,
+                                         threads=threads)
+        if g.is_acyclic:
+            # a view edge joins the ends of a trail of >= 1 edges, so it
+            # runs forward in any topological order of g
+            view_graph._acyclic = True
+    view_graph.is_acyclic   # computes and caches the flag when unset
+    return view_graph
 
 
 # --------------------------------------------------------------------------
@@ -642,14 +672,37 @@ def _instance_from_dict(raw: dict) -> ViewInstance:
     )
 
 
+_VIEW_FILE = re.compile(r"view\d{3,}_(vertices\.csv|edges\.csv|schema\.json)")
+
+
+def _view_files(views: list[dict]) -> set[str]:
+    """The file names a manifest's view list refers to that a save may
+    have written."""
+    names = {raw[key] for raw in views for key in ("vertices", "edges", "schema")}
+    return {name for name in names if _VIEW_FILE.fullmatch(name)}
+
+
 def catalog_save(catalog: ViewCatalog, path: str | Path) -> None:
-    """Write the catalog as a manifest plus per-view CSV/schema files."""
+    """Write the catalog as a manifest plus per-view CSV/schema files.
+
+    View files never overwrite a file the current manifest refers to,
+    and the new manifest replaces it in one rename after every view file
+    is written, so a save that fails part-way leaves the catalog as it
+    was. Files only the old manifest referred to are removed after."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    try:
+        old = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        old_files = _view_files(old["views"])
+    except (OSError, ValueError, KeyError, TypeError):
+        old_files = set()
+    taken = {name.split("_")[0] for name in old_files}
+    free_stems = (stem for stem in (f"view{i:03d}" for i in itertools.count())
+                  if stem not in taken)
     manifest = {"views": []}
-    for i, view_id in enumerate(sorted(catalog.entries)):
+    for view_id in sorted(catalog.entries):
         entry = catalog.entries[view_id]
-        stem = f"view{i:03d}"
+        stem = next(free_stems)
         entry.graph.export_csv(root / f"{stem}_vertices.csv",
                                root / f"{stem}_edges.csv")
         (root / f"{stem}_schema.json").write_text(
@@ -663,8 +716,12 @@ def catalog_save(catalog: ViewCatalog, path: str | Path) -> None:
             "actual_edges": entry.actual_edges,
             "created_at": entry.created_at,
         })
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    staged = root / "manifest.json.tmp"
+    staged.write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                      encoding="utf-8")
+    os.replace(staged, root / "manifest.json")
+    for name in old_files - _view_files(manifest["views"]):
+        (root / name).unlink(missing_ok=True)
 
 
 def catalog_load(path: str | Path) -> ViewCatalog:

@@ -4,7 +4,7 @@ import pytest
 
 from graphviews.cli import main
 
-from test_pipeline import BLAST, write_workload
+from test_pipeline import BLAST, write_road_workload, write_workload
 
 
 @pytest.fixture
@@ -135,6 +135,21 @@ class TestCommands:
         rc = main(["materialize", "--workload", str(workload),
                    "--view-id", "nope", "--catalog", str(tmp_path / "cat")])
         assert rc == 2
+
+    def test_select_shows_twins_and_materialize_refuses_them(self, tmp_path,
+                                                             capsys):
+        workload = write_road_workload(tmp_path, 5, 5)
+        assert main(["select", "--workload", str(workload)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(out)
+                  if line.startswith("khop:Junction:Junction:04 "))
+        assert out[at + 1] == "  same content as: svtc:Junction:04:04"
+        assert not any(line.startswith("svtc:Junction:04:04") for line in out)
+        assert main(["materialize", "--workload", str(workload),
+                     "--view-id", "svtc:Junction:04:04",
+                     "--catalog", str(tmp_path / "cat")]) == 2
+        assert "'khop:Junction:Junction:04'" in capsys.readouterr().err
+        assert not (tmp_path / "cat").exists()
 
     def test_generate_determinism_via_cli(self, tmp_path, capsys):
         main(["generate", "power_law", "--out", str(tmp_path / "a"),

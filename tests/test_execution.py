@@ -382,6 +382,30 @@ class TestFrontierSweep:
         assert not single(["a", "b"], [("a", "b"), ("b", "a")]).is_acyclic
         assert not single(["a", "b"], [("a", "b"), ("b", "b")]).is_acyclic
 
+    def test_plain_graphs_pass_counts_through(self):
+        # whether any edge carries path_count is recorded at seal time;
+        # without one, the kernels get no per-edge count step to call
+        plain, weighted = random_lineage_dag(5), weighted_lineage_dag(5)
+        one = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                     {("b", "c"): {"path_count": 1}})
+        assert not plain._has_path_count
+        assert weighted._has_path_count and one._has_path_count
+        assert _count_step(plain) is None
+        assert _count_step(as_cyclic(plain)) is None
+        assert _count_step(one) is not None
+
+        def unchanged(count, ei):
+            return count
+
+        for kernel in (_sweep, _trails):
+            for v in range(plain.n):
+                called, passed = ExecutionStats(), ExecutionStats()
+                want = kernel(plain, {v: 1}, 0, 6, unchanged, operator.add,
+                              stats=called)
+                got = kernel(plain, {v: 1}, 0, 6, None, operator.add,
+                             stats=passed)
+                assert got == want and passed == called, (kernel, v)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_kernels_agree_on_count_semiring(self, seed):
         for g in differential_dags(seed):

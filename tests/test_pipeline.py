@@ -2,9 +2,23 @@ import json
 
 import pytest
 
+from graphviews.enumeration import enumerate_views
 from graphviews.errors import GraphViewsError, InvalidParamsError
-from graphviews.generate import generate_lineage
-from graphviews.pipeline import QuerySpec, WorkloadSpec, run_pipeline
+from graphviews.generate import generate_lineage, generate_road_like
+from graphviews.mining import mine_constraints
+from graphviews.pipeline import (
+    QuerySpec,
+    WorkloadSpec,
+    _Prepared,
+    _prepare,
+    build_candidates,
+    run_pipeline,
+)
+from graphviews.query import parse_query
+from graphviews.store import GraphSchema, degree_summary, load_graph
+from graphviews.views import materialize, select_views
+
+from conftest import random_lineage_dag
 
 BLAST = ("MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File), "
          "(q_f1)-[r*0..8]->(q_f2:File), (q_f2)-[:IS_READ_BY]->(q_j2:Job) "
@@ -48,6 +62,67 @@ def write_workload(tmp_path, budget=10 ** 6, seed=0, queries=None, **gen_kw):
     path = tmp_path / "workload.json"
     path.write_text(json.dumps(workload), encoding="utf-8")
     return path
+
+
+ROAD_COUNT = ("MATCH (a:Junction)-[p*4..4]->(b:Junction) "
+              "WHERE a.id = 'r0c0' RETURN b.id, count(a)")
+ROAD_REACH = ("MATCH (a:Junction)-[p*1..4]->(b:Junction) "
+              "WHERE a.id = 'r0c0' RETURN b.id")
+
+
+def write_road_workload(tmp_path, rows, cols, budget=2 * 10 ** 6):
+    """The shape of the road benchmark workload: two pinned grid
+    queries, two 4-hop ops from the centre and label propagation."""
+    ds = generate_road_like(tmp_path, 1, rows=rows, cols=cols)
+    (tmp_path / "q1.query").write_text(ROAD_COUNT, encoding="utf-8")
+    (tmp_path / "q2.query").write_text(ROAD_REACH, encoding="utf-8")
+    op = {"source": f"r{rows // 2}c{cols // 2}", "hops": 4,
+          "result_type": "Junction"}
+    workload = {
+        "graph": {"vertices": ds.vertex_file.name, "edges": ds.edge_file.name,
+                  "schema": ds.schema_file.name},
+        "budget": budget, "alpha": 95, "max_k": 10, "seed": 0,
+        "queries": [
+            {"name": "q1", "file": "q1.query"},
+            {"name": "q2", "file": "q2.query"},
+            {"name": "q3", "op": "descendants", "params": op},
+            {"name": "q4", "op": "path_lengths",
+             "params": {**op, "property": "length"}},
+            {"name": "q5", "op": "label_propagation", "params": {"passes": 6}},
+        ],
+    }
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(workload), encoding="utf-8")
+    return path
+
+
+def write_provenance_workload(tmp_path):
+    """The shape of the provenance benchmark workload, small: a pinned
+    blast radius, three job ops and label propagation over four types."""
+    job_op = {"hops": 4, "result_type": "Job"}
+    queries = [
+        {"name": "q1", "file": "q1.query", "weight": 2.0},
+        {"name": "q2", "op": "ancestors", "params": {**job_op, "source": "j20"}},
+        {"name": "q3", "op": "descendants", "params": {**job_op, "source": "j2"}},
+        {"name": "q4", "op": "path_lengths",
+         "params": {**job_op, "source": "j2", "property": "timestamp"}},
+        {"name": "q7", "op": "label_propagation", "params": {"passes": 6}},
+    ]
+    path = write_workload(tmp_path, budget=3 * 10 ** 6, queries=queries,
+                          jobs=40, files=80, tasks=400, machines=200)
+    (tmp_path / "q1.query").write_text(
+        BLAST.replace("RETURN", "WHERE q_j1.id = 'j0' RETURN"), encoding="utf-8")
+    return path
+
+
+def candidates_and_selection(path):
+    spec = WorkloadSpec.from_file(path)
+    schema = GraphSchema.load(spec.schema_file)
+    graph = load_graph(spec.vertex_file, spec.edge_file, schema)
+    candidates = build_candidates([_prepare(q) for q in spec.queries], schema,
+                                  degree_summary(graph), graph, spec.alpha,
+                                  spec.max_k)
+    return candidates, select_views(candidates, spec.budget)
 
 
 class TestWorkloadSpec:
@@ -189,3 +264,123 @@ class TestDeterminism:
         assert "wall_ms" not in no_timing
         assert "speedup" not in no_timing
         assert "wall_ms" in report.to_json(include_timing=True)
+
+
+def prepared_queries(*texts):
+    return [_Prepared(QuerySpec(f"q{i}", file=f"q{i}.query"), q, q)
+            for i, q in enumerate(map(parse_query, texts), 1)]
+
+
+def road_5x5(tmp_path):
+    ds = generate_road_like(tmp_path, 1, rows=5, cols=5)
+    return load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+
+
+def edges_but_label(g):
+    return sorted((src, dst, sorted(props.items()))
+                  for _, src, dst, _, props in g.edges())
+
+
+class TestOneCandidatePerContent:
+    """Connectors that differ only in their edge label, and filters that
+    keep the whole schema, are not materialized as views of their own."""
+
+    @staticmethod
+    def candidates(g, *texts):
+        return build_candidates(prepared_queries(*texts), g.schema,
+                                degree_summary(g), g, 95, 10)
+
+    @pytest.mark.parametrize("shape", ["road", "lineage"])
+    def test_twins_materialize_the_same_edges(self, tmp_path, shape):
+        if shape == "road":
+            g = road_5x5(tmp_path)
+            text = "MATCH (a:Junction)-[p*4..4]->(b:Junction) RETURN a.id, b.id"
+        else:
+            g = random_lineage_dag(6, jobs=30, files=45)
+            text = "MATCH (a:Job)-[p*2..2]->(b:Job) RETURN a.id, b.id"
+        assert g.is_acyclic == (shape == "lineage")
+        q = parse_query(text)
+        enumerated = {v.view_id: v for v in
+                      enumerate_views(q, g.schema, mine_constraints(q, g.schema))}
+        candidates = self.candidates(g, text)
+        ids = {c.view.view_id for c in candidates}
+        with_twins = [c for c in candidates if c.twins]
+        assert with_twins
+        for cand in with_twins:
+            kept = materialize(g, cand.view)
+            assert kept.m > 0
+            for twin_id in cand.twins:
+                assert twin_id not in ids and twin_id > cand.view.view_id
+                twin = materialize(g, enumerated[twin_id])
+                assert edges_but_label(twin) == edges_but_label(kept)
+                assert sorted(twin.vertices()) == sorted(kept.vertices())
+                assert ({label for *_, label, _ in twin.edges()}
+                        == {enumerated[twin_id].view_label})
+
+    def test_twin_with_a_plan_of_its_own_is_kept(self, tmp_path, monkeypatch):
+        from graphviews import pipeline
+        g = road_5x5(tmp_path)
+        pairs = "MATCH (a:Junction)-[p*4..4]->(b:Junction) RETURN a.id, b.id"
+        pinned = ("MATCH (a:Junction)-[p*4..4]->(b:Junction) "
+                  "WHERE a.id = 'r0c0' RETURN b.id")
+        by_id = {c.view.view_id: c for c in self.candidates(g, pairs, pinned)}
+        assert "svtc:Junction:04:04" not in by_id
+        assert by_id["khop:Junction:Junction:04"].twins == ["svtc:Junction:04:04"]
+        # the rewriter plans every query with khop:04 that it plans with
+        # svtc:04:04; refuse it one, and the twin alone serves that query
+        original = pipeline._plan_for
+
+        def refuse_q2(pq, v, *args):
+            if (pq.spec.name, v.view_id) == ("q2", "khop:Junction:Junction:04"):
+                return None
+            return original(pq, v, *args)
+
+        monkeypatch.setattr(pipeline, "_plan_for", refuse_q2)
+        by_id = {c.view.view_id: c for c in self.candidates(g, pairs, pinned)}
+        khop, svtc = by_id["khop:Junction:Junction:04"], by_id["svtc:Junction:04:04"]
+        assert khop.twins == [] and svtc.twins == []
+        assert sorted(khop.per_query_plans) == ["q1"]
+        assert sorted(svtc.per_query_plans) == ["q1", "q2"]
+
+    def test_identity_filters_are_not_candidates(self, tmp_path, monkeypatch):
+        from graphviews import pipeline
+        estimated = []
+        original = pipeline._estimate_weight
+
+        def record(v, *args):
+            estimated.append(v.view_id)
+            return original(v, *args)
+
+        monkeypatch.setattr(pipeline, "_estimate_weight", record)
+        lineage, _ = candidates_and_selection(write_workload(tmp_path / "l"))
+        assert "vert:File+Job" not in {c.view.view_id for c in lineage}
+        assert "vert:File+Job" not in estimated
+        # over four types, Job+File is a real filter
+        provenance, _ = candidates_and_selection(
+            write_provenance_workload(tmp_path / "p"))
+        assert "vert:File+Job" in {c.view.view_id for c in provenance}
+
+    def test_workload_selections(self, tmp_path):
+        # the benchmark's road graph; lineage and provenance select the
+        # same views at this size as at the benchmark's
+        candidates, chosen = candidates_and_selection(
+            write_road_workload(tmp_path / "road", 60, 60))
+        assert [c.view.view_id for c in chosen] == ["khop:Junction:Junction:04"]
+        assert chosen[0].twins == ["svtc:Junction:04:04"]
+        assert not any("q2" in c.per_query_plans for c in chosen)
+        _, chosen = candidates_and_selection(write_workload(tmp_path / "lineage"))
+        assert [c.view.view_id for c in chosen] == ["khop:Job:Job:02", "vert:Job"]
+        _, chosen = candidates_and_selection(
+            write_provenance_workload(tmp_path / "provenance"))
+        assert [c.view.view_id for c in chosen] == ["khop:Job:Job:02",
+                                                   "vert:File+Job"]
+
+    def test_report_lists_twins(self, tmp_path):
+        report = run_pipeline(WorkloadSpec.from_file(
+            write_road_workload(tmp_path, 5, 5)))
+        views = {v.view_id: v for v in report.views}
+        assert "svtc:Junction:04:04" not in views
+        assert views["khop:Junction:Junction:04"].twins == ["svtc:Junction:04:04"]
+        listed = [v["view_id"] for v in json.loads(
+            report.to_json(include_timing=False))["views"] if "twins" in v]
+        assert listed == ["khop:Junction:Junction:04"]

@@ -12,14 +12,17 @@ from graphviews.errors import (
     PropertyTypeMismatchError,
     ValidationError,
 )
+from graphviews import views
 from graphviews.execution import execute
+from graphviews.generate import generate_road_like
 from graphviews.query import parse_query
-from graphviews.store import GraphSchema, PropertyGraph
+from graphviews.store import GraphSchema, PropertyGraph, load_graph
 from graphviews.views import (
     Candidate,
     ViewCatalog,
     catalog_load,
     catalog_save,
+    materialize,
     materialize_sparsifier,
     materialize_spanner,
     select_views,
@@ -33,7 +36,12 @@ from conftest import (
     random_lineage_dag,
     weighted_lineage_dag,
 )
-from oracles import enumerate_trails, knapsack_best_subset, knapsack_best_value
+from oracles import (
+    enumerate_trails,
+    has_cycle,
+    knapsack_best_subset,
+    knapsack_best_value,
+)
 
 
 def view(view_id_weight_value):
@@ -224,6 +232,55 @@ class TestMaterializeSpanner:
         with pytest.raises(BudgetExceededError):
             materialize_spanner(g, KHOP2, max_edges=1)
 
+    def test_plain_graph_connector_has_no_step(self):
+        plain, weighted = random_lineage_dag(5), weighted_lineage_dag(5)
+        timestamp = (("timestamp", "max", "min"),)
+        assert views._connector_semiring(plain, ())[0] is None
+        assert views._connector_semiring(weighted, ())[0] is not None
+        assert views._connector_semiring(plain, timestamp)[0] is not None
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_edge_cap_fires_as_pairs_fill(self, monkeypatch, cyclic):
+        # the cap must stop the scan at the pair past it, not after
+        # every source has been walked
+        g = random_lineage_dag(2, jobs=40, files=60)
+        if cyclic:
+            g = as_cyclic(g)
+        per_source = {}
+        for _, src, _, _, _ in materialize_spanner(g, KHOP2).edges():
+            per_source[src] = per_source.get(src, 0) + 1
+        sources = sorted(g.vertices_of_type("Job"))
+        cap = sum(per_source.values()) // 4
+        filled, walks_needed = 0, 0
+        for src in sources:
+            walks_needed += 1
+            filled += per_source.get(src, 0)
+            if filled > cap:
+                break
+        assert walks_needed < len(sources) // 2
+        walks = 0
+        kernel = "_trails" if cyclic else "_sweep"
+        original = getattr(views, kernel)
+
+        def counted(*args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(views, kernel, counted)
+        with pytest.raises(BudgetExceededError):
+            materialize_spanner(g, KHOP2, max_edges=cap)
+        assert walks == walks_needed
+
+    def test_edge_cap_exact_boundary(self):
+        g = random_lineage_dag(2)
+        m = materialize_spanner(g, KHOP2).m
+        assert materialize_spanner(g, KHOP2, max_edges=m).m == m
+        with pytest.raises(BudgetExceededError):
+            materialize_spanner(g, KHOP2, max_edges=m - 1)
+        with pytest.raises(BudgetExceededError):
+            materialize_spanner(g, KHOP2, max_edges=m - 1, threads=3)
+
     def test_threads_do_not_change_output(self):
         g = random_lineage_dag(8, jobs=20, files=30)
         single_run = materialize_spanner(g, KHOP2, threads=1)
@@ -386,6 +443,131 @@ def provenance_toy():
             ("e5", "j2", "f2", "WRITES_TO", {}),
         ],
     )
+
+
+def road_5x5(tmp_path):
+    ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+    return load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+
+
+def sparsifier_views(schema):
+    types, labels = frozenset(schema.vertex_types), schema.labels()
+    some_type, some_label = sorted(types)[0], sorted(labels)[0]
+    grouped = "Job" if "Job" in types else some_type
+    return [
+        ViewInstance(kind="VertexInclusion", predicate=Predicate(types=types)),
+        ViewInstance(kind="VertexInclusion",
+                     predicate=Predicate(types=frozenset({some_type}))),
+        ViewInstance(kind="VertexRemoval",
+                     predicate=Predicate(types=frozenset({some_type}))),
+        ViewInstance(kind="EdgeInclusion", predicate=Predicate(types=labels)),
+        ViewInstance(kind="EdgeRemoval",
+                     predicate=Predicate(types=frozenset({some_label}))),
+        ViewInstance(kind="VertexAggregator", group_key="cpu_hours",
+                     predicate=Predicate(types=frozenset({grouped}))),
+        ViewInstance(kind="EdgeAggregator", aggregations=(("timestamp", "max"),),
+                     predicate=Predicate(types=labels)),
+        ViewInstance(kind="SubgraphAggregator",
+                     predicate=Predicate(types=frozenset({some_type}))),
+    ]
+
+
+class TestMaterializedAcyclicity:
+    """``materialize`` settles the view's acyclic flag, so the first
+    query over the view does not pay for it, and the flag is right."""
+
+    def graphs(self, tmp_path):
+        return [random_lineage_dag(seed, jobs=12, files=18) for seed in range(3)] \
+            + [as_cyclic(random_lineage_dag(3, jobs=12, files=18)),
+               road_5x5(tmp_path)]
+
+    def test_flag_set_and_matches_oracle(self, tmp_path):
+        kinds = set()
+        cyclic_over_dag = []
+        for g in self.graphs(tmp_path):
+            road = g.schema.vertex_types == {"Junction"}
+            connectors = ([ViewInstance(kind="KHopConnector", x="a", y="b",
+                                        x_type="Junction", y_type="Junction",
+                                        k=k) for k in (2, 3, 4)]
+                          if road else connector_views())
+            for v in connectors + sparsifier_views(g.schema):
+                view_g = materialize(g, v)
+                assert view_g._acyclic is not None, v.view_id
+                assert view_g._acyclic == (not has_cycle(view_g)), v.view_id
+                kinds.add(view_g._acyclic)
+                if g.is_acyclic and not view_g._acyclic:
+                    cyclic_over_dag.append(v.kind)
+        assert kinds == {True, False}
+        # contracting jobs of equal cpu_hours closes cycles in a DAG
+        assert "VertexAggregator" in cyclic_over_dag
+
+    def test_connector_over_acyclic_base_skips_the_pass(self, monkeypatch):
+        g = random_lineage_dag(4)
+        assert g.is_acyclic
+        calls = []
+        original = GraphSchema.types_on_cycles
+        monkeypatch.setattr(GraphSchema, "types_on_cycles",
+                            lambda self: calls.append(self) or original(self))
+        view_g = materialize(g, KHOP2)
+        assert view_g._acyclic is True and calls == []
+
+
+class TestIdentityFilters:
+    def test_identity_filters_copy_the_base(self, provenance_toy):
+        schema = provenance_toy.schema
+        identities = [
+            ViewInstance(kind="VertexInclusion",
+                         predicate=Predicate(types=schema.vertex_types)),
+            ViewInstance(kind="VertexRemoval",
+                         predicate=Predicate(types=frozenset())),
+            ViewInstance(kind="EdgeInclusion",
+                         predicate=Predicate(types=schema.labels())),
+            ViewInstance(kind="EdgeRemoval",
+                         predicate=Predicate(types=frozenset({"NO_SUCH_LABEL"}))),
+        ]
+        for v in identities:
+            assert v.is_identity(schema), v.view_id
+            view_g = materialize(provenance_toy, v)
+            assert sorted(view_g.vertices()) == sorted(provenance_toy.vertices())
+            assert sorted(view_g.edges()) == sorted(provenance_toy.edges())
+
+    def test_narrowing_filters_are_not_identities(self, provenance_toy):
+        schema = provenance_toy.schema
+        for v in (ViewInstance(kind="VertexInclusion",
+                               predicate=Predicate(types=frozenset({"Job", "File"}))),
+                  ViewInstance(kind="EdgeRemoval",
+                               predicate=Predicate(types=frozenset({"SPAWNS"})))):
+            assert not v.is_identity(schema)
+
+    def test_aggregators_and_property_predicates_are_not_identities(
+            self, provenance_toy):
+        # they keep the schema, but contract or drop elements
+        schema = provenance_toy.schema
+        every_type = Predicate(types=schema.vertex_types)
+        every_label = Predicate(types=schema.labels())
+        views_and_changes = [
+            (ViewInstance(kind="VertexAggregator", group_key="dir",
+                          predicate=Predicate(types=frozenset({"File"}))), True),
+            (ViewInstance(kind="VertexAggregator", group_key="dir",
+                          predicate=every_type), None),
+            (ViewInstance(kind="EdgeAggregator", predicate=every_label), None),
+            (ViewInstance(kind="SubgraphAggregator",
+                          predicate=Predicate(types=frozenset({"Job"}))), True),
+            (ViewInstance(kind="VertexInclusion", predicate=Predicate(
+                types=schema.vertex_types, prop=("bytes", ">", 8))), True),
+            (ViewInstance(kind="EdgeRemoval", predicate=Predicate(
+                types=frozenset(), prop=("weight", "=", 1))), None),
+            (ViewInstance(kind="EdgeInclusion", predicate=Predicate(
+                types=schema.labels(), prop=("weight", "=", 1))), True),
+        ]
+        for v, changes in views_and_changes:
+            assert v.view_schema(schema) == schema, v.view_id
+            assert not v.is_identity(schema), v.view_id
+            if changes:
+                view_g = materialize(provenance_toy, v)
+                assert ((sorted(view_g.vertices()), sorted(view_g.edges()))
+                        != (sorted(provenance_toy.vertices()),
+                            sorted(provenance_toy.edges()))), v.view_id
 
 
 class TestMaterializeSparsifier:
@@ -637,6 +819,52 @@ class TestCatalog:
         manifest.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(CorruptCatalogError, match="khop:Job:Job:02"):
             catalog_load(tmp_path / "cat")
+
+    def test_failed_save_keeps_the_earlier_catalog(self, tmp_path,
+                                                    toy_lineage, monkeypatch):
+        # the new view sorts first, so a save that reused file names
+        # would overwrite the earlier view's files before failing
+        jobs = ViewInstance(kind="VertexInclusion",
+                            predicate=Predicate(types=frozenset({"Job"})))
+        earlier = ViewCatalog()
+        earlier.add(jobs, materialize_sparsifier(toy_lineage, jobs))
+        catalog_save(earlier, tmp_path / "cat")
+        manifest = (tmp_path / "cat" / "manifest.json").read_bytes()
+
+        later = ViewCatalog()
+        later.add(KHOP2, materialize_spanner(toy_lineage, KHOP2))
+        later.add(jobs, earlier.get(jobs.view_id).graph)
+        exports = []
+        original = PropertyGraph.export_csv
+
+        def fail_second(self, *files):
+            exports.append(files)
+            if len(exports) == 2:
+                raise OSError("disk full")
+            return original(self, *files)
+
+        monkeypatch.setattr(PropertyGraph, "export_csv", fail_second)
+        with pytest.raises(OSError):
+            catalog_save(later, tmp_path / "cat")
+        assert len(exports) == 2
+        assert (tmp_path / "cat" / "manifest.json").read_bytes() == manifest
+        loaded = catalog_load(tmp_path / "cat")
+        assert list(loaded.entries) == [jobs.view_id]
+        entry = loaded.get(jobs.view_id)
+        assert sorted(entry.graph.vertices()) == sorted(
+            earlier.get(jobs.view_id).graph.vertices())
+
+        # a save that completes replaces the catalog and leaves only the
+        # files its manifest names
+        monkeypatch.setattr(PropertyGraph, "export_csv", original)
+        catalog_save(later, tmp_path / "cat")
+        loaded = catalog_load(tmp_path / "cat")
+        assert sorted(loaded.entries) == [KHOP2.view_id, jobs.view_id]
+        named = {raw[key] for raw in json.loads(
+                     (tmp_path / "cat" / "manifest.json").read_text())["views"]
+                 for key in ("vertices", "edges", "schema")}
+        left = {f.name for f in (tmp_path / "cat").iterdir()}
+        assert left == named | {"manifest.json"}
 
     def test_bad_manifest_corrupt(self, tmp_path):
         (tmp_path / "cat").mkdir()
