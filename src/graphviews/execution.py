@@ -62,7 +62,7 @@ from .query import (
     _cell_sort_key,
     _row_sort_key,
 )
-from .store import PATH_COUNT_PROP, PropertyGraph
+from .store import PATH_COUNT_PROP, PropertyGraph, induced_subgraph
 
 
 @dataclass
@@ -368,9 +368,9 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     on any graph; walks are trails only on an acyclic one.
 
     ``labels`` keeps edges with one of the labels, ``allowed[d]`` vertices
-    of one of the types at depth d. A ``seen`` set turns the sweep into a
-    breadth-first search: a vertex in it is not entered again, and every
-    vertex entered is added to it."""
+    of one of the types at depth d (of any type when it is None). A
+    ``seen`` set turns the sweep into a breadth-first search: a vertex in
+    it is not entered again, and every vertex entered is added to it."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes = g._elabel, g._vtypes
     reached = dict(seeds) if lo == 0 else {}
@@ -412,11 +412,17 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     is O(#trails); on a cyclic graph it is the only exact choice, since
     a walk there may reuse an edge. ``plus`` joins trails in depth-first
     order. ``finish``, when given, maps each trail's value once, as it
-    joins its endpoint, so it may weigh the trail as a whole."""
+    joins its endpoint, so it may weigh the trail as a whole.
+
+    The last step is folded: from a prefix of hi - 1 edges, each edge a
+    trail may take joins its far end into the result in place, with no
+    call and no mark in ``used``, and still counts as one prefix."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes = g._elabel, g._vtypes
     reached: dict = {}
     used: set[int] = set()
+    # prefixes of hi edges end trails of lo..hi edges only when hi >= lo
+    last = hi - 1 if hi >= lo else -1
 
     def walk(v: int, depth: int, value):
         stats.vertices_touched += 1
@@ -428,6 +434,8 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
         types = allowed[depth + 1] if allowed is not None else None
         edges = adj[v]
         stats.edges_expanded += len(edges)
+        fold = depth == last
+        ends = 0
         for ei in edges:
             if labels is not None and elabel[ei] not in labels:
                 continue
@@ -437,9 +445,16 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
             if types is not None and vtypes[w] not in types:
                 continue
             x = value if extend is None else extend(value, ei)
-            used.add(ei)
-            walk(w, depth + 1, x)
-            used.discard(ei)
+            if fold:
+                if finish is not None:
+                    x = finish(x)
+                reached[w] = plus(reached[w], x) if w in reached else x
+                ends += 1
+            else:
+                used.add(ei)
+                walk(w, depth + 1, x)
+                used.discard(ei)
+        stats.vertices_touched += ends
 
     for v, value in seeds.items():
         walk(v, 0, value)
@@ -754,19 +769,17 @@ def largest_community(g: PropertyGraph, labels: dict[str, str],
                       count_type: str) -> tuple[str, PropertyGraph]:
     """The community with the most ``count_type`` vertices (ties broken by
     the smallest label) as (label, induced subgraph)."""
-    missing = [v for v in g.vertex_ids() if v not in labels]
+    vids = g._vids
+    missing = [v for v in vids if v not in labels]
     if missing:
         raise ValidationError(f"labels missing for {len(missing)} vertices")
     counts: dict[str, int] = {}
-    for vid in g.vertex_ids():
+    for vid, vtype in zip(vids, g._vtypes):
         lab = labels[vid]
         counts.setdefault(lab, 0)
-        if g.vertex_type(vid) == count_type:
+        if vtype == count_type:
             counts[lab] += 1
     winner = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    members = {v for v in g.vertex_ids() if labels[v] == winner}
-    vertices = [(v, g.vertex_type(v), g.vertex_props(v)) for v in sorted(members)]
-    edges = [(eid, src, dst, label, props)
-             for eid, src, dst, label, props in g.edges()
-             if src in members and dst in members]
-    return winner, PropertyGraph.build(g.schema, vertices, edges)
+    members = [v for v, vid in enumerate(vids) if labels[vid] == winner]
+    members.sort(key=vids.__getitem__)
+    return winner, induced_subgraph(g, g.schema, members)

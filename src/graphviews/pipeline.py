@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -248,24 +249,28 @@ def _op_rewrite(pq: _Prepared, v: ViewInstance,
 # Candidates
 # --------------------------------------------------------------------------
 
-def _estimate_weight(v: ViewInstance, summary: DegreeSummary, graph,
-                     alpha: int):
+def _triple_counts(graph) -> Counter:
+    """Edges per (src type, dst type, label) triple, in one pass."""
+    vtypes = graph._vtypes
+    return Counter(zip(map(vtypes.__getitem__, graph._esrc),
+                       map(vtypes.__getitem__, graph._edst), graph._elabel))
+
+
+def _estimate_weight(v: ViewInstance, summary: DegreeSummary,
+                     schema: GraphSchema, triples: Counter, alpha: int):
     if v.kind == "KHopConnector":
         return estimate_heterogeneous(summary, v.k, alpha)
     if v.kind in CONNECTOR_KINDS:
         total = sum(estimate_heterogeneous(summary, length, alpha).estimated_edges
                     for length in v.lengths)
         return SizeEstimate(total, "HeterogeneousPercentile", v.hi, alpha)
-    # sparsifier selectivity: exact counting on the loaded graph
-    view_schema = v.view_schema(graph.schema)
+    # sparsifier selectivity: the loaded graph's edges of the kept triples
+    view_schema = v.view_schema(schema)
     kept_types = view_schema.vertex_types
     kept_labels = view_schema.labels()
-    count = 0
-    for _, src, dst, label, _ in graph.edges():
-        if (graph.vertex_type(src) in kept_types
-                and graph.vertex_type(dst) in kept_types
-                and label in kept_labels):
-            count += 1
+    count = sum(n for (src, dst, label), n in triples.items()
+                if src in kept_types and dst in kept_types
+                and label in kept_labels)
     return exact_estimate(count, 1)
 
 
@@ -295,6 +300,7 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
     base graph and is no candidate; connectors that differ only in
     their edge label are merged by :func:`_merge_twins`."""
     by_id: dict[str, Candidate] = {}
+    triples = _triple_counts(graph)
     for pq in prepared:
         if pq.synth is None:
             continue
@@ -303,7 +309,7 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
             if v.is_identity(schema):
                 continue
             if v.view_id not in by_id:
-                est = _estimate_weight(v, summary, graph, alpha)
+                est = _estimate_weight(v, summary, schema, triples, alpha)
                 by_id[v.view_id] = Candidate(
                     view=v, weight=max(est.estimated_edges, 1.0),
                     value=0.0, size_estimate=est)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -58,6 +59,16 @@ def _check_props(props: Mapping[str, object], context: str) -> PropertyMap:
                 f"{context}: property {key!r} must be int, float, string or bool"
             )
     return out
+
+
+def _unique_index(ids: list[str], kind: str) -> dict[str, int]:
+    """{id: position}, raising on the first id that repeats."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        seen: set[str] = set()
+        dup = next(x for x in ids if x in seen or seen.add(x))
+        raise DuplicateIdError(f"duplicate {kind} id {dup!r}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -156,9 +167,12 @@ class GraphSchema:
 class PropertyGraph:
     """Directed typed property graph, schema-valid by construction.
 
-    Build instances through :meth:`build` (programmatic) or
-    :func:`load_graph` (CSV). Out-adjacency is exposed in ascending
-    external edge id order, which makes every traversal deterministic.
+    It has three constructors: :meth:`build` validates (id, type, props)
+    and (id, src, dst, label, props) tuples, :func:`load_graph` does the
+    same for CSV rows, and :meth:`derive` makes a view graph from a
+    graph that is already valid, re-checking only what the view adds.
+    Out-adjacency is exposed in ascending external edge id order, which
+    makes every traversal deterministic.
     """
 
     def __init__(self, schema: GraphSchema):
@@ -174,9 +188,8 @@ class PropertyGraph:
         self._elabel: list[str] = []
         self._eprops: list[PropertyMap] = []
         self._out: list[list[int]] = []       # vertex -> edge internal indexes
-        self._in: list[list[int]] = []
+        self._in: list[list[int]] = []        # (both set by _seal)
         self._type_counts: dict[str, int] = {}
-        self._sealed = False
         self._acyclic: bool | None = None
         self._has_path_count = False          # set by _seal
         self._explicit_ids: dict[PropertyValue, list[int]] | None = None
@@ -194,9 +207,6 @@ class PropertyGraph:
         self._vids.append(vid)
         self._vtypes.append(vtype)
         self._vprops.append(_check_props(props, f"vertex {vid!r}"))
-        self._out.append([])
-        self._in.append([])
-        self._type_counts[vtype] = self._type_counts.get(vtype, 0) + 1
 
     def _add_edge(self, eid: str, src: str, dst: str, label: str,
                   props: Mapping[str, object]):
@@ -220,17 +230,20 @@ class PropertyGraph:
         self._edst.append(di)
         self._elabel.append(label)
         self._eprops.append(_check_props(props, f"edge {eid!r}"))
-        self._out[si].append(len(self._eids) - 1)
-        self._in[di].append(len(self._eids) - 1)
 
     def _seal(self):
-        for adj in self._out:
-            adj.sort(key=lambda i: self._eids[i])
-        for adj in self._in:
-            adj.sort(key=lambda i: self._eids[i])
+        """Adjacency lists in ascending external edge id order, from one
+        sort of all edges; then the per-type vertex counts."""
+        out: list[list[int]] = [[] for _ in self._vids]
+        inn: list[list[int]] = [[] for _ in self._vids]
+        esrc, edst = self._esrc, self._edst
+        for ei in sorted(range(len(self._eids)), key=self._eids.__getitem__):
+            out[esrc[ei]].append(ei)
+            inn[edst[ei]].append(ei)
+        self._out, self._in = out, inn
+        self._type_counts = dict(Counter(self._vtypes))
         self._has_path_count = any(PATH_COUNT_PROP in props
                                    for props in self._eprops)
-        self._sealed = True
 
     @classmethod
     def build(cls, schema: GraphSchema,
@@ -244,6 +257,65 @@ class PropertyGraph:
             g._add_vertex(vid, vtype, props)
         for eid, src, dst, label, props in edges:
             g._add_edge(eid, src, dst, label, props)
+        g._seal()
+        return g
+
+    @classmethod
+    def derive(cls, base: "PropertyGraph", schema: GraphSchema,
+               vertices: list, esrc: list[int], edst: list[int],
+               edges: list) -> "PropertyGraph":
+        """A graph over ``schema`` made from the valid graph ``base``.
+
+        ``vertices`` lists its vertices in order, each a base vertex
+        index or a created (id, type, props). Edge ``i`` runs from
+        ``vertices[esrc[i]]`` to ``vertices[edst[i]]`` and is ``edges[i]``:
+        a base edge index (keeping the base edge's id, label and props)
+        or a created (id, label, props). Props taken from ``base`` are
+        copied, not re-checked; created props are checked as
+        :meth:`build` checks them. Every vertex type and each distinct
+        (src type, dst type, label) triple must be in ``schema``, and
+        vertex and edge ids must be unique."""
+        g = cls(schema)
+        vids, vtypes, vprops = g._vids, g._vtypes, g._vprops
+        for x in vertices:
+            if type(x) is int:
+                vids.append(base._vids[x])
+                vtypes.append(base._vtypes[x])
+                vprops.append(dict(base._vprops[x]))
+            else:
+                vid, vtype, props = x
+                vids.append(vid)
+                vtypes.append(vtype)
+                vprops.append(_check_props(props, f"vertex {vid!r}"))
+        eids, elabel, eprops = g._eids, g._elabel, g._eprops
+        for x in edges:
+            if type(x) is int:
+                eids.append(base._eids[x])
+                elabel.append(base._elabel[x])
+                eprops.append(dict(base._eprops[x]))
+            else:
+                eid, label, props = x
+                eids.append(eid)
+                elabel.append(label)
+                eprops.append(_check_props(props, f"edge {eid!r}"))
+        g._esrc, g._edst = list(esrc), list(edst)
+        undeclared = set(vtypes) - schema.vertex_types
+        if undeclared:
+            vid, vtype = next((vid, t) for vid, t in zip(vids, vtypes)
+                              if t in undeclared)
+            raise UnknownVertexTypeError(
+                f"vertex {vid!r} has undeclared type {vtype!r}")
+        g._vindex = _unique_index(vids, "vertex")
+        g._eindex = _unique_index(eids, "edge")
+        src_types = list(map(vtypes.__getitem__, g._esrc))
+        dst_types = list(map(vtypes.__getitem__, g._edst))
+        unknown = set(zip(src_types, dst_types, elabel)) - schema.edge_types
+        if unknown:
+            eid, src, dst, label = next(
+                row for row in zip(eids, src_types, dst_types, elabel)
+                if row[1:] in unknown)
+            raise UnknownEdgeTripleError(
+                f"edge {eid!r}: triple ({src}, {dst}, {label}) not in schema")
         g._seal()
         return g
 
@@ -354,9 +426,6 @@ class PropertyGraph:
                         self._elabel[ei], self._eprops[ei]))
         return out
 
-    def out_degree(self, vid: str) -> int:
-        return len(self._out[self._require(vid)])
-
     def edges(self) -> Iterator[tuple[str, str, str, str, PropertyMap]]:
         """Iterate (edge id, src id, dst id, label, props) in load order."""
         for i, eid in enumerate(self._eids):
@@ -388,6 +457,22 @@ class PropertyGraph:
                 writer.writerow([eid, self._vids[self._esrc[i]],
                                  self._vids[self._edst[i]], self._elabel[i],
                                  json.dumps(props, sort_keys=True) if props else ""])
+
+
+def induced_subgraph(g: PropertyGraph, schema: GraphSchema,
+                     keep: list[int]) -> PropertyGraph:
+    """The graph over ``schema`` of ``g``'s vertices ``keep``, in that
+    order, and of the edges between them, in load order."""
+    at = [-1] * g.n
+    for i, v in enumerate(keep):
+        at[v] = i
+    esrc, edst, edges = [], [], []
+    for ei, (s, d) in enumerate(zip(g._esrc, g._edst)):
+        if at[s] >= 0 and at[d] >= 0:
+            esrc.append(at[s])
+            edst.append(at[d])
+            edges.append(ei)
+    return PropertyGraph.derive(g, schema, keep, esrc, edst, edges)
 
 
 def components(names: Iterable[str], links: Iterable[tuple[str, str]]
@@ -519,8 +604,8 @@ def nearest_rank(sorted_values: list[int], alpha: int) -> int:
 def degree_summary(g: PropertyGraph) -> DegreeSummary:
     """Compute the per-type out-degree summary of ``g``. Deterministic."""
     degs_by_type: dict[str, list[int]] = {t: [] for t in g.schema.vertex_types}
-    for vid in g.vertex_ids():
-        degs_by_type[g.vertex_type(vid)].append(g.out_degree(vid))
+    for vtype, adj in zip(g._vtypes, g._out):
+        degs_by_type[vtype].append(len(adj))
     per_type = {}
     for vtype, degs in degs_by_type.items():
         degs.sort()

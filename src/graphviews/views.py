@@ -17,7 +17,8 @@ output is one edge per connected (src, dst) pair carrying ``path_count``
 (the contracted trails, each weighted by the product of the path_counts
 it crosses) plus any requested per-property trail aggregates; raw vertex
 ids and properties are preserved. Views always materialize from the raw
-graph, never from other views.
+graph, never from other views. Every materializer works on the graph's
+internal indices and hands the view to :meth:`PropertyGraph.derive`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import time
@@ -65,6 +67,7 @@ from .store import (
     PropertyGraph,
     TypeDegrees,
     components,
+    induced_subgraph,
 )
 
 
@@ -252,15 +255,17 @@ def _reducer(name: str):
 
 
 def _connector_semiring(g: PropertyGraph, aggregates):
-    """``extend`` and ``plus`` over connector values (path_count, one
-    value per (property, along, across) aggregate), and the ``finish``
-    a sum across trails needs, or None. ``extend`` is None when a step
-    leaves every value as it is: no aggregates, and no path_count on
-    ``g``. A non-numeric step
-    poisons the aggregates of every trail through it; materialization
-    raises only when such a trail reaches a view edge."""
-    eprops = g._eprops
+    """``extend``, ``plus``, the ``finish`` a sum across trails needs (or
+    None) and the seed of connector values. Without aggregates a value
+    is the path count, a plain int; ``extend`` is None when no edge of
+    ``g`` carries a path_count. With aggregates it is a tuple of the
+    path count and one value per (property, along, across) aggregate. A
+    non-numeric step poisons the aggregates of every trail through it;
+    materialization raises only when such a trail reaches a view edge."""
     count_step = _count_step(g)
+    if not aggregates:
+        return count_step, operator.add, None, 1
+    eprops = g._eprops
     along = [(i, prop, _reducer(name))
              for i, (prop, name, _) in enumerate(aggregates, 1)]
     across = [(i, _reducer(name)) for i, (_, _, name) in enumerate(aggregates, 1)]
@@ -294,9 +299,8 @@ def _connector_semiring(g: PropertyGraph, aggregates):
                 out[i] = out[i] * value[0]
         return tuple(out)
 
-    if count_step is None and not aggregates:
-        extend = None
-    return extend, plus, (finish if summed else None)
+    seed = (1,) + (None,) * len(aggregates)
+    return extend, plus, (finish if summed else None), seed
 
 
 def connector_content(v: ViewInstance) -> tuple:
@@ -318,10 +322,13 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     lo, hi = max(min(v.lengths), 1), max(v.lengths)   # lengths are lo..hi
     allowed = _allowed_types_by_depth(g.schema, v)
     label_filter = set(v.path_labels) if v.path_labels else None
-    sources = [vid for vid in sorted(g.vertices_of_type(v.x_type))
-               if g.vertex_type(vid) in allowed[0]] if allowed[0] else []
-    extend, plus, finish = _connector_semiring(g, v.edge_aggregates)
-    seed = (1,) + (None,) * len(v.edge_aggregates)
+    vids, vtypes, y_type = g._vids, g._vtypes, v.y_type
+    sources = ([g._vindex[vid] for vid in sorted(g.vertices_of_type(v.x_type))]
+               if v.x_type in allowed[0] else [])
+    # a depth that allows every type prunes nothing
+    pruning = [None if types >= g.schema.vertex_types else types
+               for types in allowed]
+    extend, plus, finish, seed = _connector_semiring(g, v.edge_aggregates)
     # a sum across trails does not distribute over the along-reducers,
     # so only the trail search computes one
     walk = (_sweep if g.is_acyclic and finish is None
@@ -329,16 +336,18 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     # numbers the pairs found in all chunks; next() on it is atomic
     filled = itertools.count(1)
 
-    def scan(chunk: list[str]) -> dict[tuple[str, str], tuple]:
-        pairs: dict[tuple[str, str], tuple] = {}
+    def scan(chunk: list[int]) -> dict[int, list[tuple[int, object]]]:
+        """Each source's (end, value) pairs, ends in ascending id order."""
+        found = {}
         stats = ExecutionStats()
-        for src in chunk:
-            reached = walk(g, {g._require(src): seed}, lo, hi, extend, plus,
-                           labels=label_filter, allowed=allowed, stats=stats)
+        for u in chunk:
+            reached = walk(g, {u: seed}, lo, hi, extend, plus,
+                           labels=label_filter, allowed=pruning, stats=stats)
+            ends = []
             for w, value in reached.items():
-                if g._vtypes[w] != v.y_type:
+                if vtypes[w] != y_type:
                     continue
-                if _NON_NUMERIC in value:
+                if v.edge_aggregates and _NON_NUMERIC in value:
                     prop = next(prop for (prop, _, _), agg
                                 in zip(v.edge_aggregates, value[1:])
                                 if agg is _NON_NUMERIC)
@@ -349,29 +358,36 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
                     raise BudgetExceededError(
                         f"spanner would materialize more than its cap of "
                         f"{max_edges} edges")
-                pairs[(src, g._vids[w])] = value
-        return pairs
+                ends.append(w)
+            ends.sort(key=vids.__getitem__)
+            found[u] = [(w, reached[w]) for w in ends]
+        return found
 
     if threads <= 1 or len(sources) < 2:
-        merged = scan(sources)
+        found = scan(sources)
     else:
         chunks = [sources[i::threads] for i in range(threads)]
-        merged = {}
+        found = {}
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for partial in pool.map(scan, chunks):
-                merged.update(partial)   # each source is in one chunk
+                found.update(partial)   # each source is in one chunk
 
-    view_schema = v.view_schema(g.schema)
-    endpoints = sorted({u for u, _ in merged} | {w for _, w in merged})
-    vertices = [(vid, g.vertex_type(vid), g.vertex_props(vid)) for vid in endpoints]
-    edges = []
-    for i, (u, w) in enumerate(sorted(merged)):
-        count, *aggs = merged[(u, w)]
-        props = {"path_count": count}
-        props.update((prop, agg) for (prop, _, _), agg
-                     in zip(v.edge_aggregates, aggs))
-        edges.append((f"ve{i:06d}", u, w, v.view_label, props))
-    return PropertyGraph.build(view_schema, vertices, edges)
+    endpoints = {w for pairs in found.values() for w, _ in pairs}
+    endpoints.update(u for u, pairs in found.items() if pairs)
+    vertices = sorted(endpoints, key=vids.__getitem__)
+    at = {x: i for i, x in enumerate(vertices)}
+    keys = ["path_count"] + [prop for prop, _, _ in v.edge_aggregates]
+    label = v.view_label
+    esrc, edst, edges = [], [], []
+    for u in sources:   # pairs in ascending (src id, dst id) order
+        for w, value in found[u]:
+            esrc.append(at[u])
+            edst.append(at[w])
+            props = (dict(zip(keys, value)) if v.edge_aggregates
+                     else {"path_count": value})
+            edges.append((f"ve{len(edges):06d}", label, props))
+    return PropertyGraph.derive(g, v.view_schema(g.schema), vertices,
+                                esrc, edst, edges)
 
 
 # --------------------------------------------------------------------------
@@ -408,28 +424,22 @@ def _require_predicate(v: ViewInstance) -> Predicate:
 
 def _filter_vertices(g, v, keep_matching: bool) -> PropertyGraph:
     pred = _require_predicate(v)
-    kept = []
-    for vid, vtype, props in g.vertices():
-        if pred.matches(vtype, props) == keep_matching:
-            kept.append((vid, vtype, props))
-    kept_ids = {vid for vid, _, _ in kept}
-    edges = [(eid, src, dst, label, props)
-             for eid, src, dst, label, props in g.edges()
-             if src in kept_ids and dst in kept_ids]
-    return PropertyGraph.build(v.view_schema(g.schema), kept, edges)
+    kept = [i for i, (vtype, props) in enumerate(zip(g._vtypes, g._vprops))
+            if pred.matches(vtype, props) == keep_matching]
+    return induced_subgraph(g, v.view_schema(g.schema), kept)
 
 
 def _filter_edges(g, v, keep_matching: bool) -> PropertyGraph:
     pred = _require_predicate(v)
-    edges = [(eid, src, dst, label, props)
-             for eid, src, dst, label, props in g.edges()
-             if pred.matches(label, props) == keep_matching]
-    vertices = list(g.vertices())
-    return PropertyGraph.build(v.view_schema(g.schema), vertices, edges)
+    kept = [ei for ei, (label, props) in enumerate(zip(g._elabel, g._eprops))
+            if pred.matches(label, props) == keep_matching]
+    return PropertyGraph.derive(g, v.view_schema(g.schema), list(range(g.n)),
+                                [g._esrc[ei] for ei in kept],
+                                [g._edst[ei] for ei in kept], kept)
 
 
-def _member_type(g, members) -> str | None:
-    types = {g.vertex_type(m) for m in members}
+def _member_type(g, members: list[int]) -> str | None:
+    types = {g._vtypes[m] for m in members}
     if len(types) > 1:
         raise MixedTypeAggregationError(
             f"cannot aggregate vertices of different types {sorted(types)}")
@@ -451,43 +461,49 @@ def _aggregate_members(aggregations, members: list[dict], props: dict) -> dict:
 
 
 def _contract(g, v: ViewInstance, groups) -> PropertyGraph:
-    """Replace the members of each (super id, base props, members) group
-    by one supervertex of their type, carrying the base props and the
-    view's aggregations over them. Other vertices stay; edges are
-    rewired onto the supervertices, and dropped when they fall inside
-    one."""
-    remap: dict[str, str] = {}
-    vertices = []
+    """Replace the members of each (super id, base props, member
+    indices) group by one supervertex of their type, carrying the base
+    props and the view's aggregations over them. Other vertices stay;
+    edges are rewired onto the supervertices, and dropped when they fall
+    inside one."""
+    vtypes, vprops = g._vtypes, g._vprops
+    at: dict[int, int] = {}   # member -> its supervertex's position
+    vertices: list = []
     for super_id, props, members in groups:
-        member_props = [g.vertex_props(m) for m in members]
-        vertices.append((super_id, g.vertex_type(members[0]),
-                         _aggregate_members(v.aggregations, member_props, props)))
-        remap.update((m, super_id) for m in members)
-    vertices += [vertex for vertex in g.vertices() if vertex[0] not in remap]
-    edges = []
-    for eid, src, dst, label, props in g.edges():
-        new_src = remap.get(src, src)
-        new_dst = remap.get(dst, dst)
-        if new_src == new_dst and (src in remap or dst in remap):
+        at.update((m, len(vertices)) for m in members)
+        vertices.append((super_id, vtypes[members[0]], _aggregate_members(
+            v.aggregations, [vprops[m] for m in members], props)))
+    pos = []
+    for i in range(g.n):
+        if i in at:
+            pos.append(at[i])
+        else:
+            pos.append(len(vertices))
+            vertices.append(i)
+    esrc, edst, edges = [], [], []
+    for ei, (s, d) in enumerate(zip(g._esrc, g._edst)):
+        if s in at and pos[s] == pos[d]:
             continue  # absorbed into one supervertex
-        edges.append((eid, new_src, new_dst, label, props))
-    return PropertyGraph.build(g.schema, vertices, edges)
+        esrc.append(pos[s])
+        edst.append(pos[d])
+        edges.append(ei)
+    return PropertyGraph.derive(g, g.schema, vertices, esrc, edst, edges)
 
 
 def _aggregate_vertices(g, v: ViewInstance) -> PropertyGraph:
     pred = _require_predicate(v)
     if not v.group_key:
         raise ValidationError("VertexAggregator needs a group_key")
-    matching = [vid for vid, vtype, props in g.vertices()
+    matching = [i for i, (vtype, props) in enumerate(zip(g._vtypes, g._vprops))
                 if pred.matches(vtype, props)]
     vtype = _member_type(g, matching)
-    groups: dict[tuple[bool, object], list[str]] = {}
-    for vid in matching:
-        props = g.vertex_props(vid)
+    groups: dict[tuple[bool, object], list[int]] = {}
+    for i in matching:
+        props = g._vprops[i]
         if v.group_key in props:
             value = props[v.group_key]
             # True == 1 and hashes alike: keep bool groups apart from int ones
-            groups.setdefault((isinstance(value, bool), value), []).append(vid)
+            groups.setdefault((isinstance(value, bool), value), []).append(i)
     keys = sorted(groups, key=lambda key: repr(key[1]))
     ids = _group_ids(f"agg:{vtype}:", [value for _, value in keys])
     return _contract(g, v, [(super_id, {v.group_key: key[1]}, groups[key])
@@ -515,32 +531,42 @@ def _group_ids(prefix: str, values: list) -> list[str]:
 
 def _aggregate_edges(g, v: ViewInstance) -> PropertyGraph:
     pred = _require_predicate(v)
-    groups: dict[tuple[str, str, str], list[dict]] = {}
-    edges = []
-    for eid, src, dst, label, props in g.edges():
+    vids = g._vids
+    groups: dict[tuple[int, int, str], list[dict]] = {}
+    esrc, edst, edges = [], [], []
+    for ei, (s, d, label, props) in enumerate(
+            zip(g._esrc, g._edst, g._elabel, g._eprops)):
         if pred.matches(label, props):
-            groups.setdefault((src, dst, label), []).append(props)
+            groups.setdefault((s, d, label), []).append(props)
         else:
-            edges.append((eid, src, dst, label, props))
-    for i, key in enumerate(sorted(groups)):
-        members = groups[key]
-        edges.append((f"eagg{i:06d}", *key, _aggregate_members(
+            esrc.append(s)
+            edst.append(d)
+            edges.append(ei)
+    keys = sorted(groups, key=lambda key: (vids[key[0]], vids[key[1]], key[2]))
+    for i, (s, d, label) in enumerate(keys):
+        members = groups[(s, d, label)]
+        esrc.append(s)
+        edst.append(d)
+        edges.append((f"eagg{i:06d}", label, _aggregate_members(
             v.aggregations, members, {"member_count": len(members)})))
-    return PropertyGraph.build(g.schema, list(g.vertices()), edges)
+    return PropertyGraph.derive(g, g.schema, list(range(g.n)), esrc, edst, edges)
 
 
 def _aggregate_subgraphs(g, v: ViewInstance) -> PropertyGraph:
     pred = _require_predicate(v)
-    members = [vid for vid, vtype, props in g.vertices()
+    vids = g._vids
+    members = [i for i, (vtype, props) in enumerate(zip(g._vtypes, g._vprops))
                if pred.matches(vtype, props)]
     vtype = _member_type(g, members)
     member_set = set(members)
-    links = [(src, dst) for _, src, dst, _, _ in g.edges()
-             if src in member_set and dst in member_set]
+    links = [(vids[s], vids[d]) for s, d in zip(g._esrc, g._edst)
+             if s in member_set and d in member_set]
     # sorted lists of disjoint sorted groups: ordered by smallest member
+    groups = sorted(components([vids[i] for i in members], links))
     return _contract(g, v, [(f"agg:{vtype}:{group[0]}",
-                             {"member_count": len(group)}, group)
-                            for group in sorted(components(members, links))])
+                             {"member_count": len(group)},
+                             [g._vindex[m] for m in group])
+                            for group in groups])
 
 
 def materialize(g: PropertyGraph, v: ViewInstance,

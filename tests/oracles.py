@@ -3,12 +3,13 @@
 These deliberately do not share code with the package: the schema-path
 oracle follows the procedural fix-point formulation (seed single-edge
 chains, grow each round at both ends, keep only chains that grew,
-deduplicate), the path counter and trail enumerator are plain recursive
-searches, the neighborhood oracle is a plain breadth-first search, the
-query oracle is a plain recursive backtracking matcher over the public
-graph API with one binding per trail, the label-propagation oracle
-recounts string-labelled votes edge by edge each pass, and the knapsack
-oracle enumerates subsets exhaustively.
+deduplicate), the path counter, the trail enumerator and the trail
+search with its work counts are plain recursive searches, the
+neighborhood oracle is a plain breadth-first search, the query oracle
+is a plain recursive backtracking matcher over the public graph API
+with one binding per trail, the label-propagation oracle recounts
+string-labelled votes edge by edge each pass, and the knapsack oracle
+enumerates subsets exhaustively.
 """
 
 from __future__ import annotations
@@ -111,6 +112,39 @@ def enumerate_trails(g, src_type, dst_type, lengths, labels=None):
         if g.vertex_type(vid) == src_type:
             walk(vid, vid, 0, set())
     return pairs
+
+
+def trail_search(g, start, lo, hi, labels=None, allowed=None, finish=None,
+                 forward=True):
+    """Every edge-distinct trail of 0..hi edges from ``start``, one
+    recursive call per trail prefix, over the public adjacency. A trail
+    steps only over edges with one of ``labels`` (when given) into a
+    vertex of one of the types ``allowed[depth]`` (when given). Returns
+    ({end id: sum over the trails of lo..hi edges ending there of
+    finish(product of the path_counts it crosses)}, the number of
+    prefixes, the adjacency entries of the prefixes shorter than hi)."""
+    ends: dict[str, int] = {}
+    prefixes = scanned = 0
+
+    def walk(v, depth, mult, used):
+        nonlocal prefixes, scanned
+        prefixes += 1
+        if depth >= lo:
+            value = mult if finish is None else finish(mult)
+            ends[v] = ends.get(v, 0) + value
+        if depth == hi:
+            return
+        adjacency = g.out_edges(v) if forward else g.in_edges(v)
+        scanned += len(adjacency)
+        for eid, w, label, props in adjacency:
+            if eid in used or (labels is not None and label not in labels):
+                continue
+            if allowed is not None and g.vertex_type(w) not in allowed[depth + 1]:
+                continue
+            walk(w, depth + 1, mult * props.get("path_count", 1), used | {eid})
+
+    walk(start, 0, 1, frozenset())
+    return ends, prefixes, scanned
 
 
 def has_cycle(g) -> bool:

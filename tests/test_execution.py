@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -31,7 +32,8 @@ from conftest import (
     random_lineage_dag,
     weighted_lineage_dag,
 )
-from oracles import bfs_neighborhood, label_propagation_oracle, query_rows
+from oracles import (
+    bfs_neighborhood, label_propagation_oracle, query_rows, trail_search)
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
 
@@ -509,6 +511,71 @@ class TestFrontierSweep:
                         "WHERE a.id = 'r0c0' RETURN b.id")
         table, _ = execute(q, g)
         assert len(table.rows) == 41
+
+
+TWO_LABELS = GraphSchema.of(["N", "M"], [("N", "N", "L"), ("N", "N", "K"),
+                                          ("N", "M", "L"), ("M", "N", "L")])
+
+
+def cyclic_multigraph(seed: int) -> PropertyGraph:
+    """A cyclic graph of 2-cycles, parallel edges and a self-loop over two
+    types and two labels, about a third of the edges carrying
+    path_count."""
+    rng = random.Random(seed)
+    names = ["a", "b", "c", "d", "m1", "m2"]
+    edges = []
+
+    def add(a, b, label):
+        props = {"path_count": rng.randint(2, 3)} if rng.random() < 0.3 else {}
+        edges.append((f"e{len(edges)}", a, b, label, props))
+
+    for a, b, label in (("a", "b", "L"), ("b", "a", "L"), ("a", "b", "L"),
+                        ("c", "c", "K")):
+        add(a, b, label)
+    for _ in range(8):
+        a, b = rng.sample(names, 2)
+        if a[0] == "m" and b[0] == "m":
+            continue
+        label = "K" if a[0] != "m" and b[0] != "m" and rng.random() < 0.4 else "L"
+        add(a, b, label)
+        if rng.random() < 0.5:
+            add(b, a, label)
+        if rng.random() < 0.3:
+            add(a, b, label)
+    return PropertyGraph.build(
+        TWO_LABELS, [(v, "M" if v[0] == "m" else "N", {}) for v in names], edges)
+
+
+class TestTrailCounters:
+    """The trail search's results and work counters against a plain
+    recursive search: ``vertices_touched`` is the number of trail
+    prefixes of 0..hi edges, ``edges_expanded`` the adjacency entries of
+    the prefixes shorter than hi."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trails_match_the_trail_search_oracle(self, seed):
+        g = cyclic_multigraph(seed)
+        assert not g.is_acyclic and g._has_path_count
+        extend = _count_step(g)
+        pruned = 0
+        for v, (lo, hi), forward, labels, last, finish in itertools.product(
+                range(g.n), ((1, 1), (0, 3), (4, 4), (3, 2)), (True, False),
+                (None, {"L"}), (None, {"N"}), (None, lambda x: 10 * x + 1)):
+            allowed = None if last is None else [{"N", "M"}] * hi + [last]
+            stats = ExecutionStats()
+            got = _trails(g, {v: 1}, lo, hi, extend, operator.add,
+                          forward=forward, labels=labels, allowed=allowed,
+                          finish=finish, stats=stats)
+            ends, prefixes, scanned = trail_search(
+                g, g._vids[v], lo, hi, labels, allowed, finish, forward)
+            case = (seed, v, lo, hi, forward, labels, last, finish)
+            assert {g._vids[w]: x for w, x in got.items()} == ends, case
+            assert (stats.vertices_touched, stats.edges_expanded) == (
+                prefixes, scanned), case
+            if last is not None:
+                pruned += ends != trail_search(g, g._vids[v], lo, hi, labels,
+                                               None, finish, forward)[0]
+        assert pruned   # the last-depth restriction drops some ends
 
 
 class TestPinnedAnchor:

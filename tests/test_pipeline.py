@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from graphviews.enumeration import enumerate_views
+from graphviews.enumeration import Predicate, ViewInstance, enumerate_views
 from graphviews.errors import GraphViewsError, InvalidParamsError
 from graphviews.generate import generate_lineage, generate_road_like
 from graphviews.mining import mine_constraints
@@ -10,7 +11,9 @@ from graphviews.pipeline import (
     QuerySpec,
     WorkloadSpec,
     _Prepared,
+    _estimate_weight,
     _prepare,
+    _triple_counts,
     build_candidates,
     run_pipeline,
 )
@@ -384,3 +387,24 @@ class TestOneCandidatePerContent:
         listed = [v["view_id"] for v in json.loads(
             report.to_json(include_timing=False))["views"] if "twins" in v]
         assert listed == ["khop:Junction:Junction:04"]
+
+
+class TestSparsifierWeights:
+    def test_filter_weight_is_its_edge_count(self, tmp_path):
+        # a type or label filter's weight is counted exactly, from the
+        # edges per (src type, dst type, label) triple of the base graph
+        ds = generate_lineage(tmp_path, 3, jobs=30, files=45, tasks=20, machines=4)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        types, labels = sorted(g.schema.vertex_types), sorted(g.schema.labels())
+        triples = _triple_counts(g)
+        views = [ViewInstance(kind=kind, predicate=Predicate(types=frozenset(kept)))
+                 for r in (1, 2, 3) for kept in itertools.combinations(types, r)
+                 for kind in ("VertexInclusion", "VertexRemoval")]
+        views += [ViewInstance(kind=kind, predicate=Predicate(types=frozenset({label})))
+                  for label in labels for kind in ("EdgeInclusion", "EdgeRemoval")]
+        counts = set()
+        for v in views:
+            est = _estimate_weight(v, degree_summary(g), g.schema, triples, 95)
+            assert est.estimated_edges == materialize(g, v).m, v.view_id
+            counts.add(est.estimated_edges)
+        assert len(counts) > 5

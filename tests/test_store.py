@@ -156,7 +156,7 @@ class TestDegreeSummary:
             g = random_lineage_dag(seed)
             d = degree_summary(g)
             for vtype, td in d.per_type.items():
-                degs = sorted(g.out_degree(v) for v in g.vertices_of_type(vtype))
+                degs = sorted(len(g.out_edges(v)) for v in g.vertices_of_type(vtype))
                 assert td.deg(50) <= td.deg(90) <= td.deg(95) <= td.deg(100)
                 assert td.deg(100) == (degs[-1] if degs else 0)
                 assert td.vertex_count == len(degs)
@@ -287,4 +287,55 @@ class TestInvariants:
         for vtype in g.schema.vertex_types:
             vs = g.vertices_of_type(vtype)
             assert d.n_of(vtype) == len(vs)
-            assert d.deg(vtype, 100) == max((g.out_degree(v) for v in vs), default=0)
+            assert d.deg(vtype, 100) == max((len(g.out_edges(v)) for v in vs),
+                                           default=0)
+
+
+class TestDerive:
+    """``derive`` re-checks what a view adds to a valid base graph."""
+
+    SCHEMA = GraphSchema.of(["N", "M"], [("N", "N", "L"), ("N", "M", "L")])
+
+    def base(self):
+        return PropertyGraph.build(
+            self.SCHEMA, [("a", "N", {"w": 1}), ("b", "N", {}), ("m", "M", {})],
+            [("e0", "a", "b", "L", {"w": 2}), ("e1", "b", "m", "L", {})])
+
+    def test_inherits_ids_labels_and_copies_of_props(self):
+        g = self.base()
+        view = PropertyGraph.derive(g, self.SCHEMA, [1, ("s", "N", {"x": 3}), 0],
+                                    [2, 1], [0, 0], [0, ("n0", "L", {"y": 1.5})])
+        assert list(view.vertices()) == [("b", "N", {}), ("s", "N", {"x": 3}),
+                                         ("a", "N", {"w": 1})]
+        assert list(view.edges()) == [("e0", "a", "b", "L", {"w": 2}),
+                                      ("n0", "s", "b", "L", {"y": 1.5})]
+        assert view.vertex_props("a") is not g.vertex_props("a")
+        assert view.edge_props("e0") is not g.edge_props("e0")
+        assert view.type_counts() == {"N": 3, "M": 0}
+
+    def test_vertex_type_outside_the_view_schema(self):
+        narrow = GraphSchema.of(["N"], [("N", "N", "L")])
+        with pytest.raises(UnknownVertexTypeError, match="'m'"):
+            PropertyGraph.derive(self.base(), narrow, [0, 2], [], [], [])
+
+    def test_triple_outside_the_view_schema(self):
+        with pytest.raises(UnknownEdgeTripleError, match="'e9'.*\\(M, N, L\\)"):
+            PropertyGraph.derive(self.base(), self.SCHEMA, [0, 1, 2], [0, 2],
+                                 [1, 0], [0, ("e9", "L", {})])
+
+    def test_duplicate_ids(self):
+        g = self.base()
+        with pytest.raises(DuplicateIdError, match="vertex id 'a'"):
+            PropertyGraph.derive(g, self.SCHEMA, [0, ("a", "N", {})], [], [], [])
+        with pytest.raises(DuplicateIdError, match="edge id 'e0'"):
+            PropertyGraph.derive(g, self.SCHEMA, [0, 1], [0, 0], [1, 1],
+                                 [0, ("e0", "L", {})])
+
+    @pytest.mark.parametrize("props", [{"w": float("inf")}, {"w": [1]}, {"": 1}])
+    def test_created_props_are_checked(self, props):
+        g = self.base()
+        with pytest.raises(MalformedRowError, match="vertex 's'"):
+            PropertyGraph.derive(g, self.SCHEMA, [("s", "N", props)], [], [], [])
+        with pytest.raises(MalformedRowError, match="edge 'n0'"):
+            PropertyGraph.derive(g, self.SCHEMA, [0, 1], [0], [1],
+                                 [("n0", "L", props)])

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from graphviews.enumeration import Predicate, ViewInstance
+from graphviews.enumeration import VIEW_KINDS, Predicate, ViewInstance
 from graphviews.enumeration import rewrite_with_view
 from graphviews.errors import (
     BudgetExceededError,
     CorruptCatalogError,
+    DuplicateIdError,
+    MalformedRowError,
     MixedTypeAggregationError,
     PropertyTypeMismatchError,
     ValidationError,
 )
 from graphviews import views
-from graphviews.execution import execute
+from graphviews.execution import execute, label_propagation, largest_community
 from graphviews.generate import generate_road_like
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema, PropertyGraph, load_graph
@@ -740,6 +742,22 @@ class TestMaterializeSparsifier:
             assert out.n < provenance_toy.n or out.m < provenance_toy.m
 
 
+def test_aggregators_keep_self_loops_outside_their_groups():
+    # only an edge inside one supervertex is absorbed
+    schema = GraphSchema.of(["N", "M"], [("N", "N", "L"), ("M", "M", "L"),
+                                         ("N", "M", "L")])
+    g = PropertyGraph.build(
+        schema, [("a", "N", {"g": 1}), ("b", "N", {"g": 1}), ("m", "M", {})],
+        [("e0", "a", "b", "L", {}), ("e1", "m", "m", "L", {}),
+         ("e2", "b", "m", "L", {})])
+    nodes = Predicate(types=frozenset({"N"}))
+    for v in (ViewInstance(kind="VertexAggregator", predicate=nodes, group_key="g"),
+              ViewInstance(kind="SubgraphAggregator", predicate=nodes)):
+        out = materialize_sparsifier(g, v)
+        assert [(eid, src, dst) for eid, src, dst, _, _ in out.edges()] == [
+            ("e1", "m", "m"), ("e2", out.vertex_ids()[0], "m")], v.kind
+
+
 class TestVertexAggregatorIds:
     """Group values that print alike, or compare equal across bool and
     int, still give one supervertex each, with distinct ids."""
@@ -776,6 +794,137 @@ class TestVertexAggregatorIds:
         out = self.aggregate(["1#1", 1, "1"])
         assert [(vid, props["g"]) for vid, _, props in out.vertices()] == [
             ("agg:N:1#1", "1#1"), ("agg:N:1#2", "1"), ("agg:N:1#3", 1)]
+
+
+def rebuilt(g: PropertyGraph) -> PropertyGraph:
+    """What :meth:`PropertyGraph.build` makes of ``g``'s own tuples."""
+    return PropertyGraph.build(g.schema, list(g.vertices()), list(g.edges()))
+
+
+def assert_same_graph(got: PropertyGraph, want: PropertyGraph, context):
+    assert list(got.vertices()) == list(want.vertices()), context
+    assert list(got.edges()) == list(want.edges()), context
+    assert (got._vindex, got._eindex) == (want._vindex, want._eindex), context
+    assert (got._out, got._in) == (want._out, want._in), context
+    assert got.type_counts() == want.type_counts(), context
+    assert got._has_path_count == want._has_path_count, context
+    assert got.is_acyclic == want.is_acyclic, context
+
+
+class TestDerivedGraphs:
+    """Every materializer derives its view from the base graph's arrays;
+    the result must be the graph ``build`` makes of the same tuples."""
+
+    @staticmethod
+    def views_for(g: PropertyGraph) -> list[ViewInstance]:
+        if g.schema.vertex_types == {"Junction"}:
+            prop = "length"
+            connectors = [ViewInstance(kind="KHopConnector", x="a", y="b",
+                                       x_type="Junction", y_type="Junction", k=k)
+                          for k in (2, 4)]
+            connectors += [ViewInstance(
+                kind="SameVertexTypeConnector", x="a", y="b",
+                x_type="Junction", y_type="Junction", lo=1, hi=3,
+                edge_aggregates=(("length", "sum", across),))
+                for across in ("min", "sum")]
+        else:
+            prop = "timestamp"
+            connectors = connector_views()
+        return connectors + sparsifier_views(g.schema) + [
+            ViewInstance(kind="VertexInclusion",
+                         predicate=Predicate(prop=("cpu_hours", "<", 25))),
+            ViewInstance(kind="EdgeRemoval", predicate=Predicate(prop=(prop, "<", 5))),
+            ViewInstance(kind="EdgeAggregator", aggregations=((prop, "sum"),),
+                         predicate=Predicate(prop=(prop, ">", 3))),
+        ]
+
+    def test_every_kind_equals_its_build(self, tmp_path):
+        dag = random_lineage_dag(3, jobs=12, files=18)
+        kinds = set()
+        for g in (dag, as_cyclic(dag), weighted_lineage_dag(4, jobs=12, files=18),
+                  road_5x5(tmp_path)):
+            for v in self.views_for(g):
+                view_g = materialize(g, v)
+                assert_same_graph(view_g, rebuilt(view_g), v.view_id)
+                kinds.add(v.kind)
+            count_type = sorted(g.schema.vertex_types)[-1]
+            _, community = largest_community(g, label_propagation(g, 3), count_type)
+            assert community.n > 1
+            assert_same_graph(community, rebuilt(community), "largest_community")
+        assert kinds == set(VIEW_KINDS)
+
+    def test_adjacency_in_ascending_string_id_order(self, tmp_path):
+        ids = ["e2", "e10", "ve999999", "ve1000000"]
+        want = ["e10", "e2", "ve1000000", "ve999999"]
+        schema = GraphSchema.of(["N"], [("N", "N", "L")])
+        built = PropertyGraph.build(schema, [("a", "N", {}), ("b", "N", {})],
+                                    [(eid, "a", "b", "L", {}) for eid in ids])
+        (tmp_path / "v.csv").write_text("id,type,props\na,N,\nb,N,\n")
+        (tmp_path / "e.csv").write_text(
+            "id,src,dst,label,props\n" + "".join(f"{eid},a,b,L,\n" for eid in ids))
+        loaded = load_graph(tmp_path / "v.csv", tmp_path / "e.csv", schema)
+        created = PropertyGraph.derive(built, schema, [0, 1], [0] * 4, [1] * 4,
+                                       [(eid, "L", {}) for eid in ids])
+        inherited = PropertyGraph.derive(built, schema, [1, 0], [1] * 4, [0] * 4,
+                                         [3, 2, 1, 0])
+        for g in (built, loaded, created, inherited):
+            a, b = g._vindex["a"], g._vindex["b"]
+            assert [g._eids[ei] for ei in g._out[a]] == want
+            assert [g._eids[ei] for ei in g._in[b]] == want
+            assert [eid for eid, *_ in g.out_edges("a")] == want
+
+
+class TestDerivedGraphChecks:
+    """What a derived graph re-checks: created props, vertex ids made by
+    the view, and the spanner's cap."""
+
+    @pytest.mark.parametrize("across", ["max", "sum"])
+    def test_overflowing_trail_sum_names_the_view_edge(self, across):
+        g = PropertyGraph.build(
+            LINEAGE_SCHEMA,
+            [("j1", "Job", {}), ("j2", "Job", {}), ("f1", "File", {})],
+            [("e1", "j1", "f1", "WRITES_TO", {"w": 1e308}),
+             ("e2", "f1", "j2", "IS_READ_BY", {"w": 1e308})])
+        v = ViewInstance(kind="KHopConnector", x="a", y="b", x_type="Job",
+                         y_type="Job", k=2, edge_aggregates=(("w", "sum", across),))
+        for graph in (g, as_cyclic(g)):
+            with pytest.raises(MalformedRowError, match="'ve000000'.*'w'"):
+                materialize_spanner(graph, v)
+
+    def test_overflowing_aggregates_name_the_supervertex_and_superedge(self):
+        schema = GraphSchema.of(["N"], [("N", "N", "L")])
+        g = PropertyGraph.build(
+            schema, [("a", "N", {"g": 1, "w": 1e308}), ("b", "N", {"g": 1, "w": 1e308}),
+                     ("c", "N", {})],
+            [("e0", "a", "c", "L", {"w": 1e308}), ("e1", "a", "c", "L", {"w": 1e308})])
+        nodes = Predicate(types=frozenset({"N"}))
+        with pytest.raises(MalformedRowError, match="'agg:N:1'"):
+            materialize_sparsifier(g, ViewInstance(
+                kind="VertexAggregator", predicate=nodes, group_key="g",
+                aggregations=(("w", "sum"),)))
+        with pytest.raises(MalformedRowError, match="'eagg000000'"):
+            materialize_sparsifier(g, ViewInstance(
+                kind="EdgeAggregator", predicate=Predicate(types=frozenset({"L"})),
+                aggregations=(("w", "sum"),)))
+
+    def test_supervertex_colliding_with_a_vertex_id(self):
+        schema = GraphSchema.of(["N"], [("N", "N", "L")])
+        g = PropertyGraph.build(
+            schema, [("a", "N", {"g": 1}), ("b", "N", {"g": 1}), ("agg:N:1", "N", {})],
+            [("e0", "a", "agg:N:1", "L", {})])
+        with pytest.raises(DuplicateIdError, match="'agg:N:1'"):
+            materialize_sparsifier(g, ViewInstance(
+                kind="VertexAggregator", predicate=Predicate(types=frozenset({"N"})),
+                group_key="g"))
+
+    def test_cap_on_a_cyclic_grid(self, tmp_path):
+        g = road_5x5(tmp_path)
+        v = ViewInstance(kind="KHopConnector", x="a", y="b",
+                         x_type="Junction", y_type="Junction", k=4)
+        m = materialize_spanner(g, v).m
+        assert materialize_spanner(g, v, max_edges=m).m == m
+        with pytest.raises(BudgetExceededError):
+            materialize_spanner(g, v, max_edges=m - 1)
 
 
 class TestCatalog:
