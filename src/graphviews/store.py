@@ -18,8 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -43,32 +46,81 @@ PERCENTILE_ALPHAS = (50, 90, 95, 100)
 PATH_COUNT_PROP = "path_count"
 
 
-def _check_props(props: Mapping[str, object], context: str) -> PropertyMap:
-    out: PropertyMap = {}
+def _props_fault(props: PropertyMap) -> str | None:
+    """What is wrong with one props map, or None when nothing is."""
     for key, value in props.items():
         if not isinstance(key, str) or not key:
-            raise MalformedRowError(f"{context}: property keys must be non-empty strings")
-        if isinstance(value, bool) or isinstance(value, (int, str)):
-            out[key] = value
-        elif isinstance(value, float):
+            return "property keys must be non-empty strings"
+        if isinstance(value, float):
             if not math.isfinite(value):
-                raise MalformedRowError(f"{context}: non-finite float property {key!r}")
-            out[key] = value
-        else:
-            raise MalformedRowError(
-                f"{context}: property {key!r} must be int, float, string or bool"
-            )
-    return out
+                return f"non-finite float property {key!r}"
+        elif not isinstance(value, (int, str)):
+            return f"property {key!r} must be int, float, string or bool"
+    return None
 
 
-def _unique_index(ids: list[str], kind: str) -> dict[str, int]:
-    """{id: position}, raising on the first id that repeats."""
+_PLAIN_VALUE_TYPES = frozenset((int, str, bool))
+
+
+def _bad_props(kind: str, ids: list, maps: list[PropertyMap],
+               rows: Iterable[int] | None = None
+               ) -> tuple[int, ValidationError] | None:
+    """The first of the maps of ``rows`` (default all) whose keys are not
+    all non-empty strings or whose values are not all ints, finite
+    floats, strings or bools, as (row, error); the maps of other rows
+    must be valid already. One scan of the distinct key and value types
+    of all maps clears the common case; only when it finds a float or an
+    odd key or value are the maps walked one by one."""
+    keys = set(chain.from_iterable(maps))
+    if ("" not in keys and all(type(k) is str for k in keys)
+            and set(map(type, chain.from_iterable(map(dict.values, maps))))
+            <= _PLAIN_VALUE_TYPES):
+        return None
+    for row in range(len(maps)) if rows is None else rows:
+        fault = _props_fault(maps[row])
+        if fault:
+            return row, MalformedRowError(f"{kind} {ids[row]!r}: {fault}")
+    return None
+
+
+def _created(items: list) -> Iterator[int]:
+    """The positions of ``derive``'s created vertices or edges: those
+    given as tuples, not as base indexes."""
+    return (i for i, x in enumerate(items) if type(x) is not int)
+
+
+def _index(ids: list, kind: str
+           ) -> tuple[dict, tuple[int, ValidationError] | None]:
+    """{id: position}, and the first id that repeats an earlier one as
+    (row, error), or None."""
     index = dict(zip(ids, range(len(ids))))
-    if len(index) != len(ids):
-        seen: set[str] = set()
-        dup = next(x for x in ids if x in seen or seen.add(x))
-        raise DuplicateIdError(f"duplicate {kind} id {dup!r}")
-    return index
+    if len(index) == len(ids):
+        return index, None
+    seen: set = set()
+    row = next(i for i, x in enumerate(ids) if x in seen or seen.add(x))
+    return index, (row, DuplicateIdError(f"duplicate {kind} id {ids[row]!r}"))
+
+
+def _empty_id(ids: list, kind: str) -> tuple[int, ValidationError] | None:
+    """The first empty id as (row, error), or None."""
+    if all(ids):
+        return None
+    row = next(i for i, x in enumerate(ids) if not x)
+    return row, MalformedRowError(f"{kind} id must be non-empty")
+
+
+def _raise_first(violations, blanks: list[int] | None = None):
+    """Raise the violation of the lowest row, and of the first check
+    among a row's; ``violations`` holds each check's first (row, error),
+    or None, in check order. ``blanks`` counts the rows read before each
+    blank line of a CSV file, whose 1-based line numbers the errors then
+    carry: the header is line 1."""
+    found = [v for v in violations if v]
+    if found:
+        row, error = min(found, key=itemgetter(0))
+        if blanks is not None:
+            error.line = row + 2 + bisect_right(blanks, row)
+        raise error
 
 
 @dataclass(frozen=True)
@@ -94,9 +146,6 @@ class GraphSchema:
     def of(cls, vertex_types: Iterable[str],
            edge_types: Iterable[tuple[str, str, str]]) -> "GraphSchema":
         return cls(frozenset(vertex_types), frozenset(tuple(t) for t in edge_types))
-
-    def has_triple(self, src_type: str, dst_type: str, label: str) -> bool:
-        return (src_type, dst_type, label) in self.edge_types
 
     def labels(self) -> frozenset[str]:
         return frozenset(label for _, _, label in self.edge_types)
@@ -171,6 +220,9 @@ class PropertyGraph:
     and (id, src, dst, label, props) tuples, :func:`load_graph` does the
     same for CSV rows, and :meth:`derive` makes a view graph from a
     graph that is already valid, re-checking only what the view adds.
+    ``build`` and ``load_graph`` share one validator: they fill the
+    column arrays first, then check every row in bulk and raise the
+    violation a row-by-row check would meet first.
     Out-adjacency is exposed in ascending external edge id order, which
     makes every traversal deterministic.
     """
@@ -196,40 +248,62 @@ class PropertyGraph:
 
     # -- construction -------------------------------------------------
 
-    def _add_vertex(self, vid: str, vtype: str, props: Mapping[str, object]):
-        if not vid:
-            raise MalformedRowError("vertex id must be non-empty")
-        if vid in self._vindex:
-            raise DuplicateIdError(f"duplicate vertex id {vid!r}")
-        if vtype not in self.schema.vertex_types:
-            raise UnknownVertexTypeError(f"vertex {vid!r} has undeclared type {vtype!r}")
-        self._vindex[vid] = len(self._vids)
-        self._vids.append(vid)
-        self._vtypes.append(vtype)
-        self._vprops.append(_check_props(props, f"vertex {vid!r}"))
+    def _check_vertices(self, blanks: list[int] | None = None):
+        """Index the vertex columns, raising the first violation: the
+        lowest row, and in a row an empty id, a duplicate id, an
+        undeclared type, then bad props."""
+        ids = self._vids
+        self._vindex, duplicate = _index(ids, "vertex")
+        _raise_first([_empty_id(ids, "vertex"), duplicate, self._undeclared_type(),
+                      _bad_props("vertex", ids, self._vprops)], blanks)
 
-    def _add_edge(self, eid: str, src: str, dst: str, label: str,
-                  props: Mapping[str, object]):
-        if not eid:
-            raise MalformedRowError("edge id must be non-empty")
-        if eid in self._eindex:
-            raise DuplicateIdError(f"duplicate edge id {eid!r}")
-        if src not in self._vindex:
-            raise DanglingEdgeEndpointError(f"edge {eid!r}: unknown source vertex {src!r}")
-        if dst not in self._vindex:
-            raise DanglingEdgeEndpointError(f"edge {eid!r}: unknown destination vertex {dst!r}")
-        si, di = self._vindex[src], self._vindex[dst]
-        triple = (self._vtypes[si], self._vtypes[di], label)
-        if not self.schema.has_triple(*triple):
-            raise UnknownEdgeTripleError(
-                f"edge {eid!r}: triple ({triple[0]}, {triple[1]}, {label}) not in schema"
-            )
-        self._eindex[eid] = len(self._eids)
-        self._eids.append(eid)
-        self._esrc.append(si)
-        self._edst.append(di)
-        self._elabel.append(label)
-        self._eprops.append(_check_props(props, f"edge {eid!r}"))
+    def _check_edges(self, dangling: list[tuple[int, str, str]],
+                     blanks: list[int] | None = None):
+        """Index the edge columns, raising the first violation: the lowest
+        row, and in a row an empty id, a duplicate id, an unknown source,
+        an unknown destination, a triple not in the schema, then bad
+        props. ``dangling`` lists (row, src, dst) of every row with an
+        endpoint that is not a vertex id, its index stored as -1."""
+        ids = self._eids
+        self._eindex, duplicate = _index(ids, "edge")
+        unknown_end, limit = None, len(ids)
+        if dangling:
+            row, src, dst = dangling[0]
+            end, name = ("source", src) if self._esrc[row] < 0 else ("destination", dst)
+            unknown_end = row, DanglingEdgeEndpointError(
+                f"edge {ids[row]!r}: unknown {end} vertex {name!r}")
+            limit = row
+        _raise_first([_empty_id(ids, "edge"), duplicate, unknown_end,
+                      self._unknown_triple(limit),
+                      _bad_props("edge", ids, self._eprops)], blanks)
+
+    def _undeclared_type(self) -> tuple[int, ValidationError] | None:
+        """The first vertex whose type is not in the schema."""
+        undeclared = set(self._vtypes) - self.schema.vertex_types
+        if not undeclared:
+            return None
+        row = next(i for i, t in enumerate(self._vtypes) if t in undeclared)
+        return row, UnknownVertexTypeError(
+            f"vertex {self._vids[row]!r} has undeclared type {self._vtypes[row]!r}")
+
+    def _unknown_triple(self, limit: int) -> tuple[int, ValidationError] | None:
+        """The first of the first ``limit`` edges whose (src type, dst
+        type, label) is not in the schema, from one set of the triples.
+        The rows from the first with an unknown endpoint on are left out:
+        their endpoint index may be -1."""
+        vtypes = self._vtypes
+
+        def triples():
+            return zip(map(vtypes.__getitem__, islice(self._esrc, limit)),
+                       map(vtypes.__getitem__, islice(self._edst, limit)), self._elabel)
+
+        unknown = set(triples()) - self.schema.edge_types
+        if not unknown:
+            return None
+        row, (src, dst, label) = next(
+            (i, t) for i, t in enumerate(triples()) if t in unknown)
+        return row, UnknownEdgeTripleError(
+            f"edge {self._eids[row]!r}: triple ({src}, {dst}, {label}) not in schema")
 
     def _seal(self):
         """Adjacency lists in ascending external edge id order, from one
@@ -251,12 +325,27 @@ class PropertyGraph:
               edges: Iterable[tuple[str, str, str, str, Mapping[str, object]]],
               ) -> "PropertyGraph":
         """Build and validate a graph from (id, type, props) vertices and
-        (id, src, dst, label, props) edges. Raises on the first violation."""
+        (id, src, dst, label, props) edges, checked as :func:`load_graph`
+        checks CSV rows. Raises on the first violation."""
         g = cls(schema)
+        names: dict[str, str] = {}
         for vid, vtype, props in vertices:
-            g._add_vertex(vid, vtype, props)
+            g._vids.append(vid)
+            g._vtypes.append(names.setdefault(vtype, vtype))
+            g._vprops.append(dict(props))
+        g._check_vertices()
+        vget = g._vindex.get
+        dangling: list[tuple[int, str, str]] = []
         for eid, src, dst, label, props in edges:
-            g._add_edge(eid, src, dst, label, props)
+            si, di = vget(src, -1), vget(dst, -1)
+            if si < 0 or di < 0:
+                dangling.append((len(g._eids), src, dst))
+            g._eids.append(eid)
+            g._esrc.append(si)
+            g._edst.append(di)
+            g._elabel.append(names.setdefault(label, label))
+            g._eprops.append(dict(props))
+        g._check_edges(dangling)
         g._seal()
         return g
 
@@ -274,7 +363,8 @@ class PropertyGraph:
         copied, not re-checked; created props are checked as
         :meth:`build` checks them. Every vertex type and each distinct
         (src type, dst type, label) triple must be in ``schema``, and
-        vertex and edge ids must be unique."""
+        vertex and edge ids must be unique. Raises the first violation
+        of the first failing check, in that order."""
         g = cls(schema)
         vids, vtypes, vprops = g._vids, g._vtypes, g._vprops
         for x in vertices:
@@ -286,7 +376,7 @@ class PropertyGraph:
                 vid, vtype, props = x
                 vids.append(vid)
                 vtypes.append(vtype)
-                vprops.append(_check_props(props, f"vertex {vid!r}"))
+                vprops.append(dict(props))
         eids, elabel, eprops = g._eids, g._elabel, g._eprops
         for x in edges:
             if type(x) is int:
@@ -297,25 +387,16 @@ class PropertyGraph:
                 eid, label, props = x
                 eids.append(eid)
                 elabel.append(label)
-                eprops.append(_check_props(props, f"edge {eid!r}"))
+                eprops.append(dict(props))
         g._esrc, g._edst = list(esrc), list(edst)
-        undeclared = set(vtypes) - schema.vertex_types
-        if undeclared:
-            vid, vtype = next((vid, t) for vid, t in zip(vids, vtypes)
-                              if t in undeclared)
-            raise UnknownVertexTypeError(
-                f"vertex {vid!r} has undeclared type {vtype!r}")
-        g._vindex = _unique_index(vids, "vertex")
-        g._eindex = _unique_index(eids, "edge")
-        src_types = list(map(vtypes.__getitem__, g._esrc))
-        dst_types = list(map(vtypes.__getitem__, g._edst))
-        unknown = set(zip(src_types, dst_types, elabel)) - schema.edge_types
-        if unknown:
-            eid, src, dst, label = next(
-                row for row in zip(eids, src_types, dst_types, elabel)
-                if row[1:] in unknown)
-            raise UnknownEdgeTripleError(
-                f"edge {eid!r}: triple ({src}, {dst}, {label}) not in schema")
+        g._vindex, duplicate_vertex = _index(vids, "vertex")
+        g._eindex, duplicate_edge = _index(eids, "edge")
+        for violation in (_bad_props("vertex", vids, vprops, _created(vertices)),
+                          _bad_props("edge", eids, eprops, _created(edges)),
+                          g._undeclared_type(), duplicate_vertex, duplicate_edge,
+                          g._unknown_triple(len(eids))):
+            if violation:
+                raise violation[1]
         g._seal()
         return g
 
@@ -509,43 +590,97 @@ def _parse_props_cell(cell: str, line: int) -> PropertyMap:
     return raw
 
 
+_scan_json = json.decoder.JSONDecoder().scan_once
+
+
+def _parse_props(cell: str, line: int) -> PropertyMap:
+    """The props of a non-empty cell. A cell that is one JSON object from
+    its first character to its last goes straight to the JSON scanner
+    ``json.loads`` ends up in; any other cell, or one the scanner
+    rejects, goes through ``_parse_props_cell`` for its exact result or
+    message."""
+    if cell[0] == "{" and cell[-1] == "}":
+        try:
+            props, end = _scan_json(cell, 0)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if end == len(cell):
+                return props
+    return _parse_props_cell(cell, line)
+
+
+def _rows(fh, header: list[str], kind: str):
+    """(line, row) for the rows of a CSV file after its header."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    if found != header:
+        raise MalformedRowError(f"bad {kind} header {found!r}", line=1)
+    return enumerate(reader, start=2)
+
+
+# errors that end the read of a CSV file; a violation on a row read
+# before one is raised instead, as a row-by-row check would meet it first
+_READ_ERRORS = (MalformedRowError, csv.Error, UnicodeDecodeError)
+
+
 def load_graph(vertex_file: str | Path, edge_file: str | Path,
                schema: GraphSchema) -> PropertyGraph:
     """Load a graph from the CSV formats above, rejecting the whole load on
-    the first violation with its 1-based file line number."""
+    the first violation with its 1-based file line number.
+
+    Each file is read in one pass into the graph's columns, then its
+    rows are checked in bulk, as :meth:`PropertyGraph.build` checks its
+    tuples; the violation raised is the one a row-by-row check would
+    meet first. A wrong column count or a bad props cell ends the read.
+    Types and labels are interned: one string object per distinct one."""
     g = PropertyGraph(schema)
+    names: dict[str, str] = {}
+    vids, vtypes, vprops = g._vids, g._vtypes, g._vprops
+    blanks: list[int] = []
     with open(vertex_file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "type", "props"]:
-            raise MalformedRowError(f"bad vertex header {header!r}", line=1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(f"expected 3 columns, got {len(row)}", line=line)
-            vid, vtype, props_cell = row
-            try:
-                g._add_vertex(vid, vtype, _parse_props_cell(props_cell, line))
-            except ValidationError as exc:
-                exc.line = line
-                raise
+        try:
+            for line, row in _rows(fh, ["id", "type", "props"], "vertex"):
+                if len(row) != 3:
+                    if not row:
+                        blanks.append(len(vids))
+                        continue
+                    raise MalformedRowError(f"expected 3 columns, got {len(row)}",
+                                            line=line)
+                vid, vtype, cell = row
+                vprops.append(_parse_props(cell, line) if cell else {})
+                vids.append(vid)
+                vtypes.append(names.setdefault(vtype, vtype))
+        except _READ_ERRORS:
+            g._check_vertices(blanks)
+            raise
+    g._check_vertices(blanks)
+    vget = g._vindex.get
+    eids, esrc, edst, elabel, eprops = g._eids, g._esrc, g._edst, g._elabel, g._eprops
+    blanks = []
+    dangling: list[tuple[int, str, str]] = []
     with open(edge_file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "src", "dst", "label", "props"]:
-            raise MalformedRowError(f"bad edge header {header!r}", line=1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise MalformedRowError(f"expected 5 columns, got {len(row)}", line=line)
-            eid, src, dst, label, props_cell = row
-            try:
-                g._add_edge(eid, src, dst, label, _parse_props_cell(props_cell, line))
-            except ValidationError as exc:
-                exc.line = line
-                raise
+        try:
+            for line, row in _rows(fh, ["id", "src", "dst", "label", "props"], "edge"):
+                if len(row) != 5:
+                    if not row:
+                        blanks.append(len(eids))
+                        continue
+                    raise MalformedRowError(f"expected 5 columns, got {len(row)}",
+                                            line=line)
+                eid, src, dst, label, cell = row
+                eprops.append(_parse_props(cell, line) if cell else {})
+                si, di = vget(src, -1), vget(dst, -1)
+                if si < 0 or di < 0:
+                    dangling.append((len(eids), src, dst))
+                eids.append(eid)
+                esrc.append(si)
+                edst.append(di)
+                elabel.append(names.setdefault(label, label))
+        except _READ_ERRORS:
+            g._check_edges(dangling, blanks)
+            raise
+    g._check_edges(dangling, blanks)
     g._seal()
     return g
 

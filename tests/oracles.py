@@ -8,17 +8,24 @@ search with its work counts are plain recursive searches, the
 neighborhood oracle is a plain breadth-first search, the query oracle
 is a plain recursive backtracking matcher over the public graph API
 with one binding per trail, the label-propagation oracle recounts
-string-labelled votes edge by edge each pass, and the knapsack oracle
-enumerates subsets exhaustively.
+string-labelled votes edge by edge each pass, the knapsack oracle
+enumerates subsets exhaustively, and the reference loader validates
+each CSV row or build tuple in turn, stopping at the first violation.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import math
 
 import numpy as np
 
-from graphviews.errors import PropertyTypeMismatchError, ValidationError
+from graphviews.errors import (
+    DanglingEdgeEndpointError, DuplicateIdError, MalformedRowError,
+    PropertyTypeMismatchError, UnknownEdgeTripleError, UnknownVertexTypeError,
+    ValidationError)
 from graphviews.query import (
     Aggregate, And, Comparison, NameRef, Not, Or, PropertyRef)
 
@@ -425,3 +432,108 @@ def query_rows(g, q) -> list[tuple]:
     if q.limit is not None:
         rows = rows[:q.limit]
     return rows
+
+
+def _reference_props(props, context, line):
+    out = {}
+    for key, value in props.items():
+        if not isinstance(key, str) or not key:
+            raise MalformedRowError(
+                f"{context}: property keys must be non-empty strings", line=line)
+        if isinstance(value, bool) or isinstance(value, (int, str)):
+            out[key] = value
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                raise MalformedRowError(
+                    f"{context}: non-finite float property {key!r}", line=line)
+            out[key] = value
+        else:
+            raise MalformedRowError(
+                f"{context}: property {key!r} must be int, float, string or bool",
+                line=line)
+    return out
+
+
+def reference_columns(schema, vertices, edges) -> dict[str, list]:
+    """The graph columns of (line, id, type, props) vertices and (line,
+    id, src, dst, label, props) edges, each checked in turn against the
+    rows before it: an empty id, a duplicate id, an undeclared type (or
+    an unknown source, an unknown destination, a triple not in the
+    schema), then the props. Raises the first violation with its line."""
+    cols = {name: [] for name in ("vids", "vtypes", "vprops", "eids", "esrc",
+                                  "edst", "elabel", "eprops")}
+    vindex, eindex = {}, {}
+    for line, vid, vtype, props in vertices:
+        if not vid:
+            raise MalformedRowError("vertex id must be non-empty", line=line)
+        if vid in vindex:
+            raise DuplicateIdError(f"duplicate vertex id {vid!r}", line=line)
+        if vtype not in schema.vertex_types:
+            raise UnknownVertexTypeError(
+                f"vertex {vid!r} has undeclared type {vtype!r}", line=line)
+        checked = _reference_props(props, f"vertex {vid!r}", line)
+        vindex[vid] = len(cols["vids"])
+        cols["vids"].append(vid)
+        cols["vtypes"].append(vtype)
+        cols["vprops"].append(checked)
+    for line, eid, src, dst, label, props in edges:
+        if not eid:
+            raise MalformedRowError("edge id must be non-empty", line=line)
+        if eid in eindex:
+            raise DuplicateIdError(f"duplicate edge id {eid!r}", line=line)
+        for end, name in (("source", src), ("destination", dst)):
+            if name not in vindex:
+                raise DanglingEdgeEndpointError(
+                    f"edge {eid!r}: unknown {end} vertex {name!r}", line=line)
+        triple = (cols["vtypes"][vindex[src]], cols["vtypes"][vindex[dst]], label)
+        if triple not in schema.edge_types:
+            raise UnknownEdgeTripleError(
+                f"edge {eid!r}: triple ({triple[0]}, {triple[1]}, {label}) not in schema",
+                line=line)
+        checked = _reference_props(props, f"edge {eid!r}", line)
+        eindex[eid] = len(cols["eids"])
+        cols["eids"].append(eid)
+        cols["esrc"].append(vindex[src])
+        cols["edst"].append(vindex[dst])
+        cols["elabel"].append(label)
+        cols["eprops"].append(checked)
+    return cols
+
+
+def _reference_rows(path, header, kind):
+    """(line, *fields, props) for each non-blank CSV row after the header,
+    its column count and props cell checked as it is read."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise MalformedRowError(f"bad {kind} header {found!r}", line=1)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRowError(
+                    f"expected {len(header)} columns, got {len(row)}", line=line)
+            *fields, cell = row
+            props = {}
+            if cell.strip():
+                try:
+                    props = json.loads(cell)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRowError(f"bad props JSON: {exc}", line=line) from exc
+                if not isinstance(props, dict):
+                    raise MalformedRowError("props must be a JSON object", line=line)
+            yield (line, *fields, props)
+
+
+def reference_load(vertex_file, edge_file, schema) -> dict[str, list]:
+    """``load_graph``'s columns, or its error, by checking row by row."""
+    return reference_columns(
+        schema, _reference_rows(vertex_file, ["id", "type", "props"], "vertex"),
+        _reference_rows(edge_file, ["id", "src", "dst", "label", "props"], "edge"))
+
+
+def reference_build(schema, vertices, edges) -> dict[str, list]:
+    """``PropertyGraph.build``'s columns, or its error, tuple by tuple."""
+    return reference_columns(schema, ((None, *v) for v in vertices),
+                             ((None, *e) for e in edges))

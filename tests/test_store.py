@@ -1,3 +1,6 @@
+import csv
+import random
+
 import pytest
 
 from graphviews.errors import (
@@ -9,6 +12,11 @@ from graphviews.errors import (
     UnknownVertexTypeError,
     ValidationError,
 )
+from graphviews.generate import (
+    generate_lineage,
+    generate_power_law,
+    generate_road_like,
+)
 from graphviews.store import (
     GraphSchema,
     PropertyGraph,
@@ -19,7 +27,7 @@ from graphviews.store import (
 )
 
 from conftest import LINEAGE_SCHEMA, random_lineage_dag
-from oracles import has_cycle
+from oracles import has_cycle, reference_build, reference_load
 
 
 def write(path, text):
@@ -98,6 +106,115 @@ class TestLoad:
                    "e1,j1,f1,WRITES_TO,\ne2,j1,f1,WRITES_TO,\n")
         g = load_graph(vf, ef, LINEAGE_SCHEMA)
         assert g.m == 2
+
+
+V3 = "id,type,props\nj1,Job,\nj2,Job,\nf1,File,\n"
+
+
+class TestFirstViolation:
+    """The error raised is the one of the lowest row; within a row, the
+    column count, the props JSON, the id, the duplicate id, the type or
+    the source, the destination and the triple, then the props values."""
+
+    @pytest.mark.parametrize("vertices, edges, error, text, line", [
+        ("id,type,props\n,Ghost,{broken\n", "", MalformedRowError, "bad props JSON", 2),
+        ("id,type,props\n,Ghost\n", "", MalformedRowError, "expected 3 columns", 2),
+        ("id,type,props\n,Ghost,\n", "", MalformedRowError, "vertex id must be", 2),
+        ("id,type,props\nj1,Job,\nj1,Ghost,[1]\n", "", MalformedRowError,
+         "must be a JSON object", 3),
+        ("id,type,props\nj1,Job,\nj1,Ghost,\n", "", DuplicateIdError, "'j1'", 3),
+        ('id,type,props\nx,Ghost,"{""a"": NaN}"\n', "", UnknownVertexTypeError, "'x'", 2),
+        ('id,type,props\nj1,Job,"{""a"": NaN}"\n\nx,Ghost,\n', "", MalformedRowError,
+         "vertex 'j1': non-finite float property 'a'", 2),
+        ('id,type,props\nj1,Job,\n\n\nx,Ghost,\nj2\n', "", UnknownVertexTypeError,
+         "'x'", 5),
+        ('id,type,props\nx,Ghost,\n', "id,src\n", UnknownVertexTypeError, "'x'", 2),
+        (V3, "id,src,dst,label,props\n,nope,nada,X,\n", MalformedRowError,
+         "edge id must be", 2),
+        (V3, "id,src,dst,label,props\ne1,j1,f1,WRITES_TO,\ne1,nope,f1,X,\n",
+         DuplicateIdError, "'e1'", 3),
+        (V3, "id,src,dst,label,props\ne1,nope,nada,X,\n", DanglingEdgeEndpointError,
+         "source vertex 'nope'", 2),
+        (V3, "id,src,dst,label,props\ne1,j1,nada,X,\n", DanglingEdgeEndpointError,
+         "destination vertex 'nada'", 2),
+        (V3, 'id,src,dst,label,props\ne1,f1,j1,WRITES_TO,"{""a"": NaN}"\n',
+         UnknownEdgeTripleError, "(File, Job, WRITES_TO)", 2),
+        (V3, 'id,src,dst,label,props\n\ne1,j1,f1,WRITES_TO,"{"""": 1}"\n'
+         "e2,nope,f1,WRITES_TO,\n", MalformedRowError, "edge 'e1': property keys", 3),
+        (V3, "id,src,dst,label,props\ne1,f1,j1,WRITES_TO,\ne2,j1,f1,{\n",
+         UnknownEdgeTripleError, "'e1'", 2),
+        ("id,type,props\n", "id,src,dst,label,props\ne1,a,b,L,\n",
+         DanglingEdgeEndpointError, "source vertex 'a'", 2),
+    ])
+    def test_first_violation(self, tmp_path, vertices, edges, error, text, line):
+        vf = write(tmp_path / "v.csv", vertices)
+        ef = write(tmp_path / "e.csv", edges)
+        with pytest.raises(error, match=text.replace("(", r"\(").replace(")", r"\)")) as exc:
+            load_graph(vf, ef, LINEAGE_SCHEMA)
+        assert type(exc.value) is error
+        assert exc.value.line == line
+
+
+    @pytest.mark.parametrize("ghost", [False, True])
+    def test_a_violation_comes_before_an_unreadable_byte(self, tmp_path, ghost):
+        rows = "".join(f"v{i},Job,\n" for i in range(2000))
+        vf = tmp_path / "v.csv"
+        vf.write_bytes(("id,type,props\n" + ("x,Ghost,\n" if ghost else "") + rows
+                        ).encode() + b"y,Job,\xff\n")
+        ef = write(tmp_path / "e.csv", "id,src,dst,label,props\n")
+        with pytest.raises(UnknownVertexTypeError if ghost else UnicodeDecodeError):
+            reference_load(vf, ef, LINEAGE_SCHEMA)
+        with pytest.raises(UnknownVertexTypeError if ghost else UnicodeDecodeError):
+            load_graph(vf, ef, LINEAGE_SCHEMA)
+
+class TestPropsCells:
+    @pytest.mark.parametrize("cell, props", [
+        ("   ", {}),
+        ('" {""a"": 1} "', {"a": 1}),
+        ('"{""a"":1,""a"":2}"', {"a": 2}),
+        ('"{""a"": 1.5, ""b"": true, ""c"": ""x""}"', {"a": 1.5, "b": True, "c": "x"}),
+    ])
+    def test_cells_that_parse(self, tmp_path, cell, props):
+        vf = write(tmp_path / "v.csv", f"id,type,props\nj1,Job,{cell}\n")
+        ef = write(tmp_path / "e.csv", f"id,src,dst,label,props\ne1,j1,j1,L,{cell}\n")
+        schema = GraphSchema.of(["Job"], [("Job", "Job", "L")])
+        g = load_graph(vf, ef, schema)
+        assert g.vertex_props("j1") == props
+        assert g.edge_props("e1") == props
+
+    @pytest.mark.parametrize("cell, text", [
+        ("[1]", "props must be a JSON object"),
+        ('"{""a"": 1}}"', "bad props JSON: Extra data"),
+        ('"{""a"": 1"', "bad props JSON: Expecting ',' delimiter"),
+    ])
+    def test_cells_that_do_not(self, tmp_path, cell, text):
+        vf = write(tmp_path / "v.csv", f"id,type,props\nj1,Job,\nj2,Job,{cell}\n")
+        ef = write(tmp_path / "e.csv", "id,src,dst,label,props\n")
+        with pytest.raises(MalformedRowError, match=text) as exc:
+            load_graph(vf, ef, LINEAGE_SCHEMA)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_floats_name_the_row(self, tmp_path, value):
+        cell = f'"{{""a"": {value}}}"'
+        vf = write(tmp_path / "v.csv", f"id,type,props\nj1,Job,\nj2,Job,{cell}\n")
+        ef = write(tmp_path / "e.csv", "id,src,dst,label,props\n")
+        with pytest.raises(MalformedRowError, match="vertex 'j2': non-finite") as exc:
+            load_graph(vf, ef, LINEAGE_SCHEMA)
+        assert exc.value.line == 3
+        vf = write(tmp_path / "v.csv", VERTS)
+        ef = write(tmp_path / "e.csv", "id,src,dst,label,props\n"
+                   f"e1,j1,f1,WRITES_TO,\ne2,j1,f1,WRITES_TO,{cell}\n")
+        with pytest.raises(MalformedRowError, match="edge 'e2': non-finite") as exc:
+            load_graph(vf, ef, LINEAGE_SCHEMA)
+        assert exc.value.line == 3
+
+    def test_types_and_labels_are_interned(self, tmp_path):
+        g = random_lineage_dag(2)
+        g.export_csv(tmp_path / "v.csv", tmp_path / "e.csv")
+        for h in (g, load_graph(tmp_path / "v.csv", tmp_path / "e.csv", g.schema)):
+            assert len({id(t) for t in h._vtypes}) == len(set(h._vtypes)) == 2
+            assert len({id(x) for x in h._elabel}) == len(set(h._elabel)) == 2
 
 
 class TestSchema:
@@ -270,7 +387,7 @@ class TestInvariants:
         g = random_lineage_dag(3)
         for _, src, dst, label, _ in g.edges():
             triple = (g.vertex_type(src), g.vertex_type(dst), label)
-            assert g.schema.has_triple(*triple)
+            assert triple in g.schema.edge_types
 
     def test_reload_idempotence(self, tmp_path):
         g = random_lineage_dag(11)
@@ -339,3 +456,153 @@ class TestDerive:
         with pytest.raises(MalformedRowError, match="edge 'n0'"):
             PropertyGraph.derive(g, self.SCHEMA, [0, 1], [0], [1],
                                  [("n0", "L", props)])
+
+
+def columns(g):
+    return {"vids": g._vids, "vtypes": g._vtypes, "vprops": g._vprops,
+            "eids": g._eids, "esrc": g._esrc, "edst": g._edst,
+            "elabel": g._elabel, "eprops": g._eprops}
+
+
+def outcome(make):
+    """The columns ``make`` gives, or the class, message and line of the
+    validation error it raises."""
+    try:
+        made = make()
+    except ValidationError as exc:
+        return type(exc), exc.args, exc.line
+    return made if isinstance(made, dict) else columns(made)
+
+
+DATASETS = {
+    "lineage": lambda out: generate_lineage(out, 0, jobs=8, files=12),
+    "provenance": lambda out: generate_lineage(out, 0, jobs=6, files=10, tasks=8,
+                                               machines=4, stem="provenance"),
+    "road": lambda out: generate_road_like(out, 1, 5, 5),
+    "power_law": lambda out: generate_power_law(out, 2, 30),
+}
+
+BAD_JSON = ["{broken", '{"a": 1', '{"a": 1}}', '{"a" 1}', "{]", "{'a': 1}",
+            '{"a": 1} {"b": 2}']
+NOT_AN_OBJECT = ["[1]", "3", '"x"', "null", "true"]
+BAD_VALUES = ['{"a": NaN}', '{"a": 1e400}', '{"a": -Infinity}', '{"a": [1]}',
+              '{"": 1}', '{"a": null}', '{"a": {"b": 1}}']
+GOOD_CELLS = ["  ", ' {"a": 1} ', '{"a":1,"a":2}', '{"a": 1.5}', '{"a": true}',
+              "{}", '{"a": "x, \\"y\\"", "b": -2}', '{"a": 1e308}']
+
+
+class TestIngestMatchesReference:
+    """``load_graph`` and ``build`` check all rows in bulk; on seeded
+    mutations of valid inputs they must give the columns, or the error
+    class, message and line, of the row-by-row reference loader."""
+
+    FAULTS = {"vertices": ["width", "empty id", "duplicate id", "type", "json",
+                           "value", "good"],
+              "edges": ["width", "empty id", "duplicate id", "endpoint", "triple",
+                        "json", "value", "good"]}
+
+    def mutate(self, rng, files, last):
+        """One fault in a vertex or edge row; half the time in the row the
+        previous fault in that file went to, so rows get two faults."""
+        kind = rng.choice(["vertices", "edges"])
+        header, rows = files[kind]
+        if not rows:
+            return
+        if kind not in last or rng.random() < 0.5:
+            last[kind] = rng.randrange(len(rows))
+        row = rows[last[kind]]
+        what = rng.choice(self.FAULTS[kind])
+        if what == "width":
+            if rng.random() < 0.5:
+                row.append("x")
+            else:
+                row.pop(rng.randrange(len(row)))
+        elif what == "empty id":
+            row[0] = ""
+        elif what == "duplicate id":
+            row[0] = rng.choice(rows)[0]
+        elif what == "type":
+            row[1] = "Ghost"
+        elif what == "endpoint":
+            for at in rng.choice([[1], [2], [1, 2]]):
+                row[at] = "nowhere"
+        elif what == "triple":
+            if rng.random() < 0.5:
+                row[1], row[2] = row[2], row[1]
+            else:
+                row[3] = rng.choice(["NOPE", "WRITES_TO", "IS_READ_BY", "ROAD"])
+        else:
+            row[-1] = rng.choice({"json": BAD_JSON + NOT_AN_OBJECT,
+                                  "value": BAD_VALUES, "good": GOOD_CELLS}[what])
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_load_graph(self, tmp_path, name):
+        ds = DATASETS[name](tmp_path)
+        originals = {}
+        for kind, path in (("vertices", ds.vertex_file), ("edges", ds.edge_file)):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            originals[kind] = (header, rows)
+        seen = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            files = {kind: (header, [list(row) for row in rows])
+                     for kind, (header, rows) in originals.items()}
+            last = {}
+            for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+                self.mutate(rng, files, last)
+            for _ in range(rng.choice([0, 0, 1, 3])):
+                header, rows = files[rng.choice(["vertices", "edges"])]
+                rows.insert(rng.randrange(len(rows) + 1), [])
+            if rng.random() < 0.03:
+                kind = rng.choice(["vertices", "edges"])
+                files[kind] = (files[kind][0][:-1], files[kind][1])
+            vf, ef = tmp_path / "mv.csv", tmp_path / "me.csv"
+            for path, (header, rows) in ((vf, files["vertices"]), (ef, files["edges"])):
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+            want = outcome(lambda: reference_load(vf, ef, ds.schema))
+            got = outcome(lambda: load_graph(vf, ef, ds.schema))
+            assert got == want, (name, seed)
+            seen.add(want[0] if isinstance(want, tuple) else "ok")
+        assert "ok" in seen and MalformedRowError in seen and len(seen) >= 4, seen
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_build(self, tmp_path, name):
+        ds = DATASETS[name](tmp_path)
+        valid = reference_load(ds.vertex_file, ds.edge_file, ds.schema)
+        vids = valid["vids"]
+        vertices = [list(v) for v in zip(vids, valid["vtypes"], valid["vprops"])]
+        edges = [list(e) for e in zip(valid["eids"], [vids[i] for i in valid["esrc"]],
+                                      [vids[i] for i in valid["edst"]],
+                                      valid["elabel"], valid["eprops"])]
+        bad_props = [{"a": float("nan")}, {"a": float("inf")}, {"a": [1]}, {"": 1},
+                     {1: 2}, {"a": None}, {"a": 1.5, "b": float("-inf")}]
+        good_props = [{"a": 1.5}, {"a": True}, {}, {"a": "x"}]
+        seen = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            vs, es = [list(v) for v in vertices], [list(e) for e in edges]
+            r = None
+            for _ in range(rng.choice([0, 1, 2, 2, 3])):
+                rows = rng.choice([vs, es])
+                r = r if r is not None and r < len(rows) and rng.random() < 0.5 \
+                    else rng.randrange(len(rows))
+                row = rows[r]
+                what = rng.choice(["empty id", "duplicate id", "type", "props",
+                                   "props", "good"])
+                if what == "empty id":
+                    row[0] = ""
+                elif what == "duplicate id":
+                    row[0] = rng.choice(rows)[0]
+                elif what == "type" and rows is vs:
+                    row[1] = "Ghost"
+                elif what == "type":
+                    row[rng.choice([1, 2, 3])] = "nowhere"
+                else:
+                    row[-1] = rng.choice(bad_props if what == "props" else good_props)
+            want = outcome(lambda: reference_build(ds.schema, vs, es))
+            got = outcome(lambda: PropertyGraph.build(ds.schema, vs, es))
+            assert got == want, (name, seed)
+            seen.add(want[0] if isinstance(want, tuple) else "ok")
+        assert "ok" in seen and MalformedRowError in seen and len(seen) >= 4, seen
