@@ -292,7 +292,7 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
         if uniform is not None:
             label_feasible = [
                 k for k in feasible
-                if any(set(p.labels()) == {uniform}
+                if any(set(p.labels) == {uniform}
                        for p in c.paths_between(x_type, y_type, k))
             ]
             if label_feasible:
@@ -448,10 +448,10 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
 
 
 def _labels_possible(c: ConstraintSet, v: ViewInstance, length: int) -> bool:
-    allowed = v.path_labels
-    if allowed is None:
+    if v.path_labels is None:
         return True
-    return any(set(p.labels()) <= set(allowed)
+    allowed = set(v.path_labels)
+    return any(allowed.issuperset(p.labels)
                for p in c.paths_between(v.x_type, v.y_type, length))
 
 
@@ -483,16 +483,16 @@ def _check_label_soundness(c: ConstraintSet, v: ViewInstance,
                            b: ConnectorBounds, view_hops) -> None:
     """Every trail the view can produce must satisfy the query's
     positional label constraints; otherwise the view would add rows."""
+    path_labels = None if v.path_labels is None else set(v.path_labels)
     for i in view_hops:
         for length in v.lengths:
             segs = [p for p in c.paths_between(v.x_type, v.y_type, length)
-                    if v.path_labels is None
-                    or set(p.labels()) <= set(v.path_labels)]
+                    if path_labels is None or path_labels.issuperset(p.labels)]
             raw_len = i * length
             for seg in segs:
                 for slot in range(i):
                     offset = slot * length
-                    for t, lab in enumerate(seg.labels()):
+                    for t, lab in enumerate(seg.labels):
                         allowed = b.constraint_at(offset + t, raw_len)
                         if allowed is not None and lab not in allowed:
                             raise RewriteInfeasibleError(
@@ -511,7 +511,7 @@ def _check_boundary_types(c: ConstraintSet, v: ViewInstance,
         for p in c.paths_between(v.x_type, v.y_type, length):
             if not _satisfies_constraints(p, b, length):
                 continue
-            seq = p.type_sequence()
+            seq = p.type_sequence
             for j in range(1, hops):
                 if seq[j * v.k] != v.x_type:
                     raise RewriteInfeasibleError(
@@ -520,7 +520,7 @@ def _check_boundary_types(c: ConstraintSet, v: ViewInstance,
 
 
 def _satisfies_constraints(path, b: ConnectorBounds, length: int) -> bool:
-    for t, lab in enumerate(path.labels()):
+    for t, lab in enumerate(path.labels):
         allowed = b.constraint_at(t, length)
         if allowed is not None and lab not in allowed:
             return False
@@ -573,12 +573,12 @@ def _rewrite_vertex_filter(q: QueryGraph, v: ViewInstance,
             continue  # identity filter; the untyped check above passed
         for length in range(max(1, p.lower), p.upper + 1):
             for sp in c.paths_between(src_t, dst_t, length):
-                if p.labels is not None and not set(sp.labels()) <= set(p.labels):
+                if p.labels is not None and not set(sp.labels) <= set(p.labels):
                     continue
-                if not set(sp.type_sequence()) <= kept:
+                if not kept.issuperset(sp.type_sequence):
                     raise RewriteInfeasibleError(
                         f"a {length}-hop path may route through filtered-out "
-                        f"types {sorted(set(sp.type_sequence()) - kept)}")
+                        f"types {sorted(set(sp.type_sequence) - kept)}")
     return RewritePlan(original=q, view=v, rewritten=q, hop_mapping=None)
 
 

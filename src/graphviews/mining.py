@@ -5,13 +5,15 @@ Implicit constraints are derived from them: all valid k-hop chains over
 the schema edge triples, feasible end-to-end hop ranges for each
 variable-length path (folding adjacent fixed edges into the connector),
 and the schema's source/sink vertex types. Everything is deterministic
-and duplicate-free; schema paths are computed on demand per k and
-memoized.
+and duplicate-free. What depends on the schema alone (its facts, its
+source/sink types and its k-hop paths, computed on demand per k) is
+derived once per ``GraphSchema`` instance and kept on it, immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .query import QueryGraph, PatternEdge, VarLengthPath
 from .store import GraphSchema
@@ -129,9 +131,13 @@ class SchemaPath:
 
     Two paths are distinct iff their full triple sequences differ. A
     triple may repeat within one chain (schema cycles are allowed).
+    ``labels`` and ``type_sequence`` (the k + 1 types visited) are
+    derived from ``edges`` at construction.
     """
 
     edges: tuple[Triple, ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    type_sequence: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.edges:
@@ -139,6 +145,9 @@ class SchemaPath:
         for a, b in zip(self.edges, self.edges[1:]):
             if a[1] != b[0]:
                 raise ValueError(f"triples do not chain: {a} then {b}")
+        object.__setattr__(self, "labels", tuple(e[2] for e in self.edges))
+        object.__setattr__(self, "type_sequence",
+                           (self.edges[0][0],) + tuple(e[1] for e in self.edges))
 
     @property
     def src_type(self) -> str:
@@ -151,12 +160,6 @@ class SchemaPath:
     @property
     def k(self) -> int:
         return len(self.edges)
-
-    def type_sequence(self) -> tuple[str, ...]:
-        return (self.edges[0][0],) + tuple(e[1] for e in self.edges)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e[2] for e in self.edges)
 
 
 def schema_k_hop_paths(s: GraphSchema, k: int) -> set[SchemaPath]:
@@ -329,49 +332,84 @@ def _fixed_chain_bounds(q: QueryGraph, referenced: set[str]
 
 
 # --------------------------------------------------------------------------
+# Schema index
+# --------------------------------------------------------------------------
+
+class SchemaIndex:
+    """What mining derives from one schema alone: its facts, its source
+    and sink types, and its k-hop paths grouped by end types, sorted by
+    triples. The paths of each k are computed the first time k is asked
+    for; every value handed out is a frozenset or a tuple."""
+
+    __slots__ = ("schema", "facts", "source_types", "sink_types", "_paths")
+
+    def __init__(self, s: GraphSchema):
+        self.schema = s
+        self.facts = frozenset(mine_schema_facts(s))
+        self.source_types = s.root_types()
+        self.sink_types = s.leaf_types()
+        self._paths: dict[int, dict[tuple[str, str], tuple[SchemaPath, ...]]] = {}
+
+    def paths_between(self, src_type: str, dst_type: str, k: int
+                      ) -> tuple[SchemaPath, ...]:
+        by_ends = self._paths.get(k)
+        if by_ends is None:
+            grouped: dict[tuple[str, str], list[SchemaPath]] = {}
+            for p in sorted(schema_k_hop_paths(self.schema, k),
+                            key=attrgetter("edges")):
+                grouped.setdefault((p.src_type, p.dst_type), []).append(p)
+            by_ends = {ends: tuple(ps) for ends, ps in grouped.items()}
+            self._paths[k] = by_ends
+        return by_ends.get((src_type, dst_type), ())
+
+    def has_path(self, src_type: str, dst_type: str, k: int) -> bool:
+        if k == 0:
+            return src_type == dst_type
+        return bool(self.paths_between(src_type, dst_type, k))
+
+
+def schema_index(s: GraphSchema) -> SchemaIndex:
+    """The index of ``s``, built on first use and kept on ``s`` itself, so
+    it lives as long as that schema object and no longer. Two threads that
+    build it at once build equal indexes, and the last one stays."""
+    index = s.memo.get(SchemaIndex)
+    if index is None:
+        index = s.memo[SchemaIndex] = SchemaIndex(s)
+    return index
+
+
+# --------------------------------------------------------------------------
 # Constraint set
 # --------------------------------------------------------------------------
 
 @dataclass
 class ConstraintSet:
     """Mined facts plus derived structural constraints for one
-    (query, schema) pair. Schema paths are derived on demand per k."""
+    (query, schema) pair. The schema-derived parts are shared with every
+    other constraint set over the same schema object."""
 
-    schema: GraphSchema
+    index: SchemaIndex
     facts: frozenset[Fact]
     hop_bounds: tuple[ConnectorBounds, ...]
     source_types: frozenset[str]  # no incoming schema edges
     sink_types: frozenset[str]    # no outgoing schema edges
-    _paths: dict[int, frozenset[SchemaPath]] = field(default_factory=dict)
-
-    def schema_paths(self, k: int) -> frozenset[SchemaPath]:
-        if k not in self._paths:
-            self._paths[k] = frozenset(schema_k_hop_paths(self.schema, k))
-        return self._paths[k]
 
     def paths_between(self, src_type: str, dst_type: str, k: int
-                      ) -> list[SchemaPath]:
-        return sorted(
-            (p for p in self.schema_paths(k)
-             if p.src_type == src_type and p.dst_type == dst_type),
-            key=lambda p: p.edges,
-        )
+                      ) -> tuple[SchemaPath, ...]:
+        return self.index.paths_between(src_type, dst_type, k)
 
     def has_path(self, src_type: str, dst_type: str, k: int) -> bool:
-        if k == 0:
-            return src_type == dst_type
-        return any(p.src_type == src_type and p.dst_type == dst_type
-                   for p in self.schema_paths(k))
+        return self.index.has_path(src_type, dst_type, k)
 
 
 def mine_constraints(q: QueryGraph, s: GraphSchema) -> ConstraintSet:
     """Mine all explicit facts and eagerly derivable implicit constraints
     for (q, s); schema paths stay lazy."""
-    facts = mine_query_facts(q) | mine_schema_facts(s)
+    index = schema_index(s)
     return ConstraintSet(
-        schema=s,
-        facts=frozenset(facts),
+        index=index,
+        facts=frozenset(mine_query_facts(q)) | index.facts,
         hop_bounds=query_hop_bounds(q),
-        source_types=s.root_types(),
-        sink_types=s.leaf_types(),
+        source_types=index.source_types,
+        sink_types=index.sink_types,
     )

@@ -238,7 +238,7 @@ def _op_rewrite(pq: _Prepared, v: ViewInstance,
         if length % v.k != 0:
             return None
         for p in c.paths_between(vtype, vtype, length):
-            seq = p.type_sequence()
+            seq = p.type_sequence
             if any(seq[j * v.k] != vtype for j in range(1, length // v.k)):
                 return None
     prop = pq.spec.params.get("property") if pq.spec.op == "path_lengths" else None

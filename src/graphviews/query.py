@@ -24,6 +24,7 @@ map; the key ``id`` falls back to the element's id when no explicit
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -231,73 +232,55 @@ def _expr_names(expr: FilterExpr) -> Iterator[str]:
 # Tokenizer
 # --------------------------------------------------------------------------
 
-_PUNCT = ("<=", ">=", "<>", "..", "(", ")", "[", "]", "-", ">", "<",
-          ":", ",", ".", "*", "=", "|")
+# One pass of one regex: each match skips whitespace and takes one token.
+# Whitespace, word and digit classes are str.isspace, str.isalnum or '_',
+# and str.isdecimal. A word must start with a letter or '_': one starting
+# with another numeric character, like '²' or '½', is an unexpected
+# character. A string body takes an escaped quote or backslash as one
+# character and any other backslash literally; a quote that opens no
+# complete string is an unterminated literal.
+_TOKEN_RE = re.compile(r"""\s*(?:
+      (?P<float>\d+\.\d+)
+    | (?P<int>\d+)
+    | (?P<ident>\w+)
+    | (?P<string>'(?:[^'\\]|\\['\\]|\\(?!['\\]))*')
+    | (?P<punct><=|>=|<>|\.\.|[()\[\]\-><:,.*=|])
+    | (?P<unterminated>')
+    | (?P<bad>\S)
+    )""", re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(['\\])")
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # ident, int, float, string, punct, end
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos", "lower")
 
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # ident, int, float, string, punct, end
+        self.text = text
+        self.pos = pos
+        self.lower = text.lower()
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, closed by two end tokens so that the
+    parser may look one token past the last one."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            # a '.' starts a fraction only if not '..' and followed by a digit
-            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(_Token("float", text[i:j], i))
-            else:
-                tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while j < n and text[j] != "'":
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ("'", "\\"):
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise QuerySyntaxError("unterminated string literal", i)
-            tokens.append(_Token("string", "".join(buf), i))
-            i = j + 1
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, i))
-                i += len(punct)
-                break
-        else:
-            raise QuerySyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        token = m.group(kind)
+        if kind == "string":
+            token = token[1:-1]
+            if "\\" in token:
+                token = _ESCAPE_RE.sub(r"\1", token)
+        elif kind == "unterminated":
+            raise QuerySyntaxError("unterminated string literal", pos)
+        elif kind == "bad" or (kind == "ident" and not (
+                token[0].isalpha() or token[0] == "_")):
+            raise QuerySyntaxError(f"unexpected character {token[0]!r}", pos)
+        tokens.append(_Token(kind, token, pos))
+    end = _Token("end", "", len(text))
+    tokens += (end, end)
     return tokens
 
 
@@ -312,7 +295,7 @@ class _Parser:
         self.i = 0
 
     def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        return self.tokens[self.i + offset]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -320,46 +303,52 @@ class _Parser:
             self.i += 1
         return tok
 
+    # the accept/expect helpers step over a token they have checked,
+    # which is never the end token
     def accept_punct(self, text: str) -> bool:
-        if self.peek().kind == "punct" and self.peek().text == text:
-            self.next()
+        tok = self.tokens[self.i]
+        if tok.kind == "punct" and tok.text == text:
+            self.i += 1
             return True
         return False
 
     def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "punct" or tok.text != text:
             raise QuerySyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return self.next()
+        self.i += 1
+        return tok
 
     def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "ident" and tok.lower == word:
-            self.next()
+            self.i += 1
             return True
         return False
 
     def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "ident" or tok.lower != word:
             raise QuerySyntaxError(f"expected {word.upper()}, found {tok.text!r}", tok.pos)
-        return self.next()
+        self.i += 1
+        return tok
 
     def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "ident":
             raise QuerySyntaxError(f"expected {what}, found {tok.text!r}", tok.pos)
         if tok.lower in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstructError(f"{tok.text.upper()} is not supported")
         if tok.lower in _KEYWORDS:
             raise QuerySyntaxError(f"expected {what}, found keyword {tok.text!r}", tok.pos)
-        return self.next()
+        self.i += 1
+        return tok
 
     def expect_int(self) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "int":
             raise QuerySyntaxError(f"expected integer, found {tok.text!r}", tok.pos)
-        self.next()
+        self.i += 1
         return int(tok.text)
 
     # -- clauses -------------------------------------------------------

@@ -58,7 +58,7 @@ from .execution import (
     _sweep,
     _trails,
 )
-from .mining import schema_k_hop_paths
+from .mining import schema_index
 from .query import AGGREGATE_FUNCS
 from .store import (
     DegreeSummary,
@@ -231,13 +231,12 @@ def _allowed_types_by_depth(schema: GraphSchema, v: ViewInstance) -> list[set[st
     lengths = v.lengths
     labels = set(v.path_labels) if v.path_labels else None
     allowed: list[set[str]] = [set() for _ in range(max(lengths) + 1)]
+    index = schema_index(schema)
     for length in lengths:
-        for p in schema_k_hop_paths(schema, length):
-            if p.src_type != v.x_type or p.dst_type != v.y_type:
+        for p in index.paths_between(v.x_type, v.y_type, length):
+            if labels is not None and not labels.issuperset(p.labels):
                 continue
-            if labels is not None and not set(p.labels()) <= labels:
-                continue
-            for depth, vtype in enumerate(p.type_sequence()):
+            for depth, vtype in enumerate(p.type_sequence):
                 allowed[depth].add(vtype)
     if v.through_types is not None:
         allowed = [a & v.through_types for a in allowed]

@@ -9,8 +9,9 @@ neighborhood oracle is a plain breadth-first search, the query oracle
 is a plain recursive backtracking matcher over the public graph API
 with one binding per trail, the label-propagation oracle recounts
 string-labelled votes edge by edge each pass, the knapsack oracle
-enumerates subsets exhaustively, and the reference loader validates
-each CSV row or build tuple in turn, stopping at the first violation.
+enumerates subsets exhaustively, the reference loader validates
+each CSV row or build tuple in turn, stopping at the first violation,
+and the reference tokenizer scans query text character by character.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from graphviews.errors import (
     DanglingEdgeEndpointError, DuplicateIdError, MalformedRowError,
-    PropertyTypeMismatchError, UnknownEdgeTripleError, UnknownVertexTypeError,
-    ValidationError)
+    PropertyTypeMismatchError, QuerySyntaxError, UnknownEdgeTripleError,
+    UnknownVertexTypeError, ValidationError)
 from graphviews.query import (
     Aggregate, And, Comparison, NameRef, Not, Or, PropertyRef)
 
@@ -537,3 +538,67 @@ def reference_build(schema, vertices, edges) -> dict[str, list]:
     """``PropertyGraph.build``'s columns, or its error, tuple by tuple."""
     return reference_columns(schema, ((None, *v) for v in vertices),
                              ((None, *e) for e in edges))
+
+
+_REFERENCE_PUNCT = ("<=", ">=", "<>", "..", "(", ")", "[", "]", "-", ">", "<",
+                    ":", ",", ".", "*", "=", "|")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) for each query token, then ("end", "", len(text));
+    raises the first ``QuerySyntaxError`` from the left. A word starts with
+    a letter or '_' and goes on over ``str.isalnum`` characters and '_'. A
+    number is a run of ``str.isdigit`` characters, with a fraction only
+    when a '.' is followed by a digit; so it also takes non-decimal digits
+    such as '²', which the parser rejects (``int('²')`` fails)."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        if ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(("float", text[i:j], i))
+            else:
+                tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch == "'":
+            j = i + 1
+            buf = []
+            while j < n and text[j] != "'":
+                if text[j] == "\\" and j + 1 < n and text[j + 1] in ("'", "\\"):
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise QuerySyntaxError("unterminated string literal", i)
+            tokens.append(("string", "".join(buf), i))
+            i = j + 1
+            continue
+        for punct in _REFERENCE_PUNCT:
+            if text.startswith(punct, i):
+                tokens.append(("punct", punct, i))
+                i += len(punct)
+                break
+        else:
+            raise QuerySyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens

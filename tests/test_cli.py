@@ -82,6 +82,13 @@ class TestCommands:
         qfile.write_text("MATCH (a:Job RETURN a", encoding="utf-8")
         assert main(["run", *graph_flags(dataset), "--query", str(qfile)]) == 2
 
+    def test_non_decimal_digit_exits_2(self, tmp_path, dataset, capsys):
+        qfile = tmp_path / "bad.query"
+        qfile.write_text("MATCH (a:Job)-[*1..\u00b2]->(b) RETURN a",
+                         encoding="utf-8")
+        assert main(["run", *graph_flags(dataset), "--query", str(qfile)]) == 2
+        assert "unexpected character '\u00b2' (at offset 19)" in capsys.readouterr().err
+
     def test_select_materialize_run_over_view(self, tmp_path, capsys):
         workload = write_workload(tmp_path)
         assert main(["select", "--workload", str(workload)]) == 0

@@ -11,11 +11,22 @@ from graphviews.errors import (
     RewriteInfeasibleError,
 )
 from graphviews import mining
-from graphviews.mining import mine_constraints, schema_k_hop_paths
+from graphviews.mining import (
+    SchemaPath,
+    mine_constraints,
+    schema_index,
+    schema_k_hop_paths,
+)
+from graphviews.pipeline import WorkloadSpec, _plan_for, _prepare
 from graphviews.query import parse_query, render_query
 from graphviews.store import GraphSchema
 
 from conftest import BLAST_RADIUS_QUERY, LINEAGE_SCHEMA, PROVENANCE_SCHEMA
+from test_pipeline import (
+    write_provenance_workload,
+    write_road_workload,
+    write_workload,
+)
 
 
 def enumerate_for(text, schema=LINEAGE_SCHEMA, max_k=10):
@@ -296,3 +307,56 @@ class TestViewInstance:
         ids = [v.view_id for v in views]
         assert len(ids) == len(set(ids))
         assert ids == sorted(ids, key=lambda i: ids.index(i))
+
+
+def _rewrite_outcome(q, v, schema):
+    try:
+        return rewrite_with_view(q, v, schema)
+    except (RewriteInfeasibleError, NameEliminatedButReferencedError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSchemaIndex:
+    @pytest.mark.parametrize("write", [
+        write_workload, write_provenance_workload,
+        lambda tmp_path: write_road_workload(tmp_path, 5, 5)],
+        ids=["lineage", "provenance", "road"])
+    def test_rewrites_equal_over_shared_and_fresh_schema(self, tmp_path, write):
+        spec = WorkloadSpec.from_file(write(tmp_path))
+        schema = GraphSchema.load(spec.schema_file)
+        prepared = [pq for pq in map(_prepare, spec.queries) if pq.synth is not None]
+        views = {v.view_id: v for pq in prepared
+                 for v in enumerate_views(pq.synth, schema,
+                                          mine_constraints(pq.synth, schema))}
+        assert views
+        plans = 0
+        for pq in prepared:
+            for v in views.values():
+                fresh = GraphSchema.of(schema.vertex_types, schema.edge_types)
+                for q in {id(q): q for q in (pq.query, pq.synth) if q}.values():
+                    first = _rewrite_outcome(q, v, schema)
+                    assert _rewrite_outcome(q, v, schema) == first
+                    assert _rewrite_outcome(q, v, fresh) == first
+                    plans += not isinstance(first, tuple)
+                constraints = mine_constraints(pq.synth, schema)
+                assert (_plan_for(pq, v, fresh, mine_constraints(pq.synth, fresh))
+                        == _plan_for(pq, v, schema, constraints))
+        assert plans
+
+        index = schema_index(schema)
+        assert schema_index(schema) is index
+        assert schema_index(fresh) is not index
+        assert schema == fresh and hash(schema) == hash(fresh)
+        assert "memo" not in repr(schema)
+        for value in (index.facts, index.source_types, index.sink_types):
+            assert type(value) is frozenset
+        assert index._paths
+        for by_ends in index._paths.values():
+            for (src_type, dst_type), paths in by_ends.items():
+                assert type(paths) is tuple
+                assert [p.edges for p in paths] == sorted(p.edges for p in paths)
+                for p in paths:
+                    assert type(p) is SchemaPath
+                    assert (p.src_type, p.dst_type) == (src_type, dst_type)
+                    for part in (p.edges, p.labels, p.type_sequence):
+                        assert type(part) is tuple

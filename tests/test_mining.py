@@ -1,6 +1,7 @@
 import random
 
-from graphviews.enumeration import ViewInstance
+from graphviews import mining
+from graphviews.enumeration import ViewInstance, rewrite_with_view
 from graphviews.mining import (
     SchemaPath,
     mine_constraints,
@@ -199,12 +200,22 @@ class TestHopBounds:
 
 
 class TestConstraintSet:
-    def test_paths_memoised_on_demand(self):
+    def test_paths_computed_once_per_schema(self, monkeypatch):
+        calls = []
+
+        def recording(schema, k):
+            calls.append(k)
+            return schema_k_hop_paths(schema, k)
+
+        monkeypatch.setattr(mining, "schema_k_hop_paths", recording)
+        schema = GraphSchema.of(LINEAGE_SCHEMA.vertex_types,
+                                LINEAGE_SCHEMA.edge_types)
         q = parse_query(BLAST_RADIUS_QUERY)
-        c = mine_constraints(q, LINEAGE_SCHEMA)
-        assert c._paths == {}
-        c.schema_paths(2)
-        assert set(c._paths) == {2}
+        view = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
+                            x_type="Job", y_type="Job", k=2)
+        plans = [rewrite_with_view(q, view, schema) for _ in range(50)]
+        assert all(plan == plans[0] for plan in plans)
+        assert calls and len(calls) == len(set(calls))
 
     def test_paths_between_and_has_path(self):
         q = parse_query(BLAST_RADIUS_QUERY)
@@ -214,6 +225,14 @@ class TestConstraintSet:
         assert c.has_path("Job", "Job", 0)
         assert not c.has_path("Job", "File", 0)
         assert [p.edges for p in c.paths_between("Job", "Job", 2)] == [(W, R)]
+
+    def test_paths_between_sorted_by_triples(self):
+        schema = GraphSchema.of(["A"], [("A", "A", f"L{i}") for i in range(4)])
+        c = mine_constraints(parse_query("MATCH (a:A) RETURN a"), schema)
+        paths = c.paths_between("A", "A", 2)
+        assert len(paths) == 16
+        assert [p.edges for p in paths] == sorted(
+            p.edges for p in schema_k_hop_paths(schema, 2))
 
     def test_source_sink_roles(self, provenance_schema):
         q = parse_query("MATCH (a:Job) RETURN a")

@@ -9,6 +9,7 @@ from graphviews.errors import (
     ValidationError,
 )
 from graphviews.query import (
+    _tokenize,
     Aggregate,
     NameRef,
     PatternEdge,
@@ -21,6 +22,7 @@ from graphviews.query import (
 )
 
 from conftest import BLAST_RADIUS_QUERY
+from oracles import reference_tokenize
 
 
 class TestParse:
@@ -114,6 +116,101 @@ class TestParse:
     def test_arrow_sugar(self):
         q = parse_query("MATCH (a)-->(b) RETURN a")
         assert q.pattern_edges == (PatternEdge("a", "b", None),)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("MATCH (a)-[*1..\u00b2]->(b) RETURN a", 15),
+        ("MATCH (a) WHERE a.x = \u00b2 RETURN a", 22),
+        ("MATCH (a) RETURN a LIMIT \u00b3", 25),
+        ("MATCH (a) RETURN a LIMIT 1\u00b2", 26),
+        ("MATCH (a) WHERE a.x = 1.\u00b2 RETURN a", 24),
+        ("MATCH (\u00b2a) RETURN a", 7),
+    ])
+    def test_non_decimal_digit_is_syntax_error(self, text, offset):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse_query(text)
+        assert exc.value.position == offset
+        assert str(exc.value) == (
+            f"unexpected character {text[offset]!r} (at offset {offset})")
+
+    def test_decimal_digits_of_any_script(self):
+        q = parse_query("MATCH (a)-[*\u0661..\u0663]->(b) "
+                        "WHERE a.x = \u0663.5 RETURN a LIMIT \u0663")
+        assert (q.var_length_paths[0].lower, q.var_length_paths[0].upper) == (1, 3)
+        assert q.filters.rhs.value == 3.5
+        assert q.limit == 3
+        # a letter may be followed by any numeric character
+        assert parse_query("MATCH (a\u00b2) RETURN a\u00b2").pattern_vertices == {
+            "a\u00b2": None}
+
+
+# The reference reads runs of str.isdigit characters as numbers, so a
+# non-decimal digit such as '²' in one reached int() in the parser and
+# raised a bare ValueError; the tokenizer rejects it at its offset.
+TOKEN_ALPHABET = (list("()[]-<>:,.*=|'\\\"") + ["\t", "\x0b", "\xa0", " "]
+                  + ["\u00e9", "\u00df", "\u01c5", "_", "\u0663", "\u00b2",
+                     "\u00bd"]
+                  + ["MATCH", "where", "Return", "AND", "limit", "x", "7"]
+                  + ["1..3", "1.5", "'a\\'b'", "'abc\\"])
+
+
+def expected_tokens(text):
+    """The reference's (kind, text, pos) tokens, or its first error as
+    (message, offset), with the first number token holding a non-decimal
+    digit turned into an unexpected-character error at that digit."""
+    error = None
+    try:
+        tokens = reference_tokenize(text)
+    except QuerySyntaxError as exc:
+        error = (str(exc), exc.position)
+        tokens = reference_tokenize(text[:exc.position])
+    for kind, token, pos in tokens:
+        if kind in ("int", "float"):
+            for off, ch in enumerate(token):
+                if ch != "." and not ch.isdecimal():
+                    at = pos + off
+                    return (f"unexpected character {ch!r} (at offset {at})", at)
+    return error or tokens
+
+
+def tokenized(text):
+    try:
+        tokens = _tokenize(text)
+    except QuerySyntaxError as exc:
+        return (str(exc), exc.position)
+    # one extra end token lets the parser look one token ahead anywhere
+    assert tokens[-1].kind == tokens[-2].kind == "end"
+    return [(t.kind, t.text, t.pos) for t in tokens[:-1]]
+
+
+class TestTokenizerMatchesReference:
+    def test_random_strings(self):
+        rng = random.Random(9)
+        for trial in range(20000):
+            text = "".join(rng.choice(TOKEN_ALPHABET)
+                           for _ in range(rng.randrange(0, 16)))
+            assert tokenized(text) == expected_tokens(text), (trial, text)
+
+    def test_corpus(self):
+        for text in ROUND_TRIP_CORPUS + [
+                "", "   ", " \t\n", "MATCH (a) RETURN a  \n",
+                "'abc\\ ", "'a\\\\'", "'\\q'", "a.b..c", "1.2.3", "9.",
+                ".5", "x'y'z", "<<=>>=<>=", "'\u00b2'", "a\u00bd", "\u00bd"]:
+            assert tokenized(text) == expected_tokens(text), text
+
+    def test_random_queries_raise_only_validation_errors(self):
+        # token soup near the grammar: every input parses or is refused
+        # with a ValidationError, which the CLI turns into exit code 2
+        words = ["MATCH", "WHERE", "RETURN", "ORDER", "BY", "LIMIT", "AS",
+                 "AND", "OR", "NOT", "count", "(a", "(b:Job)", ")", "-[",
+                 "]->", "*", "1..\u00b2", "0..3", "a.x", "=", "\u00b3", "2",
+                 "'s'", ",", "-->", "DESC", "1.5"]
+        rng = random.Random(4)
+        for trial in range(3000):
+            text = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 12)))
+            try:
+                parse_query(text)
+            except ValidationError:
+                pass
 
 
 ROUND_TRIP_CORPUS = [
