@@ -46,9 +46,7 @@ VIEW_KINDS = (
 )
 
 CONNECTOR_KINDS = VIEW_KINDS[:4]
-SPARSIFIER_KINDS = VIEW_KINDS[4:]
 FILTER_KINDS = VIEW_KINDS[4:8]
-AGGREGATOR_KINDS = VIEW_KINDS[8:]
 
 DEFAULT_MAX_K = 10
 
@@ -388,16 +386,18 @@ def rewrite_with_view(q: QueryGraph, v: ViewInstance,
 def _rewrite_connector(q: QueryGraph, v: ViewInstance,
                        schema: GraphSchema) -> RewritePlan:
     c = mine_constraints(q, schema)
+    referenced = q.referenced_names()
     bounds = [b for b in c.hop_bounds if (b.src, b.dst) == (v.x, v.y)]
     if not bounds:
-        _diagnose_eliminated_reference(q, v)
+        _diagnose_eliminated_reference(q, v, referenced)
         raise RewriteInfeasibleError(
             f"view endpoints ({v.x}, {v.y}) do not match any contraction "
             f"opportunity of the query")
     b = bounds[0]
     if q.pattern_vertices.get(v.x) != v.x_type or q.pattern_vertices.get(v.y) != v.y_type:
         raise RewriteInfeasibleError("view endpoint types do not match the query")
-    overlap = set(b.eliminated) & q.referenced_names()
+    # a fixed chain folds its edges, named or not
+    overlap = (set(b.eliminated) | {e.name for e in b.folded_edges}) & referenced
     if overlap:
         raise NameEliminatedButReferencedError(
             f"view contracts away referenced name(s) {sorted(overlap)}")
@@ -455,12 +455,13 @@ def _labels_possible(c: ConstraintSet, v: ViewInstance, length: int) -> bool:
                for p in c.paths_between(v.x_type, v.y_type, length))
 
 
-def _diagnose_eliminated_reference(q: QueryGraph, v: ViewInstance):
+def _diagnose_eliminated_reference(q: QueryGraph, v: ViewInstance,
+                                   referenced: set[str]):
     """If folding fails only because of query references, say which."""
     unconstrained = query_hop_bounds(_without_references(q))
     for b in unconstrained:
         if (b.src, b.dst) == (v.x, v.y):
-            overlap = set(b.eliminated) & q.referenced_names()
+            overlap = set(b.eliminated) & referenced
             if overlap:
                 raise NameEliminatedButReferencedError(
                     f"view contracts away referenced name(s) {sorted(overlap)}")

@@ -216,9 +216,3 @@ def generate_road_like(out_dir, seed: int, rows: int, cols: int,
                 eid += 1
     return _write(Path(out_dir), stem, ROAD_SCHEMA, vertices, edges)
 
-
-GENERATORS = {
-    "lineage": generate_lineage,
-    "power_law": generate_power_law,
-    "road_like": generate_road_like,
-}

@@ -5,9 +5,9 @@ Implicit constraints are derived from them: all valid k-hop chains over
 the schema edge triples, feasible end-to-end hop ranges for each
 variable-length path (folding adjacent fixed edges into the connector),
 and the schema's source/sink vertex types. Everything is deterministic
-and duplicate-free. What depends on the schema alone (its facts, its
-source/sink types and its k-hop paths, computed on demand per k) is
-derived once per ``GraphSchema`` instance and kept on it, immutable.
+and duplicate-free. What depends on the schema alone (its source/sink
+types and its k-hop paths, computed on demand per k) is derived once per
+``GraphSchema`` instance and kept on it, immutable.
 """
 
 from __future__ import annotations
@@ -336,16 +336,15 @@ def _fixed_chain_bounds(q: QueryGraph, referenced: set[str]
 # --------------------------------------------------------------------------
 
 class SchemaIndex:
-    """What mining derives from one schema alone: its facts, its source
-    and sink types, and its k-hop paths grouped by end types, sorted by
-    triples. The paths of each k are computed the first time k is asked
-    for; every value handed out is a frozenset or a tuple."""
+    """What mining derives from one schema alone: its source and sink
+    types, and its k-hop paths grouped by end types, sorted by triples.
+    The paths of each k are computed the first time k is asked for; every
+    value handed out is a frozenset or a tuple."""
 
-    __slots__ = ("schema", "facts", "source_types", "sink_types", "_paths")
+    __slots__ = ("schema", "source_types", "sink_types", "_paths")
 
     def __init__(self, s: GraphSchema):
         self.schema = s
-        self.facts = frozenset(mine_schema_facts(s))
         self.source_types = s.root_types()
         self.sink_types = s.leaf_types()
         self._paths: dict[int, dict[tuple[str, str], tuple[SchemaPath, ...]]] = {}
@@ -384,12 +383,11 @@ def schema_index(s: GraphSchema) -> SchemaIndex:
 
 @dataclass
 class ConstraintSet:
-    """Mined facts plus derived structural constraints for one
-    (query, schema) pair. The schema-derived parts are shared with every
-    other constraint set over the same schema object."""
+    """Derived structural constraints for one (query, schema) pair. The
+    schema-derived parts are shared with every other constraint set over
+    the same schema object."""
 
     index: SchemaIndex
-    facts: frozenset[Fact]
     hop_bounds: tuple[ConnectorBounds, ...]
     source_types: frozenset[str]  # no incoming schema edges
     sink_types: frozenset[str]    # no outgoing schema edges
@@ -403,12 +401,11 @@ class ConstraintSet:
 
 
 def mine_constraints(q: QueryGraph, s: GraphSchema) -> ConstraintSet:
-    """Mine all explicit facts and eagerly derivable implicit constraints
-    for (q, s); schema paths stay lazy."""
+    """Mine the eagerly derivable constraints for (q, s); schema paths
+    stay lazy."""
     index = schema_index(s)
     return ConstraintSet(
         index=index,
-        facts=frozenset(mine_query_facts(q)) | index.facts,
         hop_bounds=query_hop_bounds(q),
         source_types=index.source_types,
         sink_types=index.sink_types,

@@ -63,8 +63,8 @@ from .execution import (
     largest_community,
     path_lengths,
 )
-from .mining import ConstraintSet, mine_constraints
-from .query import QueryGraph, ResultTable, VarLengthPath, parse_query
+from .mining import mine_constraints
+from .query import QueryGraph, ResultTable, parse_query
 from .store import DegreeSummary, GraphSchema, degree_summary, load_graph
 from .views import (
     Candidate,
@@ -153,11 +153,16 @@ class WorkloadSpec:
 
 
 @dataclass
-class OpRewrite:
-    """How an op query runs over a k-hop connector view."""
+class OpRewrite(RewritePlan):
+    """How an op query runs over a k-hop connector view: the plan of its
+    pattern proxy, the hops the op walks over the view, and the property
+    a path_lengths op needs the view to carry."""
 
-    view_hops: int
     needs_property: str | None = None
+
+    @property
+    def view_hops(self) -> int:
+        return self.hop_mapping.view_upper
 
 
 @dataclass
@@ -219,32 +224,6 @@ def _prepare(spec: QuerySpec) -> _Prepared:
     return _Prepared(spec, None, synth)
 
 
-def _op_rewrite(pq: _Prepared, v: ViewInstance,
-                c: ConstraintSet) -> OpRewrite | None:
-    """Op queries rewrite over a k-hop connector when hop counts divide
-    evenly and every feasible same-type length decomposes at type
-    boundaries."""
-    if v.kind != "KHopConnector":
-        return None
-    vtype = pq.spec.params["result_type"]
-    hops = pq.spec.params["hops"]
-    if v.x_type != vtype or v.y_type != vtype:
-        return None
-    if hops % v.k != 0:
-        return None
-    for length in range(1, hops + 1):
-        if not c.has_path(vtype, vtype, length):
-            continue
-        if length % v.k != 0:
-            return None
-        for p in c.paths_between(vtype, vtype, length):
-            seq = p.type_sequence
-            if any(seq[j * v.k] != vtype for j in range(1, length // v.k)):
-                return None
-    prop = pq.spec.params.get("property") if pq.spec.op == "path_lengths" else None
-    return OpRewrite(view_hops=hops // v.k, needs_property=prop)
-
-
 # --------------------------------------------------------------------------
 # Candidates
 # --------------------------------------------------------------------------
@@ -274,24 +253,6 @@ def _estimate_weight(v: ViewInstance, summary: DegreeSummary,
     return exact_estimate(count, 1)
 
 
-def _rewritten_cost_query(pq: _Prepared, v: ViewInstance,
-                          plan) -> QueryGraph:
-    if isinstance(plan, RewritePlan):
-        return plan.rewritten
-    synth = pq.synth
-    (path,) = synth.var_length_paths
-    new_path = VarLengthPath(src=path.src, dst=path.dst, lower=1,
-                             upper=plan.view_hops,
-                             labels=(v.view_label,), name=path.name)
-    return QueryGraph(
-        pattern_vertices=dict(synth.pattern_vertices),
-        pattern_edges=synth.pattern_edges,
-        var_length_paths=(new_path,),
-        filters=synth.filters,
-        projection=synth.projection,
-    )
-
-
 def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                      summary: DegreeSummary, graph, alpha: int,
                      max_k: int) -> list[Candidate]:
@@ -304,6 +265,7 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
     for pq in prepared:
         if pq.synth is None:
             continue
+        raw_cost = None   # costed once, at the query's first plan
         constraints = mine_constraints(pq.synth, schema)
         for v in enumerate_views(pq.synth, schema, constraints, max_k=max_k):
             if v.is_identity(schema):
@@ -314,20 +276,20 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                     view=v, weight=max(est.estimated_edges, 1.0),
                     value=0.0, size_estimate=est)
             cand = by_id[v.view_id]
-            plan = _plan_for(pq, v, schema, constraints)
+            plan = _plan_for(pq, v, schema)
             if plan is None:
                 continue
-            raw_cost = eval_cost(pq.synth, summary, alpha)
+            if raw_cost is None:
+                raw_cost = eval_cost(pq.synth, summary, alpha)
             if v.kind in CONNECTOR_KINDS:
                 view_summary = view_degree_summary(v, summary, cand.weight)
             else:
                 view_summary = sparsifier_degree_summary(v, summary, schema)
-            rew_cost = eval_cost(_rewritten_cost_query(pq, v, plan),
-                                 view_summary, alpha)
+            rew_cost = eval_cost(plan.rewritten, view_summary, alpha)
             report = CostReport(creation_cost=max(cand.weight, 1.0),
                                 eval_cost_raw=raw_cost,
                                 eval_cost_rewritten=rew_cost)
-            cand.value += pq.spec.weight * report.improvement / report.creation_cost
+            cand.value += pq.spec.weight * report.value
             cand.per_query_plans[pq.spec.name] = plan
     return _merge_twins([by_id[i] for i in sorted(by_id)])
 
@@ -350,14 +312,22 @@ def _merge_twins(candidates: list[Candidate]) -> list[Candidate]:
     return kept
 
 
-def _plan_for(pq: _Prepared, v: ViewInstance, schema: GraphSchema,
-              constraints: ConstraintSet):
-    if pq.spec.op is not None:
-        return _op_rewrite(pq, v, constraints)
+def _plan_for(pq: _Prepared, v: ViewInstance, schema: GraphSchema):
+    """The plan of ``pq`` over ``v``, or None. An op runs over a k-hop
+    connector whose k divides its hops, by the plan of its pattern proxy."""
+    op = pq.spec.op
+    if op is not None and (v.kind != "KHopConnector"
+                           or pq.spec.params["hops"] % v.k):
+        return None
     try:
-        return rewrite_with_view(pq.query, v, schema)
+        plan = rewrite_with_view(pq.synth, v, schema)
     except (RewriteInfeasibleError, NameEliminatedButReferencedError):
         return None
+    if op is None:
+        return plan
+    prop = pq.spec.params["property"] if op == "path_lengths" else None
+    return OpRewrite(plan.original, plan.view, plan.rewritten,
+                     plan.hop_mapping, needs_property=prop)
 
 
 # --------------------------------------------------------------------------
@@ -689,12 +659,8 @@ def _pick_view(pq: _Prepared, chosen: list[Candidate],
         plan = cand.per_query_plans.get(pq.spec.name)
         if plan is None:
             continue
-        if isinstance(plan, RewritePlan):
-            cost_query = plan.rewritten
-        else:
-            cost_query = _rewritten_cost_query(pq, cand.view, plan)
         view_summary = materialized_summaries[cand.view.view_id]
-        key = (eval_cost(cost_query, view_summary, alpha), cand.view.view_id)
+        key = (eval_cost(plan.rewritten, view_summary, alpha), cand.view.view_id)
         if best_key is None or key < best_key:
             best, best_key = (cand, plan), key
     return best

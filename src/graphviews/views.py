@@ -1,11 +1,11 @@
 """View selection, materialization, and the persistent view catalog.
 
-Selection is exact 0-1 knapsack over integerized weights: dynamic
-programming when the capacity table is small enough, branch and bound
-with a fractional bound otherwise. Ties break deterministically by
-higher value, then lower total weight, then lexicographically smallest
-view-id tuple (realised by include-first reconstruction over id-sorted
-items).
+Selection is exact 0-1 knapsack over integerized weights, solved by one
+sparse dynamic program at any budget: over the id-sorted candidates, it
+keeps for each suffix only the weights whose best value beats every
+lighter weight. Ties break deterministically by higher value, then
+lower total weight, then lexicographically smallest view-id tuple
+(realised by include-first reconstruction over the id-sorted items).
 
 Connector materialization contracts edge-distinct trails, per source
 with the execution kernels (a frontier sweep on acyclic graphs, a trail
@@ -96,9 +96,6 @@ class Candidate:
             raise ValidationError("candidate value must be non-negative")
 
 
-_DP_CELL_LIMIT = 2_000_000
-
-
 def select_views(candidates: list[Candidate], budget: float) -> list[Candidate]:
     """Value-maximal subset with total weight <= budget, solved exactly."""
     if budget < 0:
@@ -111,114 +108,39 @@ def select_views(candidates: list[Candidate], budget: float) -> list[Candidate]:
     values = [c.value for c in items]
     capacity = math.floor(budget)
     usable = [i for i in range(len(items)) if weights[i] <= capacity]
-    if not usable:
-        return []
     if sum(weights[i] for i in usable) <= capacity:
         # everything fits; zero-value items lose the lower-weight tie-break
         return [items[i] for i in usable if values[i] > 0]
-    if (len(usable) + 1) * (capacity + 1) <= _DP_CELL_LIMIT:
-        take = _knapsack_dp(usable, weights, values, capacity)
-    else:
-        take = _knapsack_branch_bound(usable, weights, values, capacity)
-    return [items[i] for i in take]
+    return [items[i] for i in _knapsack(usable, weights, values, capacity)]
 
 
-def _knapsack_dp(usable, weights, values, capacity) -> list[int]:
-    # suffix DP over id-sorted items; [value, -weight] maximised
-    n = len(usable)
-    skip_row = [(0.0, 0) for _ in range(capacity + 1)]
-    table = [skip_row]
-    for pos in range(n - 1, -1, -1):
-        i = usable[pos]
-        w, v = weights[i], values[i]
-        prev = table[0]
-        row = []
-        for c in range(capacity + 1):
-            best = prev[c]
-            if w <= c:
-                tv, tw = prev[c - w]
-                cand = (tv + v, tw - w)
-                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] > best[1]):
-                    best = cand
-            row.append(best)
-        table.insert(0, row)
-    # include-first reconstruction: lexicographically smallest id tuple
+def _knapsack(usable, weights, values, capacity) -> list[int]:
+    # fronts[p]: weight -> best value of a subset of usable[p:] of that
+    # weight, kept only if every lighter weight is worth strictly less
+    fronts = [{0: 0.0}]
+    for i in reversed(usable):
+        w, v, prev = weights[i], values[i], fronts[-1]
+        pairs = list(prev.items())
+        pairs += [(tw + w, tv + v) for tw, tv in prev.items()
+                  if tw <= capacity - w]
+        pairs.sort()
+        front, best = {}, -1.0
+        for tw, tv in pairs:
+            if tv > best:
+                front[tw] = best = tv
+        fronts.append(front)
+    fronts.reverse()
+    # the heaviest weight kept is the lightest of the best value
+    weight = max(fronts[0])
+    value = fronts[0][weight]
+    # include-first over id-sorted items: lexicographically smallest ids
     take = []
-    c = capacity
-    for pos in range(n):
-        i = usable[pos]
-        w, v = weights[i], values[i]
-        if w <= c:
-            tv, tw = table[pos + 1][c - w]
-            if (tv + v, tw - w) == table[pos][c]:
-                take.append(i)
-                c -= w
-    return take
-
-
-def _knapsack_branch_bound(usable, weights, values, capacity) -> list[int]:
-    # order by value density for tight fractional bounds
-    dense = sorted(usable, key=lambda i: (-(values[i] / weights[i]), i))
-
-    def bound(pos: int, cap: int) -> float:
-        total = 0.0
-        for i in dense[pos:]:
-            if weights[i] <= cap:
-                cap -= weights[i]
-                total += values[i]
-            else:
-                total += values[i] * cap / weights[i]
-                break
-        return total
-
-    best = [0.0, 0, frozenset()]  # value, -weight, chosen set
-
-    def search(pos: int, cap: int, value: float, weight: int, chosen: tuple):
-        if pos == len(dense):
-            key = (value, -weight)
-            if key > (best[0], best[1]):
-                best[0], best[1], best[2] = value, -weight, frozenset(chosen)
-            return
-        if value + bound(pos, cap) < best[0]:
-            return
-        i = dense[pos]
-        if weights[i] <= cap:
-            search(pos + 1, cap - weights[i], value + values[i],
-                   weight + weights[i], chosen + (i,))
-        search(pos + 1, cap, value, weight, chosen)
-
-    search(0, capacity, 0.0, 0, ())
-    target_value, target_weight = best[0], -best[1]
-    # lexicographic reconstruction: include-first over id-sorted items
-    take: list[int] = []
-
-    def achievable(pos: int, cap: int, value: float, weight: int) -> bool:
-        if value > target_value or weight > target_weight:
-            return False
-        if pos == len(usable):
-            return value == target_value and weight == target_weight
-        if value + bound_by_id(pos, cap) < target_value:
-            return False
-        i = usable[pos]
-        if weights[i] <= cap and achievable(pos + 1, cap - weights[i],
-                                            value + values[i], weight + weights[i]):
+    for pos, i in enumerate(usable):
+        rest = fronts[pos + 1].get(weight - weights[i])
+        if rest is not None and rest + values[i] == value:
             take.append(i)
-            return True
-        return achievable(pos + 1, cap, value, weight)
-
-    def bound_by_id(pos: int, cap: int) -> float:
-        total = 0.0
-        for i in sorted(usable[pos:], key=lambda i: -(values[i] / weights[i])):
-            if weights[i] <= cap:
-                cap -= weights[i]
-                total += values[i]
-            else:
-                total += values[i] * cap / weights[i]
-                break
-        return total
-
-    achievable(0, capacity, 0.0, 0)
-    return sorted(take)
+            weight, value = weight - weights[i], rest
+    return take
 
 
 # --------------------------------------------------------------------------

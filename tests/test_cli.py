@@ -130,6 +130,12 @@ class TestCommands:
         table = capsys.readouterr().out
         assert "q1" in table and "match" in table
 
+    def test_bench_referenced_folded_edge_exits_0(self, tmp_path, capsys):
+        workload = write_workload(tmp_path, queries=[
+            {"name": "q9", "file": "q9.query"}])
+        assert main(["bench", "--workload", str(workload)]) == 0
+        assert "q9" in capsys.readouterr().out
+
     @pytest.mark.parametrize("params", [{}, {"passes": "six"}, {"passes": 0}])
     def test_bench_bad_op_params_exit_2_at_parse(self, tmp_path, capsys, params):
         workload = write_workload(tmp_path, queries=[

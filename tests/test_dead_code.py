@@ -1,7 +1,8 @@
-"""Dead-code guard: every function, class and method the package defines
-must be used by the package, the benchmark or the shared test reference
-code. A name that only a unit test (or nobody) reaches is production API
-without a production caller; move it into the test or delete it."""
+"""Dead-code guard: every function, class, method and module-level
+constant the package defines must be used by the package, the benchmark
+or the shared test reference code. A name that only a unit test (or
+nobody) reaches is production API without a production caller; move it
+into the test or delete it."""
 
 import ast
 from collections import Counter
@@ -28,14 +29,18 @@ def _references(tree: ast.AST) -> tuple[Counter, Counter]:
 
 
 def _definitions(tree: ast.Module):
-    """(node, is_method) for module-level functions and classes, and for
-    the methods of those classes."""
+    """(name, node, is_method) for module-level functions, classes and
+    constants, and for the methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node, False
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
-            yield from ((m, True) for m in node.body
+            yield from ((m.name, m, True) for m in node.body
                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node, False) for t in targets
+                        if isinstance(t, ast.Name))
 
 
 def _uses(names: Counter, attributes: Counter, name: str, is_method: bool) -> int:
@@ -53,8 +58,7 @@ def test_every_definition_has_a_user():
             attributes += found[1]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            name = node.name
+        for name, node, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if name.startswith("__") and name.endswith("__"):
                 continue
             own = _uses(*_references(node), name, is_method)

@@ -5,6 +5,7 @@ import pytest
 
 from graphviews.enumeration import Predicate, ViewInstance, enumerate_views
 from graphviews.errors import GraphViewsError, InvalidParamsError
+from graphviews import pipeline
 from graphviews.generate import generate_lineage, generate_road_like
 from graphviews.mining import mine_constraints
 from graphviews.pipeline import (
@@ -27,6 +28,11 @@ BLAST = ("MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File), "
          "(q_f1)-[r*0..8]->(q_f2:File), (q_f2)-[:IS_READ_BY]->(q_j2:Job) "
          "RETURN q_j1.id, avg(q_j2.cpu_hours)")
 
+# a fixed two-edge chain whose folded edge name is referenced: no
+# connector can answer it
+FOLDED_EDGE = ("MATCH (a:Job)-[e:WRITES_TO]->(f:File)-[r:IS_READ_BY]->(b:Job) "
+               "RETURN a.id, e.id, b.id")
+
 
 def write_workload(tmp_path, budget=10 ** 6, seed=0, queries=None, **gen_kw):
     gen_kw.setdefault("jobs", 30)
@@ -37,6 +43,7 @@ def write_workload(tmp_path, budget=10 ** 6, seed=0, queries=None, **gen_kw):
         "MATCH (a)-[]->(b) RETURN count(a)", encoding="utf-8")
     (tmp_path / "q6.query").write_text(
         "MATCH (a:Job) RETURN count(a)", encoding="utf-8")
+    (tmp_path / "q9.query").write_text(FOLDED_EDGE, encoding="utf-8")
     if queries is None:
         queries = [
             {"name": "q1", "file": "q1.query", "weight": 2.0},
@@ -210,6 +217,38 @@ class TestPipeline:
         report = run_pipeline(spec)
         assert report.views == []
         assert report.queries[0].view_id is None
+
+    def test_referenced_folded_edge_runs_raw(self, tmp_path):
+        queries = [{"name": "q1", "file": "q1.query"},
+                   {"name": "q9", "file": "q9.query"}]
+        spec = WorkloadSpec.from_file(write_workload(tmp_path, queries=queries))
+        report = run_pipeline(spec)
+        assert "khop:Job:Job:02" in report.selection["chosen"]
+        q1, q9 = report.queries
+        assert q1.view_id == "khop:Job:Job:02" and q1.results_match is True
+        assert q9.view_id is None and q9.rewritten is None
+        assert q9.rows > 0
+
+    def test_raw_cost_once_per_planned_query(self, tmp_path, monkeypatch):
+        spec = WorkloadSpec.from_file(write_provenance_workload(tmp_path))
+        schema = GraphSchema.load(spec.schema_file)
+        graph = load_graph(spec.vertex_file, spec.edge_file, schema)
+        summary = degree_summary(graph)
+        raw_costed = []
+
+        def eval_cost(q, d, alpha):
+            if d is summary:
+                raw_costed.append(q)
+            return real(q, d, alpha)
+        real = pipeline.eval_cost
+        monkeypatch.setattr(pipeline, "eval_cost", eval_cost)
+        prepared = [_prepare(q) for q in spec.queries]
+        candidates = build_candidates(prepared, schema, summary, graph,
+                                      spec.alpha, spec.max_k)
+        planned = {name for c in candidates for name in c.per_query_plans}
+        assert planned == {"q1", "q2", "q3", "q4"}
+        assert [id(q) for q in raw_costed] == [
+            id(pq.synth) for pq in prepared if pq.spec.name in planned]
 
     def test_budget_respected(self, tmp_path):
         spec = WorkloadSpec.from_file(write_workload(tmp_path, budget=100))

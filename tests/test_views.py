@@ -93,18 +93,33 @@ class TestSelectViews:
             assert got[1] == pytest.approx(want[1]), (items, budget)
             assert got[0] == want[0], (items, budget)
 
-    def test_branch_and_bound_path_matches_dp(self):
-        # capacities beyond the DP table limit route through branch&bound
+    @pytest.mark.parametrize("scale", [1, 10 ** 5], ids=["small", "large"])
+    def test_float_values_match_exhaustive(self, scale):
+        # the large scale takes capacities into the millions
         rng = random.Random(7)
-        items = [(f"i{j:02d}", rng.randint(10 ** 5, 10 ** 6),
-                  float(rng.randint(1, 50))) for j in range(14)]
-        budget = 3 * 10 ** 6
-        chosen = select_views([view(i) for i in items], budget)
-        scaled = [(vid, w // 10 ** 5 + (1 if w % 10 ** 5 else 0), val)
-                  for vid, w, val in items]
-        assert sum(c.value for c in chosen) == pytest.approx(
-            knapsack_best_value([w for _, w, _ in items],
-                                [v for _, _, v in items], budget))
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            items = [(f"i{j:02d}", rng.randint(scale, 15 * scale),
+                      rng.random() * 50) for j in range(n)]
+            budget = rng.randint(0, 40 * scale)
+            chosen = select_views([view(i) for i in items], budget)
+            ids, value, weight = knapsack_best_subset(items, budget)
+            assert tuple(sorted(c.view.x_type for c in chosen)) == ids, (items, budget)
+            assert sum(c.value for c in chosen) == pytest.approx(value)
+            assert sum(c.weight for c in chosen) == weight
+
+    def test_float_sums_reconstruct_the_optimum(self):
+        items = [("v0", 10 ** 6, 0.1), ("v1", 10 ** 6, 0.6),
+                 ("v2", 2 * 10 ** 6, 0.2)]
+        chosen = select_views([view(i) for i in items], 3 * 10 ** 6)
+        assert [c.view.x_type for c in chosen] == ["v1", "v2"]
+
+    def test_large_capacity_tie_break(self):
+        # equal value: lower weight wins, then the smaller id tuple
+        items = [("d", 10 ** 6, 1.0), ("c", 10 ** 6, 1.0), ("b", 10 ** 6, 1.0),
+                 ("a", 2 * 10 ** 6 + 3, 2.0)]
+        chosen = select_views([view(i) for i in items], 2 * 10 ** 6 + 5)
+        assert [c.view.x_type for c in chosen] == ["b", "c"]
 
     def test_deterministic_tie_break(self):
         # two identical-value identical-weight options: lexicographically
