@@ -24,11 +24,14 @@ pattern vertex (total vertex count if none is typed), ``b`` is the
 largest alpha-percentile out-degree over edge-source types, and ``S`` is
 the number of fixed edges plus the sum of variable-length upper bounds in
 the component. It only promises correct ordering: deterministic, and
-monotone in hop bounds and in every degree percentile.
+monotone in hop bounds and in every degree percentile. A cost past the
+largest float saturates at ``sys.float_info.max``, so long hop ranges
+still get a finite cost, which ties with every other saturated one.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -38,6 +41,7 @@ from .store import DegreeSummary, PropertyGraph
 
 DEFAULT_ALPHA = 95
 DEFAULT_STEP_BUDGET = 10 ** 8
+MAX_COST = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -208,8 +212,12 @@ def eval_cost(q: QueryGraph, d: DegreeSummary, alpha: int = DEFAULT_ALPHA) -> fl
                     if e.src in component or e.dst in component)
         steps += sum(p.upper for p in q.var_length_paths
                      if p.src in component or p.dst in component)
-        expansion = sum(float(branch) ** i for i in range(1, steps + 1))
-        total += anchor + anchor * expansion
+        try:
+            expansion = min(sum(float(branch) ** i for i in range(1, steps + 1)),
+                            MAX_COST)
+        except OverflowError:
+            expansion = MAX_COST
+        total = min(total + (anchor + anchor * expansion), MAX_COST)
     return total
 
 

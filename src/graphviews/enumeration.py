@@ -385,8 +385,8 @@ def rewrite_with_view(q: QueryGraph, v: ViewInstance,
 
 def _rewrite_connector(q: QueryGraph, v: ViewInstance,
                        schema: GraphSchema) -> RewritePlan:
-    c = mine_constraints(q, schema)
     referenced = q.referenced_names()
+    c = mine_constraints(q, schema, referenced)
     bounds = [b for b in c.hop_bounds if (b.src, b.dst) == (v.x, v.y)]
     if not bounds:
         _diagnose_eliminated_reference(q, v, referenced)

@@ -1,10 +1,14 @@
 """Query evaluation over property graphs.
 
 Pattern matching starts from the most selective typed vertex of each
-connected pattern component (a vertex pinned by ``name.id = 'literal'``
-is looked up directly) and expands adjacent constraints.
+connected pattern component and expands adjacent constraints. A vertex
+pinned by a conjunctive ``name.id = 'literal'`` is looked up directly;
+when it anchors its component, its candidates are exactly the vertices
+on which that conjunct holds, so the conjunct leaves the filter.
 Variable-length paths match edge-distinct trails (vertices may repeat,
-edge ids may not, within one path binding).
+edge ids may not, within one path binding). Each one walks only the
+vertex types of its schema type bands: the types that can still reach
+the declared type of its far end within its length range.
 
 A binding is a tuple of the graph's internal integer indices, one slot
 per pattern vertex and per named edge. The order in which constraints
@@ -49,6 +53,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import PropertyTypeMismatchError, TypeNotInSchemaError, ValidationError
+from .mining import schema_index
 from .query import (
     Aggregate,
     And,
@@ -93,9 +98,10 @@ def execute(q: QueryGraph, g: PropertyGraph,
         stats = ExecutionStats()
     started = time.perf_counter()
     _check_types(q, g)
-    bindings, slots = _match(q, g, stats)
-    if q.filters is not None:
-        test = _compile_filter(q, g, slots, q.filters)
+    bindings, slots, settled = _match(q, g, stats)
+    residual = _without(q.filters, settled)
+    if residual is not None:
+        test = _compile_filter(q, g, slots, residual)
         bindings = [bm for bm in bindings if test(bm[0])]
     table = _project(q, g, slots, bindings)
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
@@ -126,16 +132,25 @@ class _Constraint:
 
 
 def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
-           ) -> tuple[list[tuple[tuple, int]], dict[str, int]]:
-    """Every binding as (slot tuple, multiplicity), and the slot of each
-    bound name. Components take consecutive slots, so the cartesian
-    product across them concatenates their tuples, base-major."""
+           ) -> tuple[list[tuple[tuple, int]], dict[str, int], list[Comparison]]:
+    """Every binding as (slot tuple, multiplicity), the slot of each
+    bound name, and the filter conjuncts that hold on every binding
+    because a pinned anchor's candidates were looked up by them.
+    Components take consecutive slots, so the cartesian product across
+    them concatenates their tuples, base-major."""
+    pinned = _pinned_ids(q)
     slots: dict[str, int] = {}
+    settled = []
     per_component = []
     for names in q.components():
         layout = names + [e.name for e in q.pattern_edges
                           if e.name is not None and e.src in names]
-        per_component.append(_match_component(q, g, names, layout, stats))
+        anchor = _anchor_of(q, g, names, pinned)
+        pin = pinned.get(anchor)
+        if pin is not None:
+            settled.append(pin)
+        per_component.append(
+            _match_component(q, g, names, layout, anchor, pin, stats))
         slots.update((name, len(slots)) for name in layout)
     result = per_component[0]
     for rows in per_component[1:]:
@@ -143,14 +158,16 @@ def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
             break
         result = [(base + binding, base_mult * mult)
                   for base, base_mult in result for binding, mult in rows]
-    return result, slots
+    return result, slots, settled
 
 
-def _pinned_ids(q: QueryGraph) -> dict[str, str]:
-    """Vertex names pinned by a conjunctive ``name.id = 'literal'``
-    filter; used to narrow the anchor scan (the filter itself still runs
-    on every binding, so pushdown only prunes, never decides)."""
-    pinned: dict[str, str] = {}
+def _pinned_ids(q: QueryGraph) -> dict[str, Comparison]:
+    """Each name pinned by a conjunctive ``name.id = 'literal'`` filter,
+    mapped to its last such conjunct. A pinned anchor's candidates are
+    :meth:`PropertyGraph.vertices_with_id` of the literal, exactly the
+    vertices on which that conjunct holds, so pushdown decides it; other
+    conjuncts on the name still run on every binding."""
+    pinned: dict[str, Comparison] = {}
 
     def walk(expr):
         if isinstance(expr, And):
@@ -160,15 +177,29 @@ def _pinned_ids(q: QueryGraph) -> dict[str, str]:
               and expr.lhs.key == "id"
               and not isinstance(expr.rhs, PropertyRef)
               and isinstance(expr.rhs.value, str)):
-            pinned[expr.lhs.name] = expr.rhs.value
+            pinned[expr.lhs.name] = expr
 
     if q.filters is not None:
         walk(q.filters)
     return pinned
 
 
+def _without(expr, settled: list[Comparison]):
+    """``expr`` less the conjuncts in ``settled`` (by identity); None when
+    nothing is left."""
+    if expr is None or any(expr is c for c in settled):
+        return None
+    if settled and isinstance(expr, And):
+        kept = [c for c in (_without(child, settled) for child in expr.children)
+                if c is not None]
+        if len(kept) < 2:
+            return kept[0] if kept else None
+        return And(tuple(kept))
+    return expr
+
+
 def _anchor_of(q: QueryGraph, g: PropertyGraph, names: list[str],
-               pinned: dict[str, str]) -> str:
+               pinned: dict[str, Comparison]) -> str:
     pinned_here = sorted(n for n in names if n in pinned)
     if pinned_here:
         return pinned_here[0]
@@ -181,14 +212,12 @@ def _anchor_of(q: QueryGraph, g: PropertyGraph, names: list[str],
 
 
 def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
-                     layout: list[str], stats: ExecutionStats
-                     ) -> list[tuple[tuple, int]]:
-    pinned = _pinned_ids(q)
-    anchor = _anchor_of(q, g, names, pinned)
+                     layout: list[str], anchor: str, pin: Comparison | None,
+                     stats: ExecutionStats) -> list[tuple[tuple, int]]:
     anchor_type = q.pattern_vertices[anchor]
     vtypes = g._vtypes
-    if anchor in pinned:
-        candidates = [g._vindex[v] for v in g.vertices_with_id(pinned[anchor])]
+    if pin is not None:
+        candidates = [g._vindex[v] for v in g.vertices_with_id(pin.rhs.value)]
     else:
         candidates = range(g.n)
     if anchor_type is not None:
@@ -240,8 +269,7 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
         c = constraints.pop(_pick_constraint(constraints, bound))
         forward = c.src in bound
         here, other = (c.src, c.dst) if forward else (c.dst, c.src)
-        plan.append((c, forward, slot[here], slot[other], other in bound,
-                     q.pattern_vertices[other]))
+        plan.append((c, forward, here, other, other in bound))
         bound.update((c.src, c.dst))
 
     append = out.append
@@ -249,14 +277,21 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
     def emit(binding: list, mult: int):
         append((tuple(binding), mult))
 
+    types = q.pattern_vertices
+    index = schema_index(g.schema)
     step = emit
-    for c, *args in reversed(plan):
+    for c, forward, here, other, other_bound in reversed(plan):
+        args = (forward, slot[here], slot[other], other_bound, types[other])
         if c.is_edge:
             e = c.payload
             named = slot[e.name] if e.name is not None else None
             step = _edge_step(g, e.label, named, *args, step, stats)
         else:
-            step = _path_step(g, c.payload, *args, step, stats)
+            p = c.payload
+            labels = frozenset(p.labels) if p.labels else None
+            bands = index.type_bands(types[here], types[other], p.lower,
+                                     p.upper, labels, forward)
+            step = _path_step(g, p, labels, bands, *args, step, stats)
     return step
 
 
@@ -294,19 +329,19 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
     return step
 
 
-def _path_step(g: PropertyGraph, p, forward: bool, here: int, there: int,
-               there_bound: bool, want, nxt, stats):
-    """One variable-length path from the vertex in slot ``here``: every
-    trail endpoint, in ascending external id order, weighted by its
-    summed trail multiplicity."""
+def _path_step(g: PropertyGraph, p, labels, bands, forward: bool, here: int,
+               there: int, there_bound: bool, want, nxt, stats):
+    """One variable-length path from the vertex in slot ``here``, over
+    ``labels`` edges and within the type ``bands``: every trail endpoint,
+    in ascending external id order, weighted by its summed trail
+    multiplicity."""
     extend = _count_step(g)
-    labels = set(p.labels) if p.labels else None
     vids, vtypes = g._vids, g._vtypes
 
     def step(binding: list, mult: int):
         reached = _walk(g, {binding[here]: 1}, p.lower, p.upper, extend,
                         operator.add, forward=forward, labels=labels,
-                        stats=stats)
+                        allowed=bands, stats=stats)
         if there_bound:
             count = reached.get(binding[there])
             if count is not None:

@@ -253,11 +253,14 @@ def _foldable(q: QueryGraph, endpoint: str, want_incoming: bool,
     return edge
 
 
-def query_hop_bounds(q: QueryGraph) -> tuple[ConnectorBounds, ...]:
+def query_hop_bounds(q: QueryGraph, referenced: set[str] | None = None
+                     ) -> tuple[ConnectorBounds, ...]:
     """Feasible connector length ranges for each variable-length path
     (folding qualifying adjacent fixed edges) and, in fixed-only
-    patterns, for each maximal contractible fixed chain."""
-    referenced = q.referenced_names()
+    patterns, for each maximal contractible fixed chain. ``referenced``
+    is ``q.referenced_names()``, computed here when not given."""
+    if referenced is None:
+        referenced = q.referenced_names()
     bounds: list[ConnectorBounds] = []
     for p in q.var_length_paths:
         src, dst = p.src, p.dst
@@ -337,17 +340,19 @@ def _fixed_chain_bounds(q: QueryGraph, referenced: set[str]
 
 class SchemaIndex:
     """What mining derives from one schema alone: its source and sink
-    types, and its k-hop paths grouped by end types, sorted by triples.
-    The paths of each k are computed the first time k is asked for; every
-    value handed out is a frozenset or a tuple."""
+    types, its k-hop paths grouped by end types, sorted by triples, and
+    the type bands of :meth:`type_bands`. The paths of each k and each
+    band are computed the first time they are asked for; every value
+    handed out is a frozenset or a tuple."""
 
-    __slots__ = ("schema", "source_types", "sink_types", "_paths")
+    __slots__ = ("schema", "source_types", "sink_types", "_paths", "_bands")
 
     def __init__(self, s: GraphSchema):
         self.schema = s
         self.source_types = s.root_types()
         self.sink_types = s.leaf_types()
         self._paths: dict[int, dict[tuple[str, str], tuple[SchemaPath, ...]]] = {}
+        self._bands: dict[tuple, tuple[frozenset[str] | None, ...]] = {}
 
     def paths_between(self, src_type: str, dst_type: str, k: int
                       ) -> tuple[SchemaPath, ...]:
@@ -365,6 +370,46 @@ class SchemaIndex:
         if k == 0:
             return src_type == dst_type
         return bool(self.paths_between(src_type, dst_type, k))
+
+    def type_bands(self, x_type: str | None, y_type: str | None, lo: int,
+                   hi: int, labels: frozenset[str] | None = None,
+                   forward: bool = True) -> tuple[frozenset[str] | None, ...]:
+        """Per depth d in 0..hi, the types a walk of ``labels`` edges
+        (any label when None) from an ``x_type`` vertex may visit at
+        depth d and still end at a ``y_type`` vertex within lo..hi edges;
+        a None end type stands for any type. ``forward`` False walks the
+        edges backwards. A depth is None when the band holds every type
+        reachable there, so it prunes nothing; an empty band at depth 0
+        means no such walk exists."""
+        key = (x_type, y_type, lo, hi, labels, forward)
+        bands = self._bands.get(key)
+        if bands is None:
+            bands = self._bands[key] = self._type_bands(*key)
+        return bands
+
+    def _type_bands(self, x_type, y_type, lo, hi, labels, forward):
+        every = self.schema.vertex_types
+        step: dict[str, set[str]] = {t: set() for t in every}
+        for src, dst, label in self.schema.edge_types:
+            if labels is None or label in labels:
+                if forward:
+                    step[src].add(dst)
+                else:
+                    step[dst].add(src)
+        # reach[d]: types at the end of a d-edge walk from x_type;
+        # finish[e]: types with an e-edge walk to y_type
+        reach = [every if x_type is None else frozenset((x_type,))]
+        finish = [every if y_type is None else frozenset((y_type,))]
+        for _ in range(hi):
+            reach.append(frozenset(w for t in reach[-1] for w in step[t]))
+            finish.append(frozenset(t for t in every
+                                    if not step[t].isdisjoint(finish[-1])))
+        bands = []
+        for d in range(hi + 1):
+            band = reach[d] & frozenset().union(
+                *finish[max(lo - d, 0):hi - d + 1])
+            bands.append(None if band == reach[d] else band)
+        return tuple(bands)
 
 
 def schema_index(s: GraphSchema) -> SchemaIndex:
@@ -400,13 +445,14 @@ class ConstraintSet:
         return self.index.has_path(src_type, dst_type, k)
 
 
-def mine_constraints(q: QueryGraph, s: GraphSchema) -> ConstraintSet:
+def mine_constraints(q: QueryGraph, s: GraphSchema,
+                     referenced: set[str] | None = None) -> ConstraintSet:
     """Mine the eagerly derivable constraints for (q, s); schema paths
-    stay lazy."""
+    stay lazy. ``referenced`` is passed on to :func:`query_hop_bounds`."""
     index = schema_index(s)
     return ConstraintSet(
         index=index,
-        hop_bounds=query_hop_bounds(q),
+        hop_bounds=query_hop_bounds(q, referenced),
         source_types=index.source_types,
         sink_types=index.sink_types,
     )

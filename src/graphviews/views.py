@@ -10,9 +10,11 @@ lower total weight, then lexicographically smallest view-id tuple
 Connector materialization contracts edge-distinct trails, per source
 with the execution kernels (a frontier sweep on acyclic graphs, a trail
 search on cyclic ones and for aggregates summed across trails).
-Traversal is pruned by the vertex types that schema paths allow at each
-depth, which is also how a sparsifier-then-spanner pipeline composes: an
-explicit ``through_types`` binding intersects the allowed sets. The
+Traversal is pruned by the schema's type bands (the vertex types at each
+depth from which the endpoint type is still reachable in range, as
+:meth:`SchemaIndex.type_bands` gives them for execution too), which is
+also how a sparsifier-then-spanner pipeline composes: an explicit
+``through_types`` binding intersects the bands. The
 output is one edge per connected (src, dst) pair carrying ``path_count``
 (the contracted trails, each weighted by the product of the path_counts
 it crosses) plus any requested per-property trail aggregates; raw vertex
@@ -147,24 +149,6 @@ def _knapsack(usable, weights, values, capacity) -> list[int]:
 # Spanner materialization
 # --------------------------------------------------------------------------
 
-def _allowed_types_by_depth(schema: GraphSchema, v: ViewInstance) -> list[set[str]]:
-    """Types a trail may visit at each depth if it can still reach the
-    endpoint type at one of the contracted lengths."""
-    lengths = v.lengths
-    labels = set(v.path_labels) if v.path_labels else None
-    allowed: list[set[str]] = [set() for _ in range(max(lengths) + 1)]
-    index = schema_index(schema)
-    for length in lengths:
-        for p in index.paths_between(v.x_type, v.y_type, length):
-            if labels is not None and not labels.issuperset(p.labels):
-                continue
-            for depth, vtype in enumerate(p.type_sequence):
-                allowed[depth].add(vtype)
-    if v.through_types is not None:
-        allowed = [a & v.through_types for a in allowed]
-    return allowed
-
-
 # a trail aggregate over an edge whose property is missing or not a number
 _NON_NUMERIC = object()
 
@@ -241,14 +225,15 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     if v.kind not in CONNECTOR_KINDS:
         raise ValidationError(f"{v.kind} is not a connector view")
     lo, hi = max(min(v.lengths), 1), max(v.lengths)   # lengths are lo..hi
-    allowed = _allowed_types_by_depth(g.schema, v)
-    label_filter = set(v.path_labels) if v.path_labels else None
+    label_filter = frozenset(v.path_labels) if v.path_labels else None
+    allowed = schema_index(g.schema).type_bands(v.x_type, v.y_type, lo, hi,
+                                                label_filter)
+    if v.through_types is not None:
+        allowed = [v.through_types if types is None else types & v.through_types
+                   for types in allowed]
     vids, vtypes, y_type = g._vids, g._vtypes, v.y_type
     sources = ([g._vindex[vid] for vid in sorted(g.vertices_of_type(v.x_type))]
-               if v.x_type in allowed[0] else [])
-    # a depth that allows every type prunes nothing
-    pruning = [None if types >= g.schema.vertex_types else types
-               for types in allowed]
+               if allowed[0] is None or v.x_type in allowed[0] else [])
     extend, plus, finish, seed = _connector_semiring(g, v.edge_aggregates)
     # a sum across trails does not distribute over the along-reducers,
     # so only the trail search computes one
@@ -263,7 +248,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
         stats = ExecutionStats()
         for u in chunk:
             reached = walk(g, {u: seed}, lo, hi, extend, plus,
-                           labels=label_filter, allowed=pruning, stats=stats)
+                           labels=label_filter, allowed=allowed, stats=stats)
             ends = []
             for w, value in reached.items():
                 if vtypes[w] != y_type:

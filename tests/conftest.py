@@ -111,3 +111,22 @@ def as_cyclic(g: PropertyGraph) -> PropertyGraph:
     h = copy.copy(g)
     h._acyclic = False
     return h
+
+
+def cluttered_lineage_dag(seed: int) -> PropertyGraph:
+    """A ``random_lineage_dag`` over the provenance schema whose jobs each
+    spawn one to four tasks, each task running on one of five machines:
+    clutter no File or Job can be reached from."""
+    rng = random.Random(seed)
+    g = random_lineage_dag(seed, jobs=12, files=18, schema=PROVENANCE_SCHEMA)
+    vertices, edges = list(g.vertices()), list(g.edges())
+    machines = [f"m{i}" for i in range(5)]
+    vertices += [(m, "Machine", {}) for m in machines]
+    for job in g.vertices_of_type("Job"):
+        for _ in range(rng.randint(1, 4)):
+            task = f"t{len(vertices)}"
+            vertices.append((task, "Task", {}))
+            edges.append((f"x{len(edges)}", job, task, "SPAWNS", {}))
+            edges.append((f"x{len(edges)}", task, rng.choice(machines),
+                          "RUNS_ON", {}))
+    return PropertyGraph.build(PROVENANCE_SCHEMA, vertices, edges)

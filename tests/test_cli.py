@@ -136,6 +136,22 @@ class TestCommands:
         assert main(["bench", "--workload", str(workload)]) == 0
         assert "q9" in capsys.readouterr().out
 
+    def test_bench_400_hop_query_exits_0(self, tmp_path, capsys):
+        # its raw cost series passes the largest float
+        (tmp_path / "q10.query").write_text(
+            "MATCH (a:Job)-[p*1..400]->(b:Job) RETURN a.id, b.id",
+            encoding="utf-8")
+        workload = write_workload(
+            tmp_path, jobs=40, files=80, tasks=400, machines=200,
+            queries=[{"name": "q10", "file": "q10.query"}])
+        out = tmp_path / "report.json"
+        assert main(["bench", "--workload", str(workload),
+                     "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "Infinity" not in text and "NaN" not in text
+        (query,) = json.loads(text)["queries"]
+        assert query["name"] == "q10" and query["results_match"]
+
     @pytest.mark.parametrize("params", [{}, {"passes": "six"}, {"passes": 0}])
     def test_bench_bad_op_params_exit_2_at_parse(self, tmp_path, capsys, params):
         workload = write_workload(tmp_path, queries=[

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from graphviews.costing import (
+    MAX_COST,
     CostReport,
     estimate_er,
     estimate_heterogeneous,
@@ -204,6 +205,26 @@ class TestEvalCost:
         d = degree_summary(g)
         q = parse_query(BLAST_RADIUS_QUERY)
         assert eval_cost(q, d) == eval_cost(q, d)
+
+    def test_long_hop_ranges_saturate(self):
+        # every vertex of a complete 11-vertex digraph has out-degree 10
+        g = single_type_graph(11, [(a, b) for a in range(11)
+                                   for b in range(11) if a != b])
+        d = degree_summary(g)
+
+        def cost(hops):
+            return eval_cost(parse_query(
+                f"MATCH (a:N)-[p*1..{hops}]->(b:N) RETURN a.id"), d)
+
+        # finite costs are the plain series, summed as before
+        for hops in (3, 300):
+            assert cost(hops) == 11 + 11 * sum(10.0 ** i
+                                               for i in range(1, hops + 1))
+        # 10**308 is finite but 11 times the series is not; 10**400 raises
+        assert cost(308) == cost(400) == MAX_COST
+        two = parse_query("MATCH (a:N)-[p*1..400]->(b:N), "
+                          "(c:N)-[r*1..400]->(e:N) RETURN a.id")
+        assert eval_cost(two, d) == MAX_COST
 
 
 class TestCostReport:

@@ -231,6 +231,22 @@ class TestRewrite:
         (path,) = plan.rewritten.var_length_paths
         assert (path.src, path.dst, path.lower, path.upper) == ("a", "b", 1, 1)
 
+    def test_referenced_names_walked_once_per_query(self, monkeypatch):
+        # once for the query, once when the rewritten query checks its own
+        from graphviews.query import QueryGraph
+        q = parse_query(BLAST_RADIUS_QUERY)
+        walked = []
+        original = QueryGraph.referenced_names
+
+        def counting(self):
+            walked.append(self is q)
+            return original(self)
+
+        monkeypatch.setattr(QueryGraph, "referenced_names", counting)
+        plan = rewrite_with_view(q, self.khop(), LINEAGE_SCHEMA)
+        assert plan.rewritten is not q
+        assert walked == [True, False]
+
     def test_same_vertex_type_connector_rewrite(self):
         q = parse_query(BLAST_RADIUS_QUERY)
         v = ViewInstance(kind="SameVertexTypeConnector", x="q_j1", y="q_j2",

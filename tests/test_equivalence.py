@@ -145,7 +145,7 @@ class TestSparsifierCountsDiffer:
 
 class TestCyclicRewrites:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 3: on a cyclic graph two view hops are two "
+        "ROADMAP item 1: on a cyclic graph two view hops are two "
         "independent trails, and the rewriter does not refuse such plans"))
     def test_two_view_hops_on_a_cyclic_grid(self, tmp_path):
         # a plan must be refused or sound. Today it is neither: raw gives

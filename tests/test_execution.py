@@ -22,6 +22,7 @@ from graphviews.execution import (
     path_lengths,
 )
 from graphviews.generate import generate_road_like
+from graphviews.mining import SchemaIndex
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema, PropertyGraph, load_graph
 
@@ -29,6 +30,7 @@ from conftest import (
     BLAST_RADIUS_QUERY,
     LINEAGE_SCHEMA,
     as_cyclic,
+    cluttered_lineage_dag,
     random_lineage_dag,
     weighted_lineage_dag,
 )
@@ -689,3 +691,131 @@ class TestMatcherOracle:
         table, stats = execute(q, g)
         assert table.rows == [(30,)]
         assert (stats.edges_expanded, stats.vertices_touched) == (30, 80)
+
+
+
+PRUNING_QUERIES = [
+    BLAST_RADIUS_QUERY,
+    "MATCH (a:Job)-[p*2..4]->(b:Job) RETURN a.id, b.id",
+    # the typed end is pinned, so the path walks in-edges
+    "MATCH (a:File)-[p*1..6]->(b:Job) WHERE b.id = 'j11' RETURN a.id",
+    "MATCH (a)-[p*1..3]->(b:Job) RETURN a.id, count(b)",
+    "MATCH (a:Job)-[p:WRITES_TO|IS_READ_BY*0..4]->(b) RETURN b.id, count(a)",
+    "MATCH (a:Job)-[p*1..6]->(f:File) RETURN a.id, count(f)",
+    # a path whose far end is already bound
+    "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job), "
+    "(a)-[p*2..2]->(b) RETURN a.id, b.id",
+]
+
+CLUTTER_QUERIES = PRUNING_QUERIES + [
+    "MATCH (a:Job)-[p*1..5]->(m:Machine) RETURN a.id, count(m)",
+    # no walk from a Task reaches a Job
+    "MATCH (t:Task)-[p*1..3]->(b:Job) RETURN t.id",
+    "MATCH (a:File)-[p*0..6]->(b:File) WHERE a.id = 'f3' RETURN b.id",
+    # from the pinned machine, back over a task to the files of its job
+    "MATCH (f:File)-[p*2..2]->(t:Task), (t)-[:RUNS_ON]->(m:Machine) "
+    "WHERE m.id = 'm1' RETURN f.id, t.id",
+]
+
+ROAD_QUERIES = [
+    "MATCH (a:Junction)-[p*1..4]->(b:Junction) WHERE a.id = 'r0c0' "
+    "RETURN b.id",
+    "MATCH (a:Junction)-[p*3..3]->(b:Junction) RETURN count(a)",
+]
+
+
+class TestSchemaPruning:
+    """Variable-length steps walk only their schema type bands. Against
+    the same engine with every band open, rows must be the same multiset
+    and the work no larger; on a graph with clutter the work shrinks."""
+
+    @staticmethod
+    def both_ways(monkeypatch, g, queries):
+        def run():
+            return [execute(parse_query(text), g) for text in queries]
+
+        pruned = run()
+        with monkeypatch.context() as m:
+            m.setattr(SchemaIndex, "type_bands",
+                      lambda self, x, y, lo, hi, labels=None, forward=True:
+                      (None,) * (hi + 1))
+            unpruned = run()
+        expanded = [0, 0]
+        for text, (got, got_stats), (want, want_stats) in zip(
+                queries, pruned, unpruned):
+            assert got.multiset_equal(want), text
+            assert got_stats.edges_expanded <= want_stats.edges_expanded, text
+            assert got_stats.vertices_touched <= want_stats.vertices_touched, text
+            expanded[0] += got_stats.edges_expanded
+            expanded[1] += want_stats.edges_expanded
+        return expanded
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lineage_families(self, monkeypatch, seed):
+        for g in (random_lineage_dag(seed), as_cyclic(random_lineage_dag(seed)),
+                  weighted_lineage_dag(seed)):
+            self.both_ways(monkeypatch, g, PRUNING_QUERIES)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clutter_shrinks_the_work(self, monkeypatch, seed):
+        g = cluttered_lineage_dag(seed)
+        for graph in (g, as_cyclic(g)):
+            pruned, unpruned = self.both_ways(monkeypatch, graph, CLUTTER_QUERIES)
+            assert pruned < unpruned, seed
+        for text in CLUTTER_QUERIES:
+            q = parse_query(text)
+            assert execute(q, g)[0].rows == query_rows(g, q), text
+
+    def test_road_grid(self, monkeypatch, tmp_path):
+        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        assert not g.is_acyclic
+        self.both_ways(monkeypatch, g, ROAD_QUERIES)
+
+
+class TestPinnedConjunct:
+    """A pinned anchor's candidates are exactly the vertices its
+    ``id = 'literal'`` conjunct holds on, so that conjunct leaves the
+    filter; the results must be those of the full filter."""
+
+    GRAPH = PropertyGraph.build(
+        SINGLE,
+        [("a", "N", {"id": 5, "w": 1}), ("b", "N", {"id": "5", "w": 2}),
+         ("c", "N", {"id": True}), ("5", "N", {"w": 3}),
+         ("d", "N", {"id": 5.0}), ("e", "N", {"id": "a"}), ("f", "N", {})],
+        [("e1", "a", "f", "L", {}), ("e2", "b", "f", "L", {}),
+         ("e3", "c", "f", "L", {}), ("e4", "5", "f", "L", {}),
+         ("e5", "d", "f", "L", {}), ("e6", "e", "5", "L", {}),
+         ("e7", "f", "b", "L", {})],
+    )
+
+    @pytest.mark.parametrize("where", [
+        "s.id = '5'",
+        "s.id = 'True'",
+        "s.id = 'true'",
+        "s.id = 'c'",          # c's explicit id hides its vertex id
+        "s.id = 'f'",          # no explicit id: the vertex id counts
+        "s.id = '5' AND s.id = 'a'",
+        "s.id = 'a' AND s.id = '5'",
+        "s.id = '5' AND s.id = '5'",
+        "s.id = '5' AND s.w > 1",
+        "(s.id = '5' AND t.id = 'f') AND NOT s.w = 3",
+        "s.id = '5' AND t.id = 'b'",
+        "s.id = '5' OR s.id = 'a'",
+        "NOT s.id = '5'",
+        "s.id = 5",
+    ])
+    def test_matches_the_full_filter(self, where):
+        q = parse_query(f"MATCH (s:N)-[:L]->(t:N) WHERE {where} "
+                        "RETURN s, t.id")
+        assert execute(q, self.GRAPH)[0].rows == query_rows(self.GRAPH, q)
+
+    def test_only_the_anchors_conjunct_leaves(self):
+        # t is pinned too but is no anchor: its conjunct still filters
+        q = parse_query("MATCH (s:N)-[:L]->(t:N) "
+                        "WHERE s.id = '5' AND t.id = 'x' RETURN s")
+        assert execute(q, self.GRAPH)[0].rows == []
+        q = parse_query("MATCH (s:N)-[:L]->(t:N) WHERE s.id = '5' RETURN s")
+        table, stats = execute(q, self.GRAPH)
+        assert table.rows == [("5",), ("b",)]
+        assert stats.vertices_touched == 2 + 2

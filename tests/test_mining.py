@@ -5,6 +5,7 @@ from graphviews.enumeration import ViewInstance, rewrite_with_view
 from graphviews.mining import (
     SchemaPath,
     mine_constraints,
+    schema_index,
     mine_query_facts,
     mine_schema_facts,
     query_hop_bounds,
@@ -13,7 +14,6 @@ from graphviews.mining import (
 )
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema
-from graphviews.views import _allowed_types_by_depth
 
 from conftest import BLAST_RADIUS_QUERY, LINEAGE_SCHEMA
 from oracles import schema_paths_oracle
@@ -240,8 +240,53 @@ class TestConstraintSet:
         assert c.source_types == frozenset()
         assert c.sink_types == {"Machine"}
 
-    def test_types_by_depth(self):
-        v = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
-                         x_type="Job", y_type="Job", k=2)
-        depths = _allowed_types_by_depth(LINEAGE_SCHEMA, v)
-        assert depths == [frozenset({"Job"}), frozenset({"File"}), frozenset({"Job"})]
+    def test_types_by_depth(self, provenance_schema):
+        index = schema_index(provenance_schema)
+        assert index.type_bands("Job", "Job", 2, 2) == (
+            None, frozenset({"File"}), frozenset({"Job"}))
+        # every type a walk from File can reach may still reach a File
+        assert schema_index(LINEAGE_SCHEMA).type_bands("File", "File", 0, 8) \
+            == (None,) * 9
+        # backwards from a Machine, a Job is at most two steps away
+        assert index.type_bands("Machine", "Job", 1, 3, forward=False) == (
+            None, None, None, frozenset())
+        assert index.type_bands("Job", "Machine", 1, 1)[0] == frozenset()
+        assert index.type_bands("Job", "Job", 2, 2) is \
+            index.type_bands("Job", "Job", 2, 2)
+
+    def test_type_bands_match_schema_paths(self):
+        """Each band is the union of the types at its depth over the
+        schema paths of lo..hi edges (None when that is every type a walk
+        reaches there), checked on random schemas."""
+        rng = random.Random(11)
+        for seed in range(40):
+            s = random_schema(seed)
+            index = schema_index(s)
+            types = sorted(s.vertex_types) + [None]
+            labels = sorted({t[2] for t in s.edge_types})
+            for _ in range(12):
+                x, y = rng.choice(types), rng.choice(types)
+                lo = rng.randint(0, 3)
+                hi = rng.randint(lo, 4)
+                keep = (frozenset(rng.sample(labels, rng.randint(1, len(labels))))
+                        if rng.random() < 0.4 else None)
+                forward = rng.random() < 0.7
+                triples = {(a, b, l) if forward else (b, a, l)
+                           for a, b, l in s.edge_types
+                           if keep is None or l in keep}
+                walks = {k: {p for p in schema_paths_oracle(triples, k)
+                             if x is None or p[0][0] == x}
+                         for k in range(1, hi + 1)}
+                starts = s.vertex_types if x is None else {x}
+                for d in range(hi + 1):
+                    reach = (set(starts) if d == 0
+                             else {p[-1][1] for p in walks[d]})
+                    band = {t for t in starts
+                            if lo == 0 and (y is None or t == y)} if d == 0 else set()
+                    for k in range(max(lo, d, 1), hi + 1):
+                        for p in walks[k]:
+                            if y is None or p[-1][1] == y:
+                                band.add(p[0][0] if d == 0 else p[d - 1][1])
+                    want = None if band == reach else band
+                    got = index.type_bands(x, y, lo, hi, keep, forward)[d]
+                    assert got == want, (seed, x, y, lo, hi, keep, forward, d)

@@ -17,6 +17,7 @@ from graphviews.errors import (
 from graphviews import views
 from graphviews.execution import execute, label_propagation, largest_community
 from graphviews.generate import generate_road_like
+from graphviews.mining import SchemaIndex
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema, PropertyGraph, load_graph
 from graphviews.views import (
@@ -35,6 +36,7 @@ from conftest import (
     LINEAGE_SCHEMA,
     PROVENANCE_SCHEMA,
     as_cyclic,
+    cluttered_lineage_dag,
     random_lineage_dag,
     weighted_lineage_dag,
 )
@@ -243,6 +245,46 @@ class TestMaterializeSpanner:
                             x_type="Job", y_type="Job", k=2,
                             through_types=frozenset({"Job", "File"})))
         assert sorted(plain.edges()) == sorted(composed.edges())
+
+    def test_unreachable_end_type_walks_from_no_source(self, monkeypatch):
+        g = random_lineage_dag(3)
+        # through_types without File leaves no 2-hop Job trail
+        assert materialize_spanner(g, ViewInstance(
+            kind="KHopConnector", x="a", y="b", x_type="Job", y_type="Job",
+            k=2, through_types=frozenset({"Job"}))).m == 0
+        # a File reaches a Job only at odd lengths
+        walked = []
+        monkeypatch.setattr(views, "_sweep",
+                            lambda *args, **kw: walked.append(args) or {})
+        assert materialize_spanner(g, ViewInstance(
+            kind="KHopConnector", x="a", y="b", x_type="File", y_type="Job",
+            k=2)).m == 0
+        assert walked == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bands_do_not_change_views(self, monkeypatch, seed):
+        g = cluttered_lineage_dag(seed)
+        connectors = [
+            KHOP2,
+            ViewInstance(kind="SameVertexTypeConnector", x="a", y="b",
+                         x_type="File", y_type="File", lo=2, hi=6),
+            ViewInstance(kind="SourceToSinkConnector", x="a", y="b",
+                         x_type="File", y_type="Machine", lo=1, hi=5),
+            ViewInstance(kind="KHopConnector", x="a", y="b",
+                         x_type="Job", y_type="Job", k=2,
+                         through_types=frozenset({"Job", "File", "Task"})),
+        ]
+        for graph in (g, as_cyclic(g)):
+            pruned = [view_content(materialize_spanner(graph, v))
+                      for v in connectors]
+            with monkeypatch.context() as m:
+                m.setattr(SchemaIndex, "type_bands",
+                          lambda self, x, y, lo, hi, labels=None, forward=True:
+                          (None,) * (hi + 1))
+                unpruned = [view_content(materialize_spanner(graph, v))
+                            for v in connectors]
+            assert pruned == unpruned
+            assert any(view[1] for view in pruned)
 
     def test_edge_cap(self):
         g = random_lineage_dag(2)
