@@ -52,7 +52,12 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import PropertyTypeMismatchError, TypeNotInSchemaError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    PropertyTypeMismatchError,
+    TypeNotInSchemaError,
+    ValidationError,
+)
 from .mining import schema_index
 from .query import (
     Aggregate,
@@ -367,7 +372,8 @@ def _path_step(g: PropertyGraph, p, labels, bands, forward: bool, here: int,
 # folds walks, which are the trails only on an acyclic graph. Both work
 # on the graph's internal integer ids and adjacency lists, return
 # {vertex index: value}, and count every adjacency entry they scan as
-# one expanded edge.
+# one expanded edge. Given ``max_expanded``, they raise
+# BudgetExceededError once ``stats.edges_expanded`` passes it.
 
 def _count_step(g: PropertyGraph):
     """``extend`` of the count semiring: multiply by the edge's path_count.
@@ -394,9 +400,14 @@ def _walk(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
                   labels=labels, allowed=allowed, stats=stats)
 
 
+def _over_cap(max_expanded: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"walk expanded more than its cap of {max_expanded} edges")
+
+
 def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
            forward: bool = True, labels=None, allowed=None, seen=None,
-           stats: ExecutionStats) -> dict:
+           max_expanded=None, stats: ExecutionStats) -> dict:
     """Level-synchronous frontier sweep: level d maps every vertex at the
     end of a walk of d edges to ``plus`` over those walks, so the cost is
     O(hi x reachable edges) however many walks there are. Exact for walks
@@ -405,9 +416,11 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     ``labels`` keeps edges with one of the labels, ``allowed[d]`` vertices
     of one of the types at depth d (of any type when it is None). A
     ``seen`` set turns the sweep into a breadth-first search: a vertex in
-    it is not entered again, and every vertex entered is added to it."""
+    it is not entered again, and every vertex entered is added to it.
+    The cap is checked after each level."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes = g._elabel, g._vtypes
+    limit = float("inf") if max_expanded is None else max_expanded
     reached = dict(seeds) if lo == 0 else {}
     frontier = seeds
     for depth in range(1, hi + 1):
@@ -429,6 +442,8 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
                     seen.add(w)
                 x = value if extend is None else extend(value, ei)
                 nxt[w] = plus(nxt[w], x) if w in nxt else x
+        if stats.edges_expanded > limit:
+            raise _over_cap(max_expanded)
         if not nxt:
             break
         if depth >= lo:
@@ -440,7 +455,7 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
 
 def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
             forward: bool = True, labels=None, allowed=None, finish=None,
-            stats: ExecutionStats) -> dict:
+            max_expanded=None, stats: ExecutionStats) -> dict:
     """Depth-first enumeration of edge-distinct trails (vertices may
     repeat), with the arguments (but ``seen``) and result of
     :func:`_sweep`. Its cost
@@ -451,13 +466,15 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
 
     The last step is folded: from a prefix of hi - 1 edges, each edge a
     trail may take joins its far end into the result in place, with no
-    call and no mark in ``used``, and still counts as one prefix."""
+    call and no mark in ``used``, and still counts as one prefix. The
+    cap is checked at each prefix, before its edges are followed."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes = g._elabel, g._vtypes
     reached: dict = {}
     used: set[int] = set()
     # prefixes of hi edges end trails of lo..hi edges only when hi >= lo
     last = hi - 1 if hi >= lo else -1
+    limit = float("inf") if max_expanded is None else max_expanded
 
     def walk(v: int, depth: int, value):
         stats.vertices_touched += 1
@@ -469,6 +486,8 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
         types = allowed[depth + 1] if allowed is not None else None
         edges = adj[v]
         stats.edges_expanded += len(edges)
+        if stats.edges_expanded > limit:
+            raise _over_cap(max_expanded)
         fold = depth == last
         ends = 0
         for ei in edges:
@@ -679,12 +698,13 @@ def _order_and_limit(q: QueryGraph, table: ResultTable) -> ResultTable:
 # --------------------------------------------------------------------------
 
 def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
-                       labels=None,
-                       stats: ExecutionStats | None = None) -> set[str]:
+                       labels=None, stats: ExecutionStats | None = None,
+                       allowed=None) -> set[str]:
     """Vertices reachable from the source set in 1..k_max hops.
     direction: 'forward' follows out-edges (descendants), 'backward'
     follows in-edges (ancestors). A breadth-first search on any graph:
-    each vertex is expanded once, at its first hop."""
+    each vertex is expanded once, at its first hop. ``allowed`` are type
+    bands, as :func:`_sweep` takes them."""
     if direction not in ("forward", "backward"):
         raise ValidationError(f"direction must be forward|backward, got {direction!r}")
     if stats is None:
@@ -693,7 +713,7 @@ def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
     reached = _sweep(g, seeds, 1, k_max, None, operator.add,
                      forward=direction == "forward",
                      labels=set(labels) if labels else None,
-                     seen=set(seeds), stats=stats)
+                     allowed=allowed, seen=set(seeds), stats=stats)
     return {g._vids[v] for v in reached}
 
 
@@ -706,12 +726,13 @@ _REDUCERS = {
 
 def path_lengths(g: PropertyGraph, source: str, k_max: int,
                  edge_property: str, reducer: str = "max",
-                 stats: ExecutionStats | None = None) -> dict[str, float]:
-    """For each vertex reachable by a forward trail of <= k_max edges:
-    reduce ``edge_property`` along each trail, then take the minimum
-    across trails (a weighted-distance reading). Every reducer is
-    monotone, so keeping only the smallest value per vertex and depth is
-    exact."""
+                 stats: ExecutionStats | None = None,
+                 allowed=None) -> dict[str, float]:
+    """For each vertex reachable by a forward trail of <= k_max edges
+    (within the type bands ``allowed``, when given): reduce
+    ``edge_property`` along each trail, then take the minimum across
+    trails (a weighted-distance reading). Every reducer is monotone, so
+    keeping only the smallest value per vertex and depth is exact."""
     if reducer not in _REDUCERS:
         raise ValidationError(f"unknown reducer {reducer!r}")
     if stats is None:
@@ -725,7 +746,7 @@ def path_lengths(g: PropertyGraph, source: str, k_max: int,
         return value if acc is None else combine(acc, value)
 
     best = _walk(g, {g._require(source): None}, 1, k_max, extend, min,
-                 stats=stats)
+                 allowed=allowed, stats=stats)
     return {g._vids[v]: value for v, value in best.items()}
 
 

@@ -15,9 +15,14 @@ points at query text) or a graph operation (``op`` plus ``params``):
 
 Supported ops: ancestors, descendants (BFS neighborhoods restricted to
 ``result_type``), path_lengths (minimax over an edge property),
-label_propagation and largest_community (report-only: their spanner runs
-are measured, not asserted equivalent). Relative paths resolve against
-the workload file's directory.
+label_propagation and largest_community (report-only: they also run over
+the smallest-id selected connector when that view has fewer edges than
+the base graph, measured, not asserted equivalent). Relative paths
+resolve against the workload file's directory. Raw op walks keep to the
+schema type bands from the source's type to ``result_type``.
+
+Each query runs over the selected view with its cheapest plan, as
+selection costed it before anything was materialized.
 
 Everything except wall-clock fields is deterministic for a fixed spec;
 reports serialised with ``include_timing=False`` are byte-identical
@@ -63,7 +68,7 @@ from .execution import (
     largest_community,
     path_lengths,
 )
-from .mining import mine_constraints
+from .mining import mine_constraints, schema_index
 from .query import QueryGraph, ResultTable, parse_query
 from .store import DegreeSummary, GraphSchema, degree_summary, load_graph
 from .views import (
@@ -72,6 +77,8 @@ from .views import (
     catalog_save,
     connector_content,
     materialize,
+    query_picks,
+    sampled_degree_summary,
     select_views,
     sparsifier_degree_summary,
     view_degree_summary,
@@ -256,12 +263,16 @@ def _estimate_weight(v: ViewInstance, summary: DegreeSummary,
 def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                      summary: DegreeSummary, graph, alpha: int,
                      max_k: int) -> list[Candidate]:
-    """One candidate per view content, in view id order, with its plans
-    and value. A filter that keeps the whole schema is a copy of the
-    base graph and is no candidate; connectors that differ only in
-    their edge label are merged by :func:`_merge_twins`."""
+    """One candidate per view content, in view id order, with its plans,
+    their costs and its value. A plan is costed over the view's expected
+    degree summary: a connector's is sampled (one sample per
+    :func:`connector_content`), a filter's kept from the base graph. A
+    filter that keeps the whole schema is a copy of the base graph and
+    is no candidate; connectors that differ only in their edge label are
+    merged by :func:`_merge_twins`."""
     by_id: dict[str, Candidate] = {}
     triples = _triple_counts(graph)
+    samples: dict[tuple, DegreeSummary | None] = {}
     for pq in prepared:
         if pq.synth is None:
             continue
@@ -282,7 +293,11 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
             if raw_cost is None:
                 raw_cost = eval_cost(pq.synth, summary, alpha)
             if v.kind in CONNECTOR_KINDS:
-                view_summary = view_degree_summary(v, summary, cand.weight)
+                content = connector_content(v)
+                if content not in samples:
+                    samples[content] = sampled_degree_summary(graph, v, summary)
+                view_summary = (samples[content]
+                                or view_degree_summary(v, summary, cand.weight))
             else:
                 view_summary = sparsifier_degree_summary(v, summary, schema)
             rew_cost = eval_cost(plan.rewritten, view_summary, alpha)
@@ -291,6 +306,7 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
                                 eval_cost_rewritten=rew_cost)
             cand.value += pq.spec.weight * report.value
             cand.per_query_plans[pq.spec.name] = plan
+            cand.plan_costs[pq.spec.name] = rew_cost
     return _merge_twins([by_id[i] for i in sorted(by_id)])
 
 
@@ -458,6 +474,15 @@ def _timed(fn, stats: ExecutionStats):
     return result
 
 
+def _op_bands(spec: QuerySpec, g) -> tuple:
+    """The schema type bands of an op's walk from its source to its
+    ``result_type``: a vertex outside them reaches no result in range."""
+    params = spec.params
+    return schema_index(g.schema).type_bands(
+        g.vertex_type(params["source"]), params["result_type"], 1,
+        params["hops"], None, spec.op != "ancestors")
+
+
 def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
     stats = ExecutionStats()
     spec = pq.spec
@@ -468,14 +493,14 @@ def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
         direction = "backward" if spec.op == "ancestors" else "forward"
         reached = _timed(lambda: k_hop_neighborhood(
             g, [params["source"]], direction, params["hops"],
-            stats=stats), stats)
+            allowed=_op_bands(spec, g), stats=stats), stats)
         kept = {v for v in reached
                 if g.vertex_type(v) == params["result_type"]}
         return _result_table_for_set(kept), stats
     if spec.op == "path_lengths":
         values = _timed(lambda: path_lengths(
             g, params["source"], params["hops"], params["property"],
-            stats=stats), stats)
+            allowed=_op_bands(spec, g), stats=stats), stats)
         kept = {v: x for v, x in values.items()
                 if g.vertex_type(v) == params["result_type"]}
         return _result_table_for_map(kept), stats
@@ -577,13 +602,8 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
 
     query_reports = []
     with _stage("execute"):
-        materialized_summaries = {
-            view_id: degree_summary(entry.graph)
-            for view_id, entry in catalog.entries.items()
-        }
-        first_connector = min(
-            (c for c in chosen if c.view.kind in CONNECTOR_KINDS),
-            key=lambda c: c.view.view_id, default=None)
+        picks = query_picks(chosen)
+        host = _report_only_host(chosen, catalog, graph)
         for pq in prepared:
             raw_result, raw_stats = _run_raw(pq, graph)
             report = QueryReport(
@@ -593,17 +613,17 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
                 rows=len(raw_result.rows),
                 raw=StatsReport.of(raw_stats),
             )
-            pick = _pick_view(pq, chosen, materialized_summaries, spec.alpha)
+            cand = picks.get(pq.spec.name)
             rew_stats = None
-            if pick is not None:
-                cand, plan = pick
+            if cand is not None:
                 entry = catalog.entries[cand.view.view_id]
-                rew_result, rew_stats = _run_over_view(pq, plan, entry.graph)
+                rew_result, rew_stats = _run_over_view(
+                    pq, cand.per_query_plans[pq.spec.name], entry.graph)
                 report.results_match = raw_result.multiset_equal(
                     rew_result, rel_tol=1e-9)
-            elif pq.spec.op in REPORT_ONLY_OPS and first_connector is not None:
+            elif pq.spec.op in REPORT_ONLY_OPS and host is not None:
                 # similarity is reported, not asserted: results_match stays None
-                cand = first_connector
+                cand = host
                 entry = catalog.entries[cand.view.view_id]
                 _, rew_stats = _run_report_only_op(pq, entry.graph)
             if rew_stats is None:
@@ -634,6 +654,17 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
     )
 
 
+def _report_only_host(chosen: list[Candidate], catalog: ViewCatalog, graph):
+    """The view a report-only op also runs over: the selected connector
+    with the smallest id, when its graph is smaller than the base graph,
+    else None (the op runs raw only)."""
+    first = min((c for c in chosen if c.view.kind in CONNECTOR_KINDS),
+                key=lambda c: c.view.view_id, default=None)
+    if first is None or catalog.entries[first.view.view_id].graph.m >= graph.m:
+        return None
+    return first
+
+
 def _needed_aggregates(cand: Candidate, prepared) -> tuple:
     """Edge aggregates the selected connector must carry so path_lengths
     op rewrites can run over it."""
@@ -646,21 +677,3 @@ def _needed_aggregates(cand: Candidate, prepared) -> tuple:
         if isinstance(plan, OpRewrite) and plan.needs_property:
             extra[plan.needs_property] = (plan.needs_property, "max", "min")
     return tuple(extra[k] for k in sorted(extra))
-
-
-def _pick_view(pq: _Prepared, chosen: list[Candidate],
-               materialized_summaries: dict[str, DegreeSummary], alpha: int):
-    """Among selected views with a plan for this query, the one whose
-    rewritten evaluation cost over the materialized view is smallest
-    (ties by view id)."""
-    best = None
-    best_key = None
-    for cand in chosen:
-        plan = cand.per_query_plans.get(pq.spec.name)
-        if plan is None:
-            continue
-        view_summary = materialized_summaries[cand.view.view_id]
-        key = (eval_cost(plan.rewritten, view_summary, alpha), cand.view.view_id)
-        if best_key is None or key < best_key:
-            best, best_key = (cand, plan), key
-    return best

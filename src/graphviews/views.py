@@ -6,6 +6,11 @@ keeps for each suffix only the weights whose best value beats every
 lighter weight. Ties break deterministically by higher value, then
 lower total weight, then lexicographically smallest view-id tuple
 (realised by include-first reconstruction over the id-sorted items).
+Each query runs over the chosen view with its cheapest plan; a chosen
+view that no query would run over is dropped and the knapsack solved
+again without it. Plans are costed before anything is materialized,
+over a connector's degree summary sampled by the materializer's own
+scan.
 
 Connector materialization contracts edge-distinct trails, per source
 with the execution kernels (a frontier sweep on acyclic graphs, a trail
@@ -70,6 +75,7 @@ from .store import (
     TypeDegrees,
     components,
     induced_subgraph,
+    nearest_rank,
 )
 
 
@@ -81,13 +87,15 @@ from .store import (
 class Candidate:
     """One view candidate for selection: weight is its estimated edge
     count, value the summed per-query improvement over creation cost.
-    ``twins`` are the ids of connectors with the same content that were
-    dropped in its favour."""
+    ``plan_costs`` holds the estimated cost of each of its plans, by
+    query name. ``twins`` are the ids of connectors with the same
+    content that were dropped in its favour."""
 
     view: ViewInstance
     weight: float
     value: float
     per_query_plans: dict[str, RewritePlan] = field(default_factory=dict)
+    plan_costs: dict[str, float] = field(default_factory=dict)
     size_estimate: SizeEstimate | None = None
     twins: list[str] = field(default_factory=list)
 
@@ -99,16 +107,45 @@ class Candidate:
 
 
 def select_views(candidates: list[Candidate], budget: float) -> list[Candidate]:
-    """Value-maximal subset with total weight <= budget, solved exactly."""
+    """Value-maximal subset with total weight <= budget, solved exactly,
+    of views that some query runs over: a chosen view with plan costs
+    that is no query's pick (:func:`query_picks`) is dropped, and the
+    rest are solved again, until every such view is a pick. Views
+    without plan costs are kept as the knapsack chose them."""
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     items = sorted(candidates, key=lambda c: c.view.view_id)
     ids = [c.view.view_id for c in items]
     if len(set(ids)) != len(ids):
         raise ValidationError("candidate view ids must be unique")
+    capacity = math.floor(budget)
+    while True:
+        chosen = _solve(items, capacity)
+        picked = {c.view.view_id for c in query_picks(chosen).values()}
+        idle = {c.view.view_id for c in chosen
+                if c.plan_costs and c.view.view_id not in picked}
+        if not idle:
+            return chosen
+        items = [c for c in items if c.view.view_id not in idle]
+
+
+def query_picks(chosen: list[Candidate]) -> dict[str, Candidate]:
+    """The view each query runs over: among ``chosen``, the one with the
+    cheapest plan for it (ties by view id)."""
+    picks: dict[str, Candidate] = {}
+    for cand in chosen:
+        for name, cost in cand.plan_costs.items():
+            held = picks.get(name)
+            if held is None or ((cost, cand.view.view_id)
+                                < (held.plan_costs[name], held.view.view_id)):
+                picks[name] = cand
+    return picks
+
+
+def _solve(items: list[Candidate], capacity: int) -> list[Candidate]:
+    """The exact knapsack over id-sorted ``items``."""
     weights = [math.ceil(c.weight) for c in items]
     values = [c.value for c in items]
-    capacity = math.floor(budget)
     usable = [i for i in range(len(items)) if weights[i] <= capacity]
     if sum(weights[i] for i in usable) <= capacity:
         # everything fits; zero-value items lose the lower-weight tie-break
@@ -215,13 +252,14 @@ def connector_content(v: ViewInstance) -> tuple:
             v.through_types, v.edge_aggregates)
 
 
-def materialize_spanner(g: PropertyGraph, v: ViewInstance,
-                        max_edges: int | None = None,
-                        threads: int = 1) -> PropertyGraph:
-    """Materialize a connector view over ``g``. One edge per ordered
-    (src, dst) pair connected by at least one qualifying trail, carrying
-    path_count and any requested trail aggregates. ``max_edges`` is
-    checked as pairs are found: the pair past it raises."""
+def _connector_scan(g: PropertyGraph, v: ViewInstance,
+                    max_edges: int | None = None,
+                    max_expanded: int | None = None):
+    """The sources of connector ``v`` over ``g``, in ascending id order,
+    and ``scan(chunk)``, which walks from each source of ``chunk`` and
+    returns its (end, value) pairs, ends in ascending id order.
+    ``max_edges`` caps the pairs all scans find together, as they are
+    found; ``max_expanded`` the adjacency entries one scan reads."""
     if v.kind not in CONNECTOR_KINDS:
         raise ValidationError(f"{v.kind} is not a connector view")
     lo, hi = max(min(v.lengths), 1), max(v.lengths)   # lengths are lo..hi
@@ -243,12 +281,12 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     filled = itertools.count(1)
 
     def scan(chunk: list[int]) -> dict[int, list[tuple[int, object]]]:
-        """Each source's (end, value) pairs, ends in ascending id order."""
         found = {}
         stats = ExecutionStats()
         for u in chunk:
             reached = walk(g, {u: seed}, lo, hi, extend, plus,
-                           labels=label_filter, allowed=allowed, stats=stats)
+                           labels=label_filter, allowed=allowed,
+                           max_expanded=max_expanded, stats=stats)
             ends = []
             for w, value in reached.items():
                 if vtypes[w] != y_type:
@@ -268,7 +306,17 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
             ends.sort(key=vids.__getitem__)
             found[u] = [(w, reached[w]) for w in ends]
         return found
+    return sources, scan
 
+
+def materialize_spanner(g: PropertyGraph, v: ViewInstance,
+                        max_edges: int | None = None,
+                        threads: int = 1) -> PropertyGraph:
+    """Materialize a connector view over ``g``. One edge per ordered
+    (src, dst) pair connected by at least one qualifying trail, carrying
+    path_count and any requested trail aggregates. ``max_edges`` is
+    checked as pairs are found: the pair past it raises."""
+    sources, scan = _connector_scan(g, v, max_edges=max_edges)
     if threads <= 1 or len(sources) < 2:
         found = scan(sources)
     else:
@@ -278,6 +326,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
             for partial in pool.map(scan, chunks):
                 found.update(partial)   # each source is in one chunk
 
+    vids = g._vids
     endpoints = {w for pairs in found.values() for w, _ in pairs}
     endpoints.update(u for u, pairs in found.items() if pairs)
     vertices = sorted(endpoints, key=vids.__getitem__)
@@ -493,28 +542,58 @@ def materialize(g: PropertyGraph, v: ViewInstance,
 
 
 # --------------------------------------------------------------------------
-# Synthetic summaries for rewritten-query costing
+# Summaries for rewritten-query costing, before anything is materialized
 # --------------------------------------------------------------------------
+
+# the sources a connector's sample walks from, id-strided, at most
+SAMPLE_SOURCES = 64
+# the adjacency entries a sample may read before the estimate stands in
+SAMPLE_MAX_EXPANDED = 100_000
+
+
+def sampled_degree_summary(g: PropertyGraph, v: ViewInstance,
+                           raw: DegreeSummary) -> DegreeSummary | None:
+    """Degree summary connector ``v`` is expected to have over ``g``, from
+    the scan :func:`materialize_spanner` runs, walked from every
+    ceil(n / SAMPLE_SOURCES)-th of its n sources in id order: every
+    ``x_type`` vertex counts, with the out-degree percentiles and mean of
+    the sample. None when the sample reads more than
+    SAMPLE_MAX_EXPANDED adjacency entries."""
+    sources, scan = _connector_scan(g, v, max_expanded=SAMPLE_MAX_EXPANDED)
+    try:
+        found = scan(sources[::max(1, -(-len(sources) // SAMPLE_SOURCES))])
+    except BudgetExceededError:
+        return None
+    degrees = sorted(map(len, found.values()))
+    return _connector_summary(
+        v, raw, {a: nearest_rank(degrees, a) for a in PERCENTILE_ALPHAS},
+        raw.n_of(v.x_type) * sum(degrees) / max(len(degrees), 1))
+
 
 def view_degree_summary(v: ViewInstance, raw: DegreeSummary,
                         estimated_edges: float) -> DegreeSummary:
-    """Degree summary a connector view is expected to have, before it is
-    materialized; used to cost rewritten queries."""
-    n_src = max(raw.n_of(v.x_type), 1)
-    deg = math.ceil(estimated_edges / n_src)
-    per_type = {
-        v.x_type: TypeDegrees(raw.n_of(v.x_type),
-                              {a: deg for a in PERCENTILE_ALPHAS}),
-    }
+    """Degree summary of a connector view of ``estimated_edges`` edges
+    spread evenly over its sources: the cost of a connector whose
+    sample passes its cap."""
+    deg = math.ceil(estimated_edges / max(raw.n_of(v.x_type), 1))
+    return _connector_summary(v, raw, dict.fromkeys(PERCENTILE_ALPHAS, deg),
+                              estimated_edges)
+
+
+def _connector_summary(v: ViewInstance, raw: DegreeSummary,
+                       percentiles: dict[int, int],
+                       edges: float) -> DegreeSummary:
+    """A connector view's summary: every ``x_type`` vertex with the given
+    out-degree percentiles, every ``y_type`` vertex with none."""
+    per_type = {v.x_type: TypeDegrees(raw.n_of(v.x_type), percentiles)}
     if v.y_type != v.x_type:
         per_type[v.y_type] = TypeDegrees(raw.n_of(v.y_type),
-                                         {a: 0 for a in PERCENTILE_ALPHAS})
-    total = sum(td.vertex_count for td in per_type.values())
+                                         dict.fromkeys(PERCENTILE_ALPHAS, 0))
     return DegreeSummary(
         per_type=per_type,
         edge_source_types=frozenset({v.x_type}),
-        total_vertices=total,
-        total_edges=int(estimated_edges),
+        total_vertices=sum(td.vertex_count for td in per_type.values()),
+        total_edges=int(edges),
     )
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from graphviews.errors import (
+    BudgetExceededError,
     PropertyTypeMismatchError,
     TypeNotInSchemaError,
     ValidationError,
@@ -578,6 +579,39 @@ class TestTrailCounters:
                 pruned += ends != trail_search(g, g._vids[v], lo, hi, labels,
                                                None, finish, forward)[0]
         assert pruned   # the last-depth restriction drops some ends
+
+
+class TestExpansionCap:
+    """Given ``max_expanded``, both kernels raise BudgetExceededError once
+    their edges_expanded passes it, and below it change nothing."""
+
+    @pytest.mark.parametrize("kernel", [_sweep, _trails])
+    def test_cap_raises_once_passed(self, kernel):
+        g = random_lineage_dag(3, jobs=30, files=45)
+        seeds = {g._vindex[v]: 1 for v in sorted(g.vertices_of_type("Job"))[:5]}
+        whole = ExecutionStats()
+        want = kernel(g, seeds, 1, 6, None, operator.add, stats=whole)
+        assert whole.edges_expanded > 10
+        stats = ExecutionStats()
+        assert kernel(g, seeds, 1, 6, None, operator.add,
+                      max_expanded=whole.edges_expanded, stats=stats) == want
+        assert stats == whole
+        with pytest.raises(BudgetExceededError, match="cap of 10 edges"):
+            kernel(g, seeds, 1, 6, None, operator.add, max_expanded=10,
+                   stats=ExecutionStats())
+
+    def test_cap_stops_trail_enumeration_on_a_grid(self, tmp_path):
+        # trails of up to 10 edges from one junction of a 6x6 grid number
+        # in the hundreds of thousands
+        ds = generate_road_like(tmp_path, seed=1, rows=6, cols=6)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        assert not g.is_acyclic
+        stats = ExecutionStats()
+        with pytest.raises(BudgetExceededError):
+            _trails(g, {g._vindex["r2c2"]: 1}, 1, 10, None, operator.add,
+                    max_expanded=1000, stats=stats)
+        # it stops at the first prefix past the cap
+        assert 1000 < stats.edges_expanded <= 1000 + max(map(len, g._out))
 
 
 class TestPinnedAnchor:

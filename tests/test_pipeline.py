@@ -1,28 +1,51 @@
 import itertools
 import json
+import time
 
 import pytest
 
-from graphviews.enumeration import Predicate, ViewInstance, enumerate_views
-from graphviews.errors import GraphViewsError, InvalidParamsError
+from graphviews.costing import eval_cost
+from graphviews.enumeration import (
+    CONNECTOR_KINDS,
+    Predicate,
+    ViewInstance,
+    enumerate_views,
+)
+from graphviews.errors import (
+    GraphViewsError,
+    InvalidParamsError,
+    PropertyTypeMismatchError,
+)
 from graphviews import pipeline
 from graphviews.generate import generate_lineage, generate_road_like
-from graphviews.mining import mine_constraints
+from graphviews.mining import SchemaIndex, mine_constraints
 from graphviews.pipeline import (
     QuerySpec,
     WorkloadSpec,
     _Prepared,
     _estimate_weight,
     _prepare,
+    _run_raw,
     _triple_counts,
     build_candidates,
     run_pipeline,
 )
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema, degree_summary, load_graph
-from graphviews.views import materialize, select_views
+from graphviews.views import (
+    materialize,
+    query_picks,
+    sampled_degree_summary,
+    select_views,
+    view_degree_summary,
+)
 
-from conftest import random_lineage_dag
+from conftest import (
+    PROVENANCE_SCHEMA,
+    as_cyclic,
+    cluttered_lineage_dag,
+    random_lineage_dag,
+)
 
 BLAST = ("MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File), "
          "(q_f1)-[r*0..8]->(q_f2:File), (q_f2)-[:IS_READ_BY]->(q_j2:Job) "
@@ -412,10 +435,11 @@ class TestOneCandidatePerContent:
         assert not any("q2" in c.per_query_plans for c in chosen)
         _, chosen = candidates_and_selection(write_workload(tmp_path / "lineage"))
         assert [c.view.view_id for c in chosen] == ["khop:Job:Job:02", "vert:Job"]
+        # vert:File+Job fits too, but q1, the one query it plans, runs on
+        # khop:Job:Job:02
         _, chosen = candidates_and_selection(
             write_provenance_workload(tmp_path / "provenance"))
-        assert [c.view.view_id for c in chosen] == ["khop:Job:Job:02",
-                                                   "vert:File+Job"]
+        assert [c.view.view_id for c in chosen] == ["khop:Job:Job:02"]
 
     def test_report_lists_twins(self, tmp_path):
         report = run_pipeline(WorkloadSpec.from_file(
@@ -447,3 +471,241 @@ class TestSparsifierWeights:
             assert est.estimated_edges == materialize(g, v).m, v.view_id
             counts.add(est.estimated_edges)
         assert len(counts) > 5
+
+
+def load_workload(path):
+    spec = WorkloadSpec.from_file(path)
+    schema = GraphSchema.load(spec.schema_file)
+    return spec, load_graph(spec.vertex_file, spec.edge_file, schema)
+
+
+class TestPicksAtSelection:
+    """Each query's view is picked from costs computed before anything is
+    materialized, over degree summaries sampled by the materializer's
+    own scan."""
+
+    @pytest.mark.parametrize("shape", ["lineage", "provenance", "road"])
+    def test_picks_equal_picks_over_materialized_views(self, tmp_path, shape):
+        path = {"lineage": lambda: write_workload(tmp_path),
+                "provenance": lambda: write_provenance_workload(tmp_path),
+                "road": lambda: write_road_workload(tmp_path, 60, 60)}[shape]()
+        spec, graph = load_workload(path)
+        candidates, chosen = candidates_and_selection(path)
+        # every view that fits the budget, as the knapsack could take it
+        fitting = [c for c in candidates if c.per_query_plans
+                   and c.weight <= spec.budget]
+        assert {c.view.view_id for c in chosen} <= {c.view.view_id for c in fitting}
+        built = {c.view.view_id: degree_summary(materialize(graph, c.view))
+                 for c in fitting}
+        for cands in (fitting, chosen):
+            sampled = {name: c.view.view_id
+                       for name, c in query_picks(cands).items()}
+            over_built = {}
+            for name in {n for c in cands for n in c.per_query_plans}:
+                over_built[name] = min(
+                    (eval_cost(c.per_query_plans[name].rewritten,
+                               built[c.view.view_id], spec.alpha), c.view.view_id)
+                    for c in cands if name in c.per_query_plans)[1]
+            assert sampled == over_built
+        assert query_picks(chosen)
+
+    def test_report_runs_each_query_over_its_pick(self, tmp_path):
+        path = write_provenance_workload(tmp_path)
+        _, chosen = candidates_and_selection(path)
+        picks = {name: c.view.view_id for name, c in query_picks(chosen).items()}
+        report = run_pipeline(WorkloadSpec.from_file(path))
+        assert report.selection["chosen"] == ["khop:Job:Job:02"]
+        assert {q.name: q.view_id for q in report.queries
+                if q.results_match is not None} == picks
+        views = {v.view_id: v for v in report.views}
+        assert not views["vert:File+Job"].selected
+        assert views["vert:File+Job"].actual_edges is None
+
+    def test_twins_share_one_sample(self, tmp_path, monkeypatch):
+        spec, graph = load_workload(write_road_workload(tmp_path, 5, 5))
+        sampled = []
+        original = pipeline.sampled_degree_summary
+
+        def record(g, v, raw):
+            sampled.append(v.view_id)
+            return original(g, v, raw)
+
+        monkeypatch.setattr(pipeline, "sampled_degree_summary", record)
+        candidates = build_candidates([_prepare(q) for q in spec.queries],
+                                      graph.schema, degree_summary(graph),
+                                      graph, spec.alpha, spec.max_k)
+        by_id = {c.view.view_id: c for c in candidates}
+        assert by_id["khop:Junction:Junction:04"].twins == ["svtc:Junction:04:04"]
+        assert len(sampled) == len(set(sampled))
+        assert "svtc:Junction:04:04" not in sampled
+
+    def test_sample_of_every_source_is_the_views_summary(self):
+        # at most SAMPLE_SOURCES sources: the sample walks from all of
+        # them, so its percentiles are those of the materialized view
+        # over every x_type vertex (a source with no pair has degree 0)
+        for seed in range(6):
+            g = random_lineage_dag(seed, jobs=40, files=60)
+            raw = degree_summary(g)
+            for k in (2, 4):
+                v = ViewInstance(kind="KHopConnector", x="a", y="b",
+                                 x_type="Job", y_type="Job", k=k)
+                view_g = materialize(g, v)
+                degrees = sorted(len(view_g.out_edges(j)) if view_g.has_vertex(j)
+                                 else 0 for j in g.vertices_of_type("Job"))
+                got = sampled_degree_summary(g, v, raw)
+                assert got.total_edges == view_g.m
+                for alpha in (50, 90, 95, 100):
+                    rank = -(-alpha * len(degrees) // 100)
+                    assert got.deg("Job", alpha) == degrees[rank - 1]
+                assert got.n_of("Job") == raw.n_of("Job")
+
+
+class TestSampleCap:
+    LONG = ("MATCH (a:Junction)-[p*1..10]->(b:Junction) WHERE a.id = 'r0c0' "
+            "RETURN b.id")
+
+    def test_long_connector_on_a_cyclic_grid_is_costed_by_its_estimate(
+            self, tmp_path):
+        # from all 36 sources, the trails of up to 10 edges on the 6x6
+        # grid take seconds to enumerate; the sample gives up at its cap
+        ds = generate_road_like(tmp_path, 1, rows=6, cols=6)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        summary = degree_summary(g)
+        started = time.perf_counter()
+        candidates = build_candidates(prepared_queries(self.LONG), g.schema,
+                                      summary, g, 95, 10)
+        assert time.perf_counter() - started < 3.0
+        (cand,) = [c for c in candidates if c.per_query_plans]
+        assert cand.view.view_id == "svtc:Junction:01:10"
+        assert sampled_degree_summary(g, cand.view, summary) is None
+        fallback = view_degree_summary(cand.view, summary, cand.weight)
+        assert cand.plan_costs == {"q1": eval_cost(
+            cand.per_query_plans["q1"].rewritten, fallback, 95)}
+
+
+class TestReportOnlyHost:
+    """A report-only op also runs over the smallest-id selected connector
+    only when that view has fewer edges than the base graph."""
+
+    def test_view_larger_than_the_base_graph_runs_raw_only(self, tmp_path):
+        report = run_pipeline(WorkloadSpec.from_file(
+            write_road_workload(tmp_path, 5, 5)))
+        views = {v.view_id: v for v in report.views}
+        host = views["khop:Junction:Junction:04"]
+        assert host.selected
+        assert host.actual_edges >= report.config["graph"]["edges"]
+        q5 = {q.name: q for q in report.queries}["q5"]
+        assert (q5.view_id, q5.rewritten, q5.results_match) == (None, None, None)
+        assert q5.work_ratio == 1.0
+
+    @pytest.mark.parametrize("shape", ["lineage", "provenance"])
+    def test_smaller_view_hosts_the_op(self, tmp_path, shape):
+        path = (write_workload(tmp_path) if shape == "lineage"
+                else write_provenance_workload(tmp_path))
+        report = run_pipeline(WorkloadSpec.from_file(path))
+        views = {v.view_id: v for v in report.views}
+        assert (views["khop:Job:Job:02"].actual_edges
+                < report.config["graph"]["edges"])
+        ops = [q for q in report.queries if q.kind in pipeline.REPORT_ONLY_OPS]
+        assert ops
+        for q in ops:
+            assert q.view_id == "khop:Job:Job:02"
+            assert q.rewritten is not None and q.results_match is None
+
+
+def op_specs(g, result_types, hops=(1, 2, 4)):
+    """Every op from every Job and File, to each of ``result_types``."""
+    specs = []
+    sources = sorted(g.vertices_of_type("Job")) + sorted(g.vertices_of_type("File"))
+    for source in sources:
+        for result_type in result_types:
+            for h in hops:
+                params = {"source": source, "hops": h, "result_type": result_type}
+                specs.append(QuerySpec("a", op="ancestors", params=params))
+                specs.append(QuerySpec("d", op="descendants", params=params))
+                specs.append(QuerySpec("p", op="path_lengths", params={
+                    **params, "property": "timestamp"}))
+    return specs
+
+
+class TestOpBands:
+    """The raw op runners walk only the schema type bands from the
+    source's type to ``result_type``. Against the same runners with every
+    band open, results must be equal and the work no larger."""
+
+    @staticmethod
+    def both_ways(monkeypatch, g, specs):
+        def run():
+            out = []
+            for spec in specs:
+                try:
+                    out.append(_run_raw(_Prepared(spec, None, None), g))
+                except PropertyTypeMismatchError:
+                    out.append(None)
+            return out
+
+        pruned = run()
+        with monkeypatch.context() as m:
+            m.setattr(SchemaIndex, "type_bands",
+                      lambda self, x, y, lo, hi, labels=None, forward=True:
+                      (None,) * (hi + 1))
+            unpruned = run()
+        expanded = [0, 0]
+        for spec, got, want in zip(specs, pruned, unpruned):
+            if want is None:
+                continue   # see test_pruned_branch_raises_no_type_error
+            assert got is not None, spec
+            assert got[0].multiset_equal(want[0], rel_tol=1e-9), spec
+            assert got[1].edges_expanded <= want[1].edges_expanded, spec
+            assert got[1].vertices_touched <= want[1].vertices_touched, spec
+            expanded[0] += got[1].edges_expanded
+            expanded[1] += want[1].edges_expanded
+        return expanded
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lineage_graphs(self, monkeypatch, seed):
+        g = random_lineage_dag(seed)
+        for graph in (g, as_cyclic(g)):
+            self.both_ways(monkeypatch, graph, op_specs(graph, ["Job", "File"]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clutter_shrinks_the_work(self, monkeypatch, seed):
+        g = cluttered_lineage_dag(seed)
+        for graph in (g, as_cyclic(g)):
+            pruned, unpruned = self.both_ways(
+                monkeypatch, graph,
+                op_specs(graph, ["Job", "File", "Task", "Machine"]))
+            assert pruned < unpruned, seed
+
+    def test_road_grid(self, monkeypatch, tmp_path):
+        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        specs = [QuerySpec(name, op=op, params={
+                     "source": source, "hops": 4, "result_type": "Junction",
+                     **({"property": "length"} if op == "path_lengths" else {})})
+                 for source in ("r0c0", "r2c2", "r4c1")
+                 for name, op in (("a", "ancestors"), ("d", "descendants"),
+                                  ("p", "path_lengths"))]
+        self.both_ways(monkeypatch, g, specs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pruned_branch_raises_no_type_error(self, monkeypatch, seed):
+        # tasks and machines carry no timestamp: path_lengths to a Job
+        # used to raise when it reached a SPAWNS edge, and no longer
+        # walks there; its values are those of the graph without clutter
+        g = cluttered_lineage_dag(seed)
+        clean = random_lineage_dag(seed, jobs=12, files=18,
+                                   schema=PROVENANCE_SCHEMA)
+        for source in sorted(g.vertices_of_type("Job")):
+            pq = _Prepared(QuerySpec("p", op="path_lengths", params={
+                "source": source, "hops": 4, "result_type": "Job",
+                "property": "timestamp"}), None, None)
+            got = _run_raw(pq, g)[0]
+            assert got.rows == _run_raw(pq, clean)[0].rows
+            with monkeypatch.context() as m:
+                m.setattr(SchemaIndex, "type_bands",
+                          lambda self, x, y, lo, hi, labels=None, forward=True:
+                          (None,) * (hi + 1))
+                with pytest.raises(PropertyTypeMismatchError):
+                    _run_raw(pq, g)
+

@@ -28,6 +28,7 @@ from graphviews.views import (
     materialize,
     materialize_sparsifier,
     materialize_spanner,
+    query_picks,
     select_views,
 )
 
@@ -133,6 +134,69 @@ class TestSelectViews:
     def test_weight_must_be_positive(self):
         with pytest.raises(ValidationError):
             Candidate(view=KHOP2, weight=0, value=1.0)
+
+
+def planned(vid, weight, value, **costs):
+    """``view`` with a plan cost per query name."""
+    cand = view((vid, weight, value))
+    cand.plan_costs = costs
+    return cand
+
+
+def ids(chosen):
+    return [c.view.x_type for c in chosen]
+
+
+class TestSelectPicks:
+    """Every chosen view with plans is some query's cheapest plan among
+    the chosen views; a view that is not is dropped and the knapsack is
+    solved again without it."""
+
+    def test_dominated_view_is_dropped(self):
+        # both fit; b plans q1 too, at a higher cost, so q1 never runs on it
+        cands = [planned("a", 5, 10.0, q1=100.0), planned("b", 5, 10.0, q1=200.0)]
+        assert ids(select_views(cands, 10)) == ["a"]
+
+    def test_cost_ties_go_to_the_smaller_id(self):
+        cands = [planned("b", 5, 10.0, q1=100.0), planned("a", 5, 10.0, q1=100.0)]
+        chosen = select_views(cands, 10)
+        assert ids(chosen) == ["a"]
+        assert ids(query_picks(chosen).values()) == ["a"]
+
+    def test_freed_budget_is_refilled(self):
+        # the knapsack alone takes a and b, then a and c; each time the
+        # second is no pick, and the room goes to d, q2's only view
+        items = [("a", 5, 10.0), ("b", 5, 9.0), ("c", 5, 8.0), ("d", 5, 1.0)]
+        assert ids(select_views([view(i) for i in items], 10)) == ["a", "b"]
+        cands = [planned("a", 5, 10.0, q1=1.0), planned("b", 5, 9.0, q1=2.0),
+                 planned("c", 5, 8.0, q1=3.0), planned("d", 5, 1.0, q2=1.0)]
+        chosen = select_views(cands, 10)
+        assert ids(chosen) == ["a", "d"]
+        assert {q: c.view.x_type for q, c in query_picks(chosen).items()} == {
+            "q1": "a", "q2": "d"}
+
+    def test_a_view_any_query_picks_stays(self):
+        # b loses q1 to a but is the cheapest for q2
+        cands = [planned("a", 5, 10.0, q1=100.0),
+                 planned("b", 5, 10.0, q1=200.0, q2=1.0)]
+        chosen = select_views(cands, 10)
+        assert ids(chosen) == ["a", "b"]
+        assert {q: c.view.x_type for q, c in query_picks(chosen).items()} == {
+            "q1": "a", "q2": "b"}
+
+    def test_views_without_plans_keep_the_knapsack(self):
+        # plan-less candidates are never dropped, and a view that is the
+        # only plan of its own query is always a pick: the plain optimum
+        rng = random.Random(11)
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            items = [(f"i{j:02d}", rng.randint(1, 15), float(rng.randint(0, 40)))
+                     for j in range(n)]
+            budget = rng.randint(0, 40)
+            cands = [planned(vid, w, v, **({f"q{vid}": 1.0} if j % 2 else {}))
+                     for j, (vid, w, v) in enumerate(items)]
+            got = tuple(sorted(ids(select_views(cands, budget))))
+            assert got == knapsack_best_subset(items, budget)[0], (items, budget)
 
 
 class TestMaterializeSpanner:
