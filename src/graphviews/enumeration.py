@@ -28,7 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .mining import ConnectorBounds, ConstraintSet, mine_constraints, query_hop_bounds
-from .query import Aggregate, QueryGraph, VarLengthPath
+from .query import (
+    Aggregate,
+    QueryGraph,
+    ShapeCache,
+    VarLengthPath,
+    shape_key,
+    with_filters,
+)
 from .store import GraphSchema, PropertyValue
 
 VIEW_KINDS = (
@@ -372,7 +379,31 @@ def rewrite_with_view(q: QueryGraph, v: ViewInstance,
     Raises NameEliminatedButReferencedError when the contraction would
     eliminate a name the query references, and RewriteInfeasibleError
     when the view cannot reproduce the query's results exactly.
+
+    A rewrite passes the query's filters through unchanged and reads no
+    literal value, so plans are kept on ``schema`` (``GraphSchema.memo``)
+    by query shape (:func:`query.shape_key`) and view, at most
+    ``SHAPE_CACHE_ENTRIES`` of them: a query that differs from an
+    earlier one only in literal values gets the earlier plan with its
+    own filters. Refusals are not kept; they are worked out every time.
     """
+    plans = schema.memo.get(rewrite_with_view)
+    if plans is None:
+        plans = schema.memo.setdefault(rewrite_with_view, ShapeCache())
+    key = (shape_key(q), v)
+    known = plans.get(key)
+    if known is not None:
+        rewritten, mapping = known
+        return RewritePlan(original=q, view=v,
+                           rewritten=with_filters(rewritten, q.filters),
+                           hop_mapping=mapping)
+    plan = _rewrite(q, v, schema)
+    plans.put(key, (with_filters(plan.rewritten, plan.rewritten.filters),
+                    plan.hop_mapping))
+    return plan
+
+
+def _rewrite(q: QueryGraph, v: ViewInstance, schema: GraphSchema) -> RewritePlan:
     if v.kind in CONNECTOR_KINDS:
         return _rewrite_connector(q, v, schema)
     if v.kind in ("VertexInclusion", "VertexRemoval"):

@@ -69,7 +69,15 @@ from .execution import (
     path_lengths,
 )
 from .mining import mine_constraints, schema_index
-from .query import QueryGraph, ResultTable, parse_query
+from .query import (
+    NameRef,
+    ProjectionItem,
+    QueryGraph,
+    ResultTable,
+    VarLengthPath,
+    is_name,
+    parse_query,
+)
 from .store import DegreeSummary, GraphSchema, degree_summary, load_graph
 from .views import (
     Candidate,
@@ -221,13 +229,24 @@ def _prepare(spec: QuerySpec) -> _Prepared:
         if spec.op == "largest_community":
             _require_params(spec, "count_type")
         return _Prepared(spec, None, None)
-    hops = _int_param(spec, "hops")
+    hops = _int_param(spec, "hops", least=1)
     _require_params(spec, "result_type", "source")
     if spec.op == "path_lengths":
         _require_params(spec, "property")
     result_type = spec.params["result_type"]
-    synth = parse_query(
-        f"MATCH (x:{result_type})-[p*1..{hops}]->(y:{result_type}) RETURN x, y")
+    if not is_name(result_type):
+        raise InvalidParamsError(
+            f"op {spec.op!r}: param 'result_type' must be a vertex type "
+            f"name, got {result_type!r}")
+    # MATCH (x:T)-[p*1..hops]->(y:T) RETURN x, y
+    synth = QueryGraph(
+        pattern_vertices={"x": result_type, "y": result_type},
+        pattern_edges=(),
+        var_length_paths=(VarLengthPath("x", "y", 1, hops, name="p"),),
+        filters=None,
+        projection=(ProjectionItem(NameRef("x"), "x"),
+                    ProjectionItem(NameRef("y"), "y")),
+    )
     return _Prepared(spec, None, synth)
 
 

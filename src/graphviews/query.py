@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterator, Union
 
 from .errors import (
@@ -238,17 +240,24 @@ def _expr_names(expr: FilterExpr) -> Iterator[str]:
 # with another numeric character, like '²' or '½', is an unexpected
 # character. A string body takes an escaped quote or backslash as one
 # character and any other backslash literally; a quote that opens no
-# complete string is an unterminated literal.
+# complete string is an unterminated literal. ``_STRING_BODY`` is also
+# what ``parse_query`` finds string literals with.
+_STRING_BODY = r"(?:[^'\\]|\\['\\]|\\(?!['\\]))*"
 _TOKEN_RE = re.compile(r"""\s*(?:
       (?P<float>\d+\.\d+)
     | (?P<int>\d+)
     | (?P<ident>\w+)
-    | (?P<string>'(?:[^'\\]|\\['\\]|\\(?!['\\]))*')
+    | (?P<string>'""" + _STRING_BODY + r"""')
     | (?P<punct><=|>=|<>|\.\.|[()\[\]\-><:,.*=|])
     | (?P<unterminated>')
     | (?P<bad>\S)
     )""", re.VERBOSE)
 _ESCAPE_RE = re.compile(r"\\(['\\])")
+
+
+def _unescape(body: str) -> str:
+    """A string literal's value from the text between its quotes."""
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 class _Token:
@@ -270,9 +279,7 @@ def _tokenize(text: str) -> list[_Token]:
         pos = m.start(kind)
         token = m.group(kind)
         if kind == "string":
-            token = token[1:-1]
-            if "\\" in token:
-                token = _ESCAPE_RE.sub(r"\1", token)
+            token = _unescape(token[1:-1])
         elif kind == "unterminated":
             raise QuerySyntaxError("unterminated string literal", pos)
         elif kind == "bad" or (kind == "ident" and not (
@@ -404,18 +411,15 @@ class _Parser:
                 raise UnsupportedConstructError(f"{tok.text.upper()} is not supported")
             raise QuerySyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
 
-        try:
-            return QueryGraph(
-                pattern_vertices=vertices,
-                pattern_edges=tuple(edges),
-                var_length_paths=tuple(paths),
-                filters=filters,
-                projection=tuple(projection),
-                order_by=order_by,
-                limit=limit,
-            )
-        except ValidationError:
-            raise
+        return QueryGraph(
+            pattern_vertices=vertices,
+            pattern_edges=tuple(edges),
+            var_length_paths=tuple(paths),
+            filters=filters,
+            projection=tuple(projection),
+            order_by=order_by,
+            limit=limit,
+        )
 
     def _parse_chain(self, vertices, edges, paths, used_names):
         prev = self._parse_vertex(vertices, used_names)
@@ -600,9 +604,120 @@ class _Parser:
         raise QuerySyntaxError(f"expected operand, found {tok.text!r}", tok.pos)
 
 
+def is_name(text) -> bool:
+    """True when ``text`` is, as it stands, one name the parser takes for
+    a vertex, type or label: one word token that is no keyword."""
+    if not isinstance(text, str):
+        return False
+    try:
+        tokens = _tokenize(text)
+    except QuerySyntaxError:
+        return False
+    tok = tokens[0]
+    return (tokens[1].kind == "end" and tok.kind == "ident" and tok.text == text
+            and tok.lower not in _KEYWORDS
+            and tok.lower not in _UNSUPPORTED_KEYWORDS)
+
+
+# --------------------------------------------------------------------------
+# Query shapes
+# --------------------------------------------------------------------------
+
+SHAPE_CACHE_ENTRIES = 256
+
+
+class ShapeCache:
+    """At most ``SHAPE_CACHE_ENTRIES`` values by key. A put past the
+    bound evicts the entry put first; a value is stored as given, so a
+    mutable one is copied by the caller."""
+
+    def __init__(self):
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        return self._entries.get(key)
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            if len(self._entries) > SHAPE_CACHE_ENTRIES:
+                del self._entries[next(iter(self._entries))]
+
+
+# text with each string literal emptied -> its parse, literal values and all
+_PARSED = ShapeCache()
+_STRING_LITERAL_RE = re.compile("'(" + _STRING_BODY + ")'")
+
+
 def parse_query(text: str) -> QueryGraph:
-    """Parse query text into a :class:`QueryGraph`."""
-    return _Parser(text).parse()
+    """Parse query text into a :class:`QueryGraph`.
+
+    Texts that differ only in the values of their string literals share
+    one parse: the text with every string literal emptied is the key,
+    and a text with a known key gets the known query with its own
+    literal values put into the filters, in text order. Numbers,
+    booleans, path bounds and ``LIMIT`` stay in the key. A text that
+    fails to parse is never kept, so it fails afresh with its own
+    message and offset. The cache holds ``SHAPE_CACHE_ENTRIES`` shapes.
+    """
+    parts = _STRING_LITERAL_RE.split(text)
+    key = "''".join(parts[::2])
+    known = _PARSED.get(key)
+    if known is None:
+        q = _Parser(text).parse()
+        _PARSED.put(key, with_filters(q, q.filters))
+        return q
+    filters = known.filters
+    if len(parts) > 1:
+        filters = _bind_literals(filters, map(_unescape, parts[1::2]))
+    return with_filters(known, filters)
+
+
+def _bind_literals(expr: FilterExpr, values: Iterator[str]) -> FilterExpr:
+    """``expr`` with each string literal's value taken from ``values``,
+    in the order the literals appear in the text."""
+    if isinstance(expr, Comparison):
+        if isinstance(expr.rhs, Literal) and isinstance(expr.rhs.value, str):
+            return Comparison(expr.lhs, expr.op, Literal(next(values)))
+        return expr
+    if isinstance(expr, Not):
+        return Not(_bind_literals(expr.child, values))
+    return type(expr)(tuple(_bind_literals(c, values) for c in expr.children))
+
+
+def with_filters(q: QueryGraph, filters: FilterExpr | None) -> QueryGraph:
+    """A copy of ``q`` with ``filters`` and a ``pattern_vertices`` dict of
+    its own. It is not validated again: ``filters`` must reference the
+    names ``q``'s own filters do, as filters that differ only in literal
+    values do."""
+    copy = object.__new__(QueryGraph)
+    copy.__dict__.update(q.__dict__)
+    copy.pattern_vertices = dict(q.pattern_vertices)
+    copy.filters = filters
+    return copy
+
+
+def shape_key(q: QueryGraph) -> tuple:
+    """A hashable key of everything in ``q`` but its filters' literal
+    values: queries that differ only in those have equal keys."""
+    return (tuple(q.pattern_vertices.items()), q.pattern_edges,
+            q.var_length_paths, _filter_shape(q.filters), q.projection,
+            q.order_by, q.limit)
+
+
+def _filter_shape(expr: FilterExpr | None):
+    if expr is None:
+        return None
+    if isinstance(expr, Comparison):
+        rhs = None if isinstance(expr.rhs, Literal) else expr.rhs
+        return (expr.lhs, expr.op, rhs)
+    if isinstance(expr, Not):
+        return (Not, _filter_shape(expr.child))
+    return (type(expr), tuple(map(_filter_shape, expr.children)))
 
 
 # --------------------------------------------------------------------------
@@ -620,9 +735,13 @@ def default_alias(expr: ProjectionExpr) -> str:
 def _render_literal(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float):
+        if not math.isfinite(value):
             raise ValidationError("cannot render non-finite float literal")
+        # the grammar has no exponent: 1e-05 renders as 0.00001
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
+    if isinstance(value, int):
         return repr(value)
     escaped = value.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"

@@ -130,7 +130,8 @@ class GraphSchema:
     vertex_types: frozenset[str]
     edge_types: frozenset[tuple[str, str, str]]
     # what other layers derive from this schema alone, kept with this
-    # instance (``mining.schema_index``); not part of equality or hashing
+    # instance (``mining.schema_index``, the plans of
+    # ``enumeration.rewrite_with_view``); not part of equality or hashing
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 

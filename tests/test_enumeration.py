@@ -232,7 +232,8 @@ class TestRewrite:
         assert (path.src, path.dst, path.lower, path.upper) == ("a", "b", 1, 1)
 
     def test_referenced_names_walked_once_per_query(self, monkeypatch):
-        # once for the query, once when the rewritten query checks its own
+        # a miss walks them once for the query and once when the
+        # rewritten query checks its own; a hit on the kept plan, none
         from graphviews.query import QueryGraph
         q = parse_query(BLAST_RADIUS_QUERY)
         walked = []
@@ -243,9 +244,16 @@ class TestRewrite:
             return original(self)
 
         monkeypatch.setattr(QueryGraph, "referenced_names", counting)
-        plan = rewrite_with_view(q, self.khop(), LINEAGE_SCHEMA)
+        # an equal schema object keeps plans of its own
+        schema = GraphSchema(LINEAGE_SCHEMA.vertex_types,
+                             LINEAGE_SCHEMA.edge_types)
+        plan = rewrite_with_view(q, self.khop(), schema)
         assert plan.rewritten is not q
         assert walked == [True, False]
+        walked.clear()
+        again = rewrite_with_view(q, self.khop(), schema)
+        assert again.rewritten == plan.rewritten
+        assert walked == []
 
     def test_same_vertex_type_connector_rewrite(self):
         q = parse_query(BLAST_RADIUS_QUERY)

@@ -194,6 +194,14 @@ BAD_OP_PARAMS = [
     ("ancestors", {"source": "j2", "hops": "four", "result_type": "Job"}),
     ("descendants", {"source": "j2", "result_type": "Job"}),
     ("path_lengths", {"source": "j2", "hops": 4, "result_type": "Job"}),
+    ("ancestors", {"source": "j2", "hops": 0, "result_type": "Job"}),
+    # the result type must be one name token, as the parser reads a type
+    ("ancestors", {"source": "j2", "hops": 4, "result_type": "Job x"}),
+    ("ancestors", {"source": "j2", "hops": 4, "result_type": " Job"}),
+    ("descendants", {"source": "j2", "hops": 4, "result_type": 3}),
+    ("descendants", {"source": "j2", "hops": 4, "result_type": "3"}),
+    ("descendants", {"source": "j2", "hops": 4, "result_type": "MATCH"}),
+    ("descendants", {"source": "j2", "hops": 4, "result_type": "Job)"}),
 ]
 
 
@@ -206,6 +214,24 @@ class TestOpParams:
         with pytest.raises(InvalidParamsError) as exc:
             run_pipeline(spec)
         assert exc.value.stage == "parse"
+
+    @pytest.mark.parametrize("result_type", ["Job x", 3, "return", "²"])
+    def test_bad_result_type_names_the_param(self, result_type):
+        spec = QuerySpec("q", op="ancestors", params={
+            "source": "j2", "hops": 4, "result_type": result_type})
+        with pytest.raises(InvalidParamsError, match="'result_type'"):
+            _prepare(spec)
+
+    @pytest.mark.parametrize("result_type, hops", [("Job", 4), ("_T2", 1),
+                                                   ("\u00e9t\u00e9", 7)])
+    def test_op_proxy_is_the_pattern_it_stands_for(self, result_type, hops):
+        spec = QuerySpec("q", op="descendants", params={
+            "source": "j2", "hops": hops, "result_type": result_type})
+        synth = _prepare(spec).synth
+        text = (f"MATCH (x:{result_type})-[p*1..{hops}]->(y:{result_type}) "
+                f"RETURN x, y")
+        assert synth == parse_query(text)
+        assert list(synth.pattern_vertices) == ["x", "y"]
 
 
 class TestPipeline:

@@ -1,4 +1,8 @@
+import math
 import random
+import re
+import struct
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +15,8 @@ from graphviews.errors import (
 from graphviews.query import (
     _tokenize,
     Aggregate,
+    Comparison,
+    Literal,
     NameRef,
     PatternEdge,
     PropertyRef,
@@ -200,17 +206,23 @@ class TestTokenizerMatchesReference:
     def test_random_queries_raise_only_validation_errors(self):
         # token soup near the grammar: every input parses or is refused
         # with a ValidationError, which the CLI turns into exit code 2
-        words = ["MATCH", "WHERE", "RETURN", "ORDER", "BY", "LIMIT", "AS",
-                 "AND", "OR", "NOT", "count", "(a", "(b:Job)", ")", "-[",
-                 "]->", "*", "1..\u00b2", "0..3", "a.x", "=", "\u00b3", "2",
-                 "'s'", ",", "-->", "DESC", "1.5"]
         rng = random.Random(4)
         for trial in range(3000):
-            text = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 12)))
             try:
-                parse_query(text)
+                parse_query(random_query(rng))
             except ValidationError:
                 pass
+
+
+QUERY_WORDS = ["MATCH", "WHERE", "RETURN", "ORDER", "BY", "LIMIT", "AS",
+               "AND", "OR", "NOT", "count", "(a", "(b:Job)", ")", "-[",
+               "]->", "*", "1..\u00b2", "0..3", "a.x", "=", "\u00b3", "2",
+               "'s'", ",", "-->", "DESC", "1.5"]
+
+
+def random_query(rng: random.Random, words=QUERY_WORDS) -> str:
+    """Seeded token soup near the grammar: 1 to 11 of ``words``."""
+    return " ".join(rng.choice(words) for _ in range(rng.randrange(1, 12)))
 
 
 ROUND_TRIP_CORPUS = [
@@ -234,6 +246,25 @@ class TestRoundTrip:
         q = parse_query(text)
         rendered = render_query(q)
         assert parse_query(rendered) == q
+
+    def test_float_literals_round_trip(self):
+        # the grammar has no exponent, so no float may render with one
+        rng = random.Random(31)
+        values = [1e-05, 1.2e+23, 1e16, -0.0, 5e-324, 1.7976931348623157e308]
+        for _ in range(2000):
+            values.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30))
+            values.append(struct.unpack("<d", rng.randbytes(8))[0])
+        base = parse_query("MATCH (a) WHERE a.x = 1.5 RETURN a")
+        for value in filter(math.isfinite, values):
+            q = replace(base, filters=Comparison(
+                PropertyRef("a", "x"), "=", Literal(value)))
+            rendered = render_query(q)
+            literal = rendered.split(" = ")[1].split(" ")[0]
+            assert re.fullmatch(r"-?\d+\.\d+", literal), rendered
+            again = parse_query(rendered)
+            assert again == q, rendered
+            assert (math.copysign(1, again.filters.rhs.value)
+                    == math.copysign(1, value))
 
     def test_var_length_render_shape(self):
         q = parse_query("MATCH (a:Job)-[*0..4]->(b:Job) RETURN a")
