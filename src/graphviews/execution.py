@@ -10,12 +10,17 @@ edge ids may not, within one path binding). Each one walks only the
 vertex types of its schema type bands: the types that can still reach
 the declared type of its far end within its length range.
 
-A binding is a tuple of the graph's internal integer indices, one slot
-per pattern vertex and per named edge. The order in which constraints
-expand depends only on which names are bound, so each component is
-compiled once into a fixed list of steps over the graph's arrays, and
-the matcher backtracks through one mutable slot list. Filters and
-projection compile to getters from a slot to the element's properties;
+The matcher backtracks through one mutable list of the graph's internal
+integer indices: a slot per pattern vertex, and one per named edge that
+is read. The order in which constraints expand depends only on which
+names are bound, so each component is compiled once into a fixed list
+of steps over the graph's arrays. A finished binding is keyed by its
+live names only, those a filter, the projection or an aggregate reads
+(``QueryGraph.referenced_names``), and bindings with one key sum their
+multiplicities. A name nobody reads is summed out, as in a factorised
+representation: a pattern through unread middle vertices keeps one
+entry per distinct tuple of its read names. Filters and projection
+compile to getters from a key slot to the element's properties;
 external ids are used only for the ``id`` fallback and for returning a
 bound name itself.
 
@@ -138,25 +143,30 @@ class _Constraint:
 
 def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
            ) -> tuple[list[tuple[tuple, int]], dict[str, int], list[Comparison]]:
-    """Every binding as (slot tuple, multiplicity), the slot of each
-    bound name, and the filter conjuncts that hold on every binding
-    because a pinned anchor's candidates were looked up by them.
-    Components take consecutive slots, so the cartesian product across
-    them concatenates their tuples, base-major."""
+    """Every distinct binding of the live names, those a filter, the
+    projection or an aggregate reads, as (key tuple, summed
+    multiplicity); the key slot of each live name; and the filter
+    conjuncts that hold on every binding because a pinned anchor's
+    candidates were looked up by them. Components take consecutive key
+    slots, so the cartesian product across them concatenates their keys,
+    base-major; a component with no live name gives one ``()`` key
+    carrying its total multiplicity."""
     pinned = _pinned_ids(q)
+    live = q.referenced_names()
     slots: dict[str, int] = {}
     settled = []
     per_component = []
     for names in q.components():
         layout = names + [e.name for e in q.pattern_edges
-                          if e.name is not None and e.src in names]
+                          if e.name in live and e.src in names]
         anchor = _anchor_of(q, g, names, pinned)
         pin = pinned.get(anchor)
         if pin is not None:
             settled.append(pin)
+        keyed = [name for name in layout if name in live]
         per_component.append(
-            _match_component(q, g, names, layout, anchor, pin, stats))
-        slots.update((name, len(slots)) for name in layout)
+            _match_component(q, g, names, layout, keyed, anchor, pin, stats))
+        slots.update((name, len(slots)) for name in keyed)
     result = per_component[0]
     for rows in per_component[1:]:
         if not result:
@@ -217,7 +227,8 @@ def _anchor_of(q: QueryGraph, g: PropertyGraph, names: list[str],
 
 
 def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
-                     layout: list[str], anchor: str, pin: Comparison | None,
+                     layout: list[str], keyed: list[str], anchor: str,
+                     pin: Comparison | None,
                      stats: ExecutionStats) -> list[tuple[tuple, int]]:
     anchor_type = q.pattern_vertices[anchor]
     vtypes = g._vtypes
@@ -228,16 +239,17 @@ def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
     if anchor_type is not None:
         candidates = [v for v in candidates if vtypes[v] == anchor_type]
 
-    out: list[tuple[tuple, int]] = []
+    out: dict[tuple, int] = {}
     slot = {name: i for i, name in enumerate(layout)}
-    first = _compile_steps(q, g, names, anchor, slot, out, stats)
+    first = _compile_steps(q, g, names, anchor, slot,
+                           [slot[name] for name in keyed], out, stats)
     binding = [None] * len(layout)
     at = slot[anchor]
     stats.vertices_touched += len(candidates)
     for start in candidates:
         binding[at] = start
         first(binding, 1)
-    return out
+    return list(out.items())
 
 
 def _pick_constraint(constraints: list[_Constraint], bound: set[str]) -> int:
@@ -256,11 +268,12 @@ def _pick_constraint(constraints: list[_Constraint], bound: set[str]) -> int:
 
 
 def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
-                   out: list, stats: ExecutionStats):
+                   keep: list[int], out: dict, stats: ExecutionStats):
     """The component's step plan as one callable ``step(binding, mult)``:
     constraints in the order ``_pick_constraint`` gives from the anchor,
-    each extending the binding and calling the next, the last appending
-    the finished binding to ``out``."""
+    each extending the binding and calling the next. The last keys the
+    finished binding by its entries at the ``keep`` slots, those of the
+    live names, and adds its multiplicity to that key's in ``out``."""
     constraints = []
     for i, e in enumerate(q.pattern_edges):
         if e.src in names or e.dst in names:
@@ -277,10 +290,12 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
         plan.append((c, forward, here, other, other in bound))
         bound.update((c.src, c.dst))
 
-    append = out.append
+    key_of = _slot_getter(keep, len(slot))
+    total = out.get
 
     def emit(binding: list, mult: int):
-        append((tuple(binding), mult))
+        key = key_of(binding)
+        out[key] = total(key, 0) + mult
 
     types = q.pattern_vertices
     index = schema_index(g.schema)
@@ -289,7 +304,7 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
         args = (forward, slot[here], slot[other], other_bound, types[other])
         if c.is_edge:
             e = c.payload
-            named = slot[e.name] if e.name is not None else None
+            named = slot.get(e.name)
             step = _edge_step(g, e.label, named, *args, step, stats)
         else:
             p = c.payload
@@ -300,22 +315,38 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
     return step
 
 
+def _slot_getter(keep: list[int], width: int):
+    """binding list of ``width`` slots -> tuple of its entries at the
+    ascending ``keep`` slots."""
+    if len(keep) == width:
+        return tuple
+    if len(keep) > 1:
+        return operator.itemgetter(*keep)
+    if keep:
+        (at,) = keep
+        return lambda binding: (binding[at],)
+    return lambda binding: ()
+
+
 def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
                there: int, there_bound: bool, want, nxt, stats):
     """One fixed edge from the vertex in slot ``here``, in ascending edge
     id order: the far end must equal slot ``there`` when that is bound,
     else have type ``want`` (when not None) and be bound to it. Only
-    edges that pass multiply in their ``path_count``."""
+    edges that pass multiply in their ``path_count``; only entries with
+    the edge's label count as expanded."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
     elabel, vtypes, eprops = g._elabel, g._vtypes, g._eprops
 
     def step(binding: list, mult: int):
         edges = adj[binding[here]]
-        if label is not None:
-            edges = [ei for ei in edges if elabel[ei] == label]
-        stats.edges_expanded += len(edges)
+        expanded = len(edges) if label is None else 0
         touched = 0
         for ei in edges:
+            if label is not None:
+                if elabel[ei] != label:
+                    continue
+                expanded += 1
             w = far[ei]
             if there_bound:
                 if binding[there] != w:
@@ -330,6 +361,7 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
             props = eprops[ei]
             nxt(binding, mult * _path_count(props)
                 if PATH_COUNT_PROP in props else mult)
+        stats.edges_expanded += expanded
         stats.vertices_touched += touched
     return step
 

@@ -823,12 +823,19 @@ def render_query(q: QueryGraph) -> str:
 # --------------------------------------------------------------------------
 
 def _cell_sort_key(value):
+    """None, then booleans, then numbers, then the rest. Numbers compare
+    by exact value, so two ints that round to one float still differ; of
+    equal numbers an int comes before a float, and -0.0 before 0.0. Rows
+    with equal keys are therefore equal, and their order does not depend
+    on the order in which they were found."""
     if value is None:
         return (0, "")
     if isinstance(value, bool):
         return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, float(value))
+    if isinstance(value, int):
+        return (2, value, 0)
+    if isinstance(value, float):
+        return (2, value, 1, math.copysign(1.0, value))
     return (3, value)
 
 

@@ -423,7 +423,8 @@ def query_rows(g, q) -> list[tuple]:
         if isinstance(v, bool):
             return (1, v)
         if is_number(v):
-            return (2, float(v))
+            # exact value; then int before float, and -0.0 before 0.0
+            return (2, v, type(v) is float, not str(v).startswith("-"))
         return (3, v)
 
     rows.sort(key=lambda r: [cell_order(v) for v in r])

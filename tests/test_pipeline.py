@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import time
@@ -735,3 +736,26 @@ class TestOpBands:
                 with pytest.raises(PropertyTypeMismatchError):
                     _run_raw(pq, g)
 
+
+
+class TestReportDigests:
+    """The deterministic report of each benchmark workload shape, at a
+    small seeded size, pinned by its digest: every field of it (views,
+    plans, rows, work counters) is a fact a change must account for."""
+
+    @pytest.mark.parametrize("shape, digest", [
+        ("lineage", "0de42bbd447b"),
+        ("provenance", "cdb0f053e25e"),
+        ("road", "d3d3be503540"),
+    ])
+    def test_digest_is_pinned(self, tmp_path, shape, digest):
+        path = {"lineage": write_workload,
+                "provenance": write_provenance_workload,
+                "road": lambda p: write_road_workload(p, 6, 6)}[shape](tmp_path)
+        report = run_pipeline(WorkloadSpec.from_file(path))
+        got = hashlib.sha256(
+            report.to_json(include_timing=False).encode()).hexdigest()[:12]
+        assert got == digest, (
+            f"the {shape} report digest changed from {digest} to {got}: "
+            "CHANGES.md must explain every changed field before the new "
+            "digest is pinned here")
