@@ -31,7 +31,9 @@ still get a finite cost, which ties with every other saturated one.
 
 from __future__ import annotations
 
+import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -106,92 +108,62 @@ def exact_estimate(count: int, k: int) -> SizeEstimate:
 # --------------------------------------------------------------------------
 
 def exact_path_count(g: PropertyGraph, k: int,
-                     src_type: str | None = None,
-                     dst_type: str | None = None,
                      step_budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Exact number of directed k-edge paths with pairwise-distinct
-    vertices, optionally filtered by endpoint types. Closed forms cover k
-    in {0, 1, 2}; k >= 3 walks the graph with a step budget."""
+    vertices, over the whole graph. Closed forms cover k in {0, 1, 2};
+    k >= 3 walks the graph with a budget on the adjacency entries it
+    scans."""
     if k < 0:
         raise DomainError("k must be non-negative")
     if k == 0:
-        count = 0
-        for vid, vtype, _ in g.vertices():
-            if src_type is not None and vtype != src_type:
-                continue
-            if dst_type is not None and vtype != dst_type:
-                continue
-            count += 1
-        return count
+        return g.n
     if k == 1:
-        count = 0
-        for _, src, dst, _, _ in g.edges():
-            if src == dst:
-                continue
-            if src_type is not None and g.vertex_type(src) != src_type:
-                continue
-            if dst_type is not None and g.vertex_type(dst) != dst_type:
-                continue
-            count += 1
-        return count
+        return sum(map(operator.ne, g._esrc, g._edst))
     if k == 2:
-        return _two_path_count(g, src_type, dst_type)
-    return _dfs_path_count(g, k, src_type, dst_type, step_budget)
+        return _two_path_count(g)
+    return _dfs_path_count(g, k, step_budget)
 
 
-def _two_path_count(g: PropertyGraph, src_type, dst_type) -> int:
+def _two_path_count(g: PropertyGraph) -> int:
     # sum over midpoints of in*out, minus combinations that revisit the
-    # start (u == w); self-loop edges never participate
-    pair_counts: dict[tuple[str, str], int] = {}
-    in_cnt: dict[str, int] = {}
-    out_cnt: dict[str, int] = {}
-    for _, src, dst, _, _ in g.edges():
-        if src == dst:
-            continue
-        pair_counts[(src, dst)] = pair_counts.get((src, dst), 0) + 1
-        if src_type is None or g.vertex_type(src) == src_type:
-            in_cnt[dst] = in_cnt.get(dst, 0) + 1
-        if dst_type is None or g.vertex_type(dst) == dst_type:
-            out_cnt[src] = out_cnt.get(src, 0) + 1
-    total = 0
-    for mid in g.vertex_ids():
-        total += in_cnt.get(mid, 0) * out_cnt.get(mid, 0)
-    for (u, v), cnt in pair_counts.items():
-        if src_type is not None and g.vertex_type(u) != src_type:
-            continue
-        if dst_type is not None and g.vertex_type(u) != dst_type:
-            continue
-        back = pair_counts.get((v, u), 0)
-        total -= cnt * back
-    return total
+    # start (u -> v -> u); self-loop edges never participate
+    ins, outs = [0] * g.n, [0] * g.n
+    pairs = Counter()
+    for src, dst in zip(g._esrc, g._edst):
+        if src != dst:
+            outs[src] += 1
+            ins[dst] += 1
+            pairs[src, dst] += 1
+    back = sum(cnt * pairs.get((dst, src), 0) for (src, dst), cnt in pairs.items())
+    return sum(map(operator.mul, ins, outs)) - back
 
 
-def _dfs_path_count(g: PropertyGraph, k: int, src_type, dst_type,
-                    step_budget: int) -> int:
-    total = 0
-    steps = 0
+def _dfs_path_count(g: PropertyGraph, k: int, step_budget: int) -> int:
+    out, edst = g._out, g._edst
+    visited = [False] * g.n
+    total = steps = 0
 
-    def walk(v: str, depth: int, visited: set[str]):
+    def walk(v: int, depth: int):
         nonlocal total, steps
-        if depth == k:
-            if dst_type is None or g.vertex_type(v) == dst_type:
-                total += 1
+        edges = out[v]
+        steps += len(edges)
+        if steps > step_budget:
+            raise BudgetExceededError(
+                f"path counting exceeded {step_budget} steps")
+        if depth == k - 1:
+            total += sum(not visited[edst[ei]] for ei in edges)
             return
-        for _, dst, _, _ in g.out_edges(v):
-            steps += 1
-            if steps > step_budget:
-                raise BudgetExceededError(
-                    f"path counting exceeded {step_budget} steps")
-            if dst in visited:
-                continue
-            visited.add(dst)
-            walk(dst, depth + 1, visited)
-            visited.discard(dst)
+        for ei in edges:
+            w = edst[ei]
+            if not visited[w]:
+                visited[w] = True
+                walk(w, depth + 1)
+                visited[w] = False
 
-    for vid in g.vertex_ids():
-        if src_type is not None and g.vertex_type(vid) != src_type:
-            continue
-        walk(vid, 0, {vid})
+    for v in range(g.n):
+        visited[v] = True
+        walk(v, 0)
+        visited[v] = False
     return total
 
 

@@ -97,9 +97,10 @@ class ViewInstance:
     Connector instances bind the query endpoint names (x, y), endpoint
     types, and a hop count ``k`` (KHopConnector) or range ``lo..hi``.
     Sparsifier instances bind a predicate, and aggregators a grouping key
-    plus per-property aggregate functions. ``edge_aggregates`` asks
-    connector materialization to carry (property, along-path reducer,
-    across-paths reducer) values onto view edges; ``through_types``
+    plus per-property aggregate functions. ``edge_aggregates`` names the
+    edge properties connector materialization carries onto view edges,
+    each as the minimum across trails of its maximum along each trail
+    (what ``path_lengths`` computes); ``through_types``
     optionally restricts contraction to trails through the given types,
     which is how a sparsifier-then-spanner pipeline is expressed.
     """
@@ -116,7 +117,7 @@ class ViewInstance:
     predicate: Predicate | None = None
     group_key: str | None = None
     aggregations: tuple[tuple[str, str], ...] = ()
-    edge_aggregates: tuple[tuple[str, str, str], ...] = ()
+    edge_aggregates: tuple[str, ...] = ()
     through_types: frozenset[str] | None = None
     provenance: str = ""
 

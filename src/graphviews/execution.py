@@ -28,7 +28,7 @@ Trail-shaped work (variable-length paths, ``path_lengths``, connector
 materialization) runs on one of two kernels. On an acyclic graph every
 walk is a trail, so a level-synchronous frontier sweep folds all walks
 of each length at once: (sum, x path_count) for multiplicities, (min,
-reducer) for path lengths, O(hops x reachable edges). On a cyclic graph
+max) for path lengths, O(hops x reachable edges). On a cyclic graph
 a trail may not reuse an edge, and a depth-first trail search
 enumerates them one by one. ``k_hop_neighborhood`` is a breadth-first
 search on either. The work counters follow the kernel: on an acyclic
@@ -423,13 +423,14 @@ def _count_step(g: PropertyGraph):
 
 def _walk(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
           forward: bool = True, labels=None, allowed=None,
-          stats: ExecutionStats) -> dict:
+          max_expanded=None, stats: ExecutionStats) -> dict:
     """Fold over every trail of lo..hi edges: one frontier sweep on an
     acyclic graph, where every walk is a trail; edge-distinct trail
     enumeration otherwise."""
     kernel = _sweep if g.is_acyclic else _trails
     return kernel(g, seeds, lo, hi, extend, plus, forward=forward,
-                  labels=labels, allowed=allowed, stats=stats)
+                  labels=labels, allowed=allowed, max_expanded=max_expanded,
+                  stats=stats)
 
 
 def _over_cap(max_expanded: int) -> BudgetExceededError:
@@ -486,15 +487,13 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
 
 
 def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
-            forward: bool = True, labels=None, allowed=None, finish=None,
+            forward: bool = True, labels=None, allowed=None,
             max_expanded=None, stats: ExecutionStats) -> dict:
     """Depth-first enumeration of edge-distinct trails (vertices may
     repeat), with the arguments (but ``seen``) and result of
-    :func:`_sweep`. Its cost
-    is O(#trails); on a cyclic graph it is the only exact choice, since
-    a walk there may reuse an edge. ``plus`` joins trails in depth-first
-    order. ``finish``, when given, maps each trail's value once, as it
-    joins its endpoint, so it may weigh the trail as a whole.
+    :func:`_sweep`. Its cost is O(#trails); on a cyclic graph it is the
+    only exact choice, since a walk there may reuse an edge. ``plus``
+    joins trails in depth-first order.
 
     The last step is folded: from a prefix of hi - 1 edges, each edge a
     trail may take joins its far end into the result in place, with no
@@ -511,8 +510,7 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     def walk(v: int, depth: int, value):
         stats.vertices_touched += 1
         if depth >= lo:
-            x = value if finish is None else finish(value)
-            reached[v] = plus(reached[v], x) if v in reached else x
+            reached[v] = plus(reached[v], value) if v in reached else value
         if depth == hi:
             return
         types = allowed[depth + 1] if allowed is not None else None
@@ -532,8 +530,6 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
                 continue
             x = value if extend is None else extend(value, ei)
             if fold:
-                if finish is not None:
-                    x = finish(x)
                 reached[w] = plus(reached[w], x) if w in reached else x
                 ends += 1
             else:
@@ -691,12 +687,22 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
         adds.append(add)
         results.append(result)
         initial += start
-    groups: dict[tuple, list] = {}
+    # A group is keyed by its cells' sort keys: equal numbers of different
+    # types (1, 1.0, True) or signs (0.0, -0.0) hash alike, but the cell
+    # order tells them apart, so the groups must too. The cells depend
+    # only on the slots the group keys read, so each distinct tuple of
+    # those slots finds its group once.
+    read = sorted({slots[item.expr.name] for item in group_items})
+    read_of = operator.itemgetter(*read) if read else lambda binding: ()
+    groups: dict[tuple, tuple[tuple, list]] = {}
+    accs: dict = {}
     for binding, mult in bindings:
-        key = key_of(binding)
-        acc = groups.get(key)
+        at = read_of(binding)
+        acc = accs.get(at)
         if acc is None:
-            acc = groups[key] = list(initial)
+            key = key_of(binding)
+            acc = accs[at] = groups.setdefault(
+                tuple(map(_cell_sort_key, key)), (key, list(initial)))[1]
         for add in adds:
             add(acc, binding, mult)
 
@@ -707,7 +713,7 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
         return _order_and_limit(q, ResultTable(columns, rows))
 
     rows = []
-    for key, acc in groups.items():
+    for key, acc in groups.values():
         keys, aggs = iter(key), iter(results)
         rows.append(tuple(next(aggs)(acc) if isinstance(item.expr, Aggregate)
                           else next(keys) for item in q.projection))
@@ -730,7 +736,7 @@ def _order_and_limit(q: QueryGraph, table: ResultTable) -> ResultTable:
 # --------------------------------------------------------------------------
 
 def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
-                       labels=None, stats: ExecutionStats | None = None,
+                       stats: ExecutionStats | None = None,
                        allowed=None) -> set[str]:
     """Vertices reachable from the source set in 1..k_max hops.
     direction: 'forward' follows out-edges (descendants), 'backward'
@@ -744,38 +750,26 @@ def k_hop_neighborhood(g: PropertyGraph, sources, direction: str, k_max: int,
     seeds = {g._require(v): True for v in sorted(set(sources))}
     reached = _sweep(g, seeds, 1, k_max, None, operator.add,
                      forward=direction == "forward",
-                     labels=set(labels) if labels else None,
                      allowed=allowed, seen=set(seeds), stats=stats)
     return {g._vids[v] for v in reached}
 
 
-_REDUCERS = {
-    "max": max,
-    "min": min,
-    "sum": operator.add,
-}
-
-
 def path_lengths(g: PropertyGraph, source: str, k_max: int,
-                 edge_property: str, reducer: str = "max",
-                 stats: ExecutionStats | None = None,
+                 edge_property: str, stats: ExecutionStats | None = None,
                  allowed=None) -> dict[str, float]:
     """For each vertex reachable by a forward trail of <= k_max edges
-    (within the type bands ``allowed``, when given): reduce
-    ``edge_property`` along each trail, then take the minimum across
-    trails (a weighted-distance reading). Every reducer is monotone, so
+    (within the type bands ``allowed``, when given): the minimum across
+    trails of the maximum of ``edge_property`` along each, the value a
+    connector view's trail aggregate carries. Max is monotone, so
     keeping only the smallest value per vertex and depth is exact."""
-    if reducer not in _REDUCERS:
-        raise ValidationError(f"unknown reducer {reducer!r}")
     if stats is None:
         stats = ExecutionStats()
-    combine = _REDUCERS[reducer]
     eprops = g._eprops
     context = f"edge property {edge_property!r}"
 
     def extend(acc, ei: int):
         value = _numeric(eprops[ei].get(edge_property), context)
-        return value if acc is None else combine(acc, value)
+        return value if acc is None else max(acc, value)
 
     best = _walk(g, {g._require(source): None}, 1, k_max, extend, min,
                  allowed=allowed, stats=stats)

@@ -150,33 +150,35 @@ def generate_lineage(out_dir, seed: int, jobs: int, files: int,
     return _write(Path(out_dir), stem, schema, vertices, edges)
 
 
+# the share of power-law vertices that are hubs, a hub's out-degree
+# range, and the chance that an edge's target is a hub
+HUB_FRACTION = 0.07
+HUB_OUT_RANGE = (30, 50)
+HUB_ATTACHMENT = 0.85
+
+
 def generate_power_law(out_dir, seed: int, n: int,
-                       hub_fraction: float = 0.07,
-                       hub_out_range: tuple[int, int] = (30, 50),
-                       hub_attachment: float = 0.85,
                        stem: str = "power_law") -> Dataset:
     """Heavy-tailed attachment graph. A small hub class emits most edges
-    (out-degree drawn from ``hub_out_range``; everyone else emits one),
+    (out-degree drawn from ``HUB_OUT_RANGE``; everyone else emits one),
     and targets attach preferentially to hubs. Hubs therefore dominate
     both degree directions, giving the degree distribution the very fat
     tail real social graphs show: median out-degree ~1 against hub
     degrees an order of magnitude or two larger."""
     if n < 2:
         raise InvalidParamsError("need at least 2 vertices")
-    if not 0 < hub_fraction < 1:
-        raise InvalidParamsError("hub_fraction must be in (0, 1)")
     rng = random.Random(seed)
     vertices = [(f"n{i}", "Node", {}) for i in range(n)]
-    hubs = [i for i in range(n) if rng.random() < hub_fraction]
+    hubs = [i for i in range(n) if rng.random() < HUB_FRACTION]
     if not hubs:
         hubs = [0]
     hub_set = set(hubs)
     edges = []
     eid = 0
     for v in range(n):
-        out = rng.randint(*hub_out_range) if v in hub_set else 1
+        out = rng.randint(*HUB_OUT_RANGE) if v in hub_set else 1
         for _ in range(out):
-            if rng.random() < hub_attachment:
+            if rng.random() < HUB_ATTACHMENT:
                 t = rng.choice(hubs)
             else:
                 t = rng.randrange(n)

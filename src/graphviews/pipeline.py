@@ -523,17 +523,7 @@ def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
         kept = {v: x for v, x in values.items()
                 if g.vertex_type(v) == params["result_type"]}
         return _result_table_for_map(kept), stats
-    if spec.op == "label_propagation":
-        labels = _timed(lambda: label_propagation(
-            g, params["passes"], stats=stats), stats)
-        return ResultTable(("vertex", "label"), sorted(labels.items())), stats
-    # largest_community
-    def run():
-        labels = label_propagation(g, params["passes"], stats=stats)
-        return largest_community(g, labels, params["count_type"])
-    label, sub = _timed(run, stats)
-    return ResultTable(("label", "vertices", "edges"),
-                       [(label, sub.n, sub.m)]), stats
+    return _run_community_op(pq, g, params["passes"])
 
 
 def _run_over_view(pq: _Prepared, plan, view_graph) -> tuple[ResultTable, ExecutionStats]:
@@ -557,16 +547,17 @@ def _run_over_view(pq: _Prepared, plan, view_graph) -> tuple[ResultTable, Execut
     raise ValidationError(f"op {spec.op!r} has no view rewrite")
 
 
-def _run_report_only_op(pq: _Prepared, view_graph) -> tuple[ResultTable, ExecutionStats]:
+def _run_community_op(pq: _Prepared, g, passes: int
+                      ) -> tuple[ResultTable, ExecutionStats]:
+    """A ``label_propagation`` or ``largest_community`` op over ``g``,
+    propagating labels for ``passes`` passes."""
     stats = ExecutionStats()
-    params = pq.spec.params
-    passes = max(1, math.ceil(params["passes"] / 2))
 
     def run():
-        labels = label_propagation(view_graph, passes, stats=stats)
+        labels = label_propagation(g, passes, stats=stats)
         if pq.spec.op == "label_propagation":
             return ResultTable(("vertex", "label"), sorted(labels.items()))
-        label, sub = largest_community(view_graph, labels, params["count_type"])
+        label, sub = largest_community(g, labels, pq.spec.params["count_type"])
         return ResultTable(("label", "vertices", "edges"),
                            [(label, sub.n, sub.m)])
     return _timed(run, stats), stats
@@ -644,7 +635,8 @@ def run_pipeline(spec: WorkloadSpec, threads: int = 1,
                 # similarity is reported, not asserted: results_match stays None
                 cand = host
                 entry = catalog.entries[cand.view.view_id]
-                _, rew_stats = _run_report_only_op(pq, entry.graph)
+                passes = max(1, math.ceil(pq.spec.params["passes"] / 2))
+                _, rew_stats = _run_community_op(pq, entry.graph, passes)
             if rew_stats is None:
                 report.speedup = report.work_ratio = 1.0
             else:
@@ -685,14 +677,11 @@ def _report_only_host(chosen: list[Candidate], catalog: ViewCatalog, graph):
 
 
 def _needed_aggregates(cand: Candidate, prepared) -> tuple:
-    """Edge aggregates the selected connector must carry so path_lengths
-    op rewrites can run over it."""
+    """Edge properties the selected connector must carry, sorted, so
+    path_lengths op rewrites can run over it."""
     if cand.view.kind not in CONNECTOR_KINDS:
         return cand.view.edge_aggregates
-    extra = {}
-    for prop, along, across in cand.view.edge_aggregates:
-        extra[prop] = (prop, along, across)
-    for plan in cand.per_query_plans.values():
-        if isinstance(plan, OpRewrite) and plan.needs_property:
-            extra[plan.needs_property] = (plan.needs_property, "max", "min")
-    return tuple(extra[k] for k in sorted(extra))
+    needed = set(cand.view.edge_aggregates)
+    needed.update(plan.needs_property for plan in cand.per_query_plans.values()
+                  if isinstance(plan, OpRewrite) and plan.needs_property)
+    return tuple(sorted(needed))

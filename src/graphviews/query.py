@@ -828,6 +828,8 @@ def _cell_sort_key(value):
     equal numbers an int comes before a float, and -0.0 before 0.0. Rows
     with equal keys are therefore equal, and their order does not depend
     on the order in which they were found."""
+    if type(value) is str:   # the commonest cell (ids), tested first
+        return (3, value)
     if value is None:
         return (0, "")
     if isinstance(value, bool):

@@ -14,7 +14,7 @@ scan.
 
 Connector materialization contracts edge-distinct trails, per source
 with the execution kernels (a frontier sweep on acyclic graphs, a trail
-search on cyclic ones and for aggregates summed across trails).
+search on cyclic ones).
 Traversal is pruned by the schema's type bands (the vertex types at each
 depth from which the endpoint type is still reachable in range, as
 :meth:`SchemaIndex.type_bands` gives them for execution too), which is
@@ -22,7 +22,8 @@ also how a sparsifier-then-spanner pipeline composes: an explicit
 ``through_types`` binding intersects the bands. The
 output is one edge per connected (src, dst) pair carrying ``path_count``
 (the contracted trails, each weighted by the product of the path_counts
-it crosses) plus any requested per-property trail aggregates; raw vertex
+it crosses) plus, for each requested edge property, the minimum across
+trails of its maximum along each trail; raw vertex
 ids and properties are preserved. Views always materialize from the raw
 graph, never from other views. Every materializer works on the graph's
 internal indices and hands the view to :meth:`PropertyGraph.derive`.
@@ -30,7 +31,6 @@ internal indices and hands the view to :meth:`PropertyGraph.derive`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -57,14 +57,7 @@ from .errors import (
     PropertyTypeMismatchError,
     ValidationError,
 )
-from .execution import (
-    _REDUCERS,
-    ExecutionStats,
-    _aggregate,
-    _count_step,
-    _sweep,
-    _trails,
-)
+from .execution import ExecutionStats, _aggregate, _count_step, _walk
 from .mining import schema_index
 from .query import AGGREGATE_FUNCS
 from .store import (
@@ -190,59 +183,43 @@ def _knapsack(usable, weights, values, capacity) -> list[int]:
 _NON_NUMERIC = object()
 
 
-def _reducer(name: str):
-    if name not in _REDUCERS:
-        raise ValidationError(f"unknown trail aggregate reducer {name!r}")
-    return _REDUCERS[name]
-
-
 def _connector_semiring(g: PropertyGraph, aggregates):
-    """``extend``, ``plus``, the ``finish`` a sum across trails needs (or
-    None) and the seed of connector values. Without aggregates a value
-    is the path count, a plain int; ``extend`` is None when no edge of
-    ``g`` carries a path_count. With aggregates it is a tuple of the
-    path count and one value per (property, along, across) aggregate. A
-    non-numeric step poisons the aggregates of every trail through it;
-    materialization raises only when such a trail reaches a view edge."""
+    """``extend``, ``plus`` and the seed of connector values. Without
+    aggregates a value is the path count, a plain int; ``extend`` is None
+    when no edge of ``g`` carries a path_count. With aggregates it is a
+    tuple of the path count and, per property, the maximum along a trail
+    joined by the minimum across trails. Max distributes over min, so
+    the frontier sweep folds it exactly. A non-numeric step poisons the
+    aggregates of every trail through it; materialization raises only
+    when such a trail reaches a view edge."""
     count_step = _count_step(g)
     if not aggregates:
-        return count_step, operator.add, None, 1
+        return count_step, operator.add, 1
     eprops = g._eprops
-    along = [(i, prop, _reducer(name))
-             for i, (prop, name, _) in enumerate(aggregates, 1)]
-    across = [(i, _reducer(name)) for i, (_, _, name) in enumerate(aggregates, 1)]
-    summed = [i for i, (_, _, name) in enumerate(aggregates, 1) if name == "sum"]
+    along = list(enumerate(aggregates, 1))
+    across = range(1, len(aggregates) + 1)
 
     def extend(value: tuple, ei: int) -> tuple:
         props = eprops[ei]
         out = [value[0] if count_step is None else count_step(value[0], ei)]
-        for i, prop, reduce in along:
+        for i, prop in along:
             acc, step = value[i], props.get(prop)
             if (acc is _NON_NUMERIC or isinstance(step, bool)
                     or not isinstance(step, (int, float))):
                 out.append(_NON_NUMERIC)
             else:
-                out.append(step if acc is None else reduce(acc, step))
+                out.append(step if acc is None else max(acc, step))
         return tuple(out)
 
     def plus(a: tuple, b: tuple) -> tuple:
         out = [a[0] + b[0]]
-        for i, reduce in across:
+        for i in across:
             x, y = a[i], b[i]
             out.append(_NON_NUMERIC if x is _NON_NUMERIC or y is _NON_NUMERIC
-                       else reduce(x, y))
+                       else min(x, y))
         return tuple(out)
 
-    def finish(value: tuple) -> tuple:
-        # a trail of multiplicity m adds m times its value to a sum
-        out = list(value)
-        for i in summed:
-            if out[i] is not _NON_NUMERIC:
-                out[i] = out[i] * value[0]
-        return tuple(out)
-
-    seed = (1,) + (None,) * len(aggregates)
-    return extend, plus, (finish if summed else None), seed
+    return extend, plus, (1,) + (None,) * len(aggregates)
 
 
 def connector_content(v: ViewInstance) -> tuple:
@@ -272,11 +249,7 @@ def _connector_scan(g: PropertyGraph, v: ViewInstance,
     vids, vtypes, y_type = g._vids, g._vtypes, v.y_type
     sources = ([g._vindex[vid] for vid in sorted(g.vertices_of_type(v.x_type))]
                if allowed[0] is None or v.x_type in allowed[0] else [])
-    extend, plus, finish, seed = _connector_semiring(g, v.edge_aggregates)
-    # a sum across trails does not distribute over the along-reducers,
-    # so only the trail search computes one
-    walk = (_sweep if g.is_acyclic and finish is None
-            else functools.partial(_trails, finish=finish))
+    extend, plus, seed = _connector_semiring(g, v.edge_aggregates)
     # numbers the pairs found in all chunks; next() on it is atomic
     filled = itertools.count(1)
 
@@ -284,15 +257,15 @@ def _connector_scan(g: PropertyGraph, v: ViewInstance,
         found = {}
         stats = ExecutionStats()
         for u in chunk:
-            reached = walk(g, {u: seed}, lo, hi, extend, plus,
-                           labels=label_filter, allowed=allowed,
-                           max_expanded=max_expanded, stats=stats)
+            reached = _walk(g, {u: seed}, lo, hi, extend, plus,
+                            labels=label_filter, allowed=allowed,
+                            max_expanded=max_expanded, stats=stats)
             ends = []
             for w, value in reached.items():
                 if vtypes[w] != y_type:
                     continue
                 if v.edge_aggregates and _NON_NUMERIC in value:
-                    prop = next(prop for (prop, _, _), agg
+                    prop = next(prop for prop, agg
                                 in zip(v.edge_aggregates, value[1:])
                                 if agg is _NON_NUMERIC)
                     raise PropertyTypeMismatchError(
@@ -331,7 +304,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     endpoints.update(u for u, pairs in found.items() if pairs)
     vertices = sorted(endpoints, key=vids.__getitem__)
     at = {x: i for i, x in enumerate(vertices)}
-    keys = ["path_count"] + [prop for prop, _, _ in v.edge_aggregates]
+    keys = ["path_count", *v.edge_aggregates]
     label = v.view_label
     esrc, edst, edges = [], [], []
     for u in sources:   # pairs in ascending (src id, dst id) order
@@ -648,7 +621,7 @@ def _instance_to_dict(v: ViewInstance) -> dict:
         "y_type": v.y_type, "k": v.k, "lo": v.lo, "hi": v.hi,
         "label": v.label, "group_key": v.group_key,
         "aggregations": [list(a) for a in v.aggregations],
-        "edge_aggregates": [list(a) for a in v.edge_aggregates],
+        "edge_aggregates": list(v.edge_aggregates),
         "through_types": sorted(v.through_types) if v.through_types is not None else None,
         "provenance": v.provenance,
         "predicate": None,
@@ -662,6 +635,12 @@ def _instance_to_dict(v: ViewInstance) -> dict:
 
 
 def _instance_from_dict(raw: dict) -> ViewInstance:
+    edge_aggregates = raw.get("edge_aggregates", [])
+    if not isinstance(edge_aggregates, list) or not all(
+            isinstance(prop, str) and prop for prop in edge_aggregates):
+        raise CorruptCatalogError(
+            f"edge_aggregates must be a list of edge property names, "
+            f"got {edge_aggregates!r}")
     predicate = None
     if raw.get("predicate") is not None:
         p = raw["predicate"]
@@ -676,7 +655,7 @@ def _instance_from_dict(raw: dict) -> ViewInstance:
         label=raw.get("label"), predicate=predicate,
         group_key=raw.get("group_key"),
         aggregations=tuple(tuple(a) for a in raw.get("aggregations", [])),
-        edge_aggregates=tuple(tuple(a) for a in raw.get("edge_aggregates", [])),
+        edge_aggregates=tuple(edge_aggregates),
         through_types=frozenset(raw["through_types"])
         if raw.get("through_types") is not None else None,
         provenance=raw.get("provenance", ""),

@@ -68,7 +68,7 @@ def schema_paths_oracle(schema_edges, k) -> set[tuple]:
     return {tuple(p) for p in result}
 
 
-def count_simple_paths(g, k, src_type=None, dst_type=None) -> int:
+def count_simple_paths(g, k) -> int:
     """Count directed k-edge paths with pairwise-distinct vertices by
     exhaustive DFS. Multi-edges count individually."""
     total = 0
@@ -76,8 +76,7 @@ def count_simple_paths(g, k, src_type=None, dst_type=None) -> int:
     def walk(v, depth, visited):
         nonlocal total
         if depth == k:
-            if dst_type is None or g.vertex_type(v) == dst_type:
-                total += 1
+            total += 1
             return
         for _, dst, _, _ in g.out_edges(v):
             if dst in visited:
@@ -87,8 +86,6 @@ def count_simple_paths(g, k, src_type=None, dst_type=None) -> int:
             visited.discard(dst)
 
     for vid in g.vertex_ids():
-        if src_type is not None and g.vertex_type(vid) != src_type:
-            continue
         walk(vid, 0, {vid})
     return total
 
@@ -122,15 +119,14 @@ def enumerate_trails(g, src_type, dst_type, lengths, labels=None):
     return pairs
 
 
-def trail_search(g, start, lo, hi, labels=None, allowed=None, finish=None,
-                 forward=True):
+def trail_search(g, start, lo, hi, labels=None, allowed=None, forward=True):
     """Every edge-distinct trail of 0..hi edges from ``start``, one
     recursive call per trail prefix, over the public adjacency. A trail
     steps only over edges with one of ``labels`` (when given) into a
     vertex of one of the types ``allowed[depth]`` (when given). Returns
-    ({end id: sum over the trails of lo..hi edges ending there of
-    finish(product of the path_counts it crosses)}, the number of
-    prefixes, the adjacency entries of the prefixes shorter than hi)."""
+    ({end id: sum over the trails of lo..hi edges ending there of the
+    product of the path_counts it crosses}, the number of prefixes, the
+    adjacency entries of the prefixes shorter than hi)."""
     ends: dict[str, int] = {}
     prefixes = scanned = 0
 
@@ -138,8 +134,7 @@ def trail_search(g, start, lo, hi, labels=None, allowed=None, finish=None,
         nonlocal prefixes, scanned
         prefixes += 1
         if depth >= lo:
-            value = mult if finish is None else finish(mult)
-            ends[v] = ends.get(v, 0) + value
+            ends[v] = ends.get(v, 0) + mult
         if depth == hi:
             return
         adjacency = g.out_edges(v) if forward else g.in_edges(v)
@@ -171,7 +166,7 @@ def has_cycle(g) -> bool:
     return False
 
 
-def bfs_neighborhood(g, sources, direction, k_max, labels=None):
+def bfs_neighborhood(g, sources, direction, k_max):
     """Vertices 1..k_max hops from ``sources`` by a plain breadth-first
     search over the public adjacency, with the work it did. Returns
     (reached, vertices expanded, adjacency entries scanned); a vertex is
@@ -185,10 +180,8 @@ def bfs_neighborhood(g, sources, direction, k_max, labels=None):
         for v in frontier:
             expanded += 1
             edges = g.out_edges(v) if direction == "forward" else g.in_edges(v)
-            for _, neighbor, label, _ in edges:
+            for _, neighbor, _, _ in edges:
                 scanned += 1
-                if labels is not None and label not in labels:
-                    continue
                 if neighbor not in seen:
                     seen.add(neighbor)
                     reached.add(neighbor)
@@ -376,20 +369,31 @@ def query_rows(g, q) -> list[tuple]:
     if q.filters is not None:
         bindings = [(b, m) for b, m in bindings if holds(b, q.filters)]
 
+    def cell_order(v):
+        if v is None:
+            return (0, "")
+        if isinstance(v, bool):
+            return (1, v)
+        if is_number(v):
+            # exact value; then int before float, and -0.0 before 0.0
+            return (2, v, type(v) is float, not str(v).startswith("-"))
+        return (3, v)
+
     items = [item.expr for item in q.projection]
     aggs = [x for x in items if isinstance(x, Aggregate)]
     if not aggs:
         rows = [tuple(value(b, x) for x in items) for b, m in bindings
                 for _ in range(m)]
     else:
+        # keyed by cell order, so equal values of two types stay apart
         groups = {}
         for b, m in bindings:
             key = tuple(value(b, x) for x in items if not isinstance(x, Aggregate))
-            groups.setdefault(key, []).append((b, m))
+            groups.setdefault(tuple(map(cell_order, key)), (key, []))[1].append((b, m))
         if not groups and len(aggs) == len(items):
-            groups[()] = []
+            groups[()] = ((), [])
         rows = []
-        for key, members in groups.items():
+        for key, members in groups.values():
             cells = iter(key)
             row = []
             for x in items:
@@ -416,16 +420,6 @@ def query_rows(g, q) -> list[tuple]:
                     pick = max if x.func == "max" else min
                     row.append(pick(v for v, _ in seen))
             rows.append(tuple(row))
-
-    def cell_order(v):
-        if v is None:
-            return (0, "")
-        if isinstance(v, bool):
-            return (1, v)
-        if is_number(v):
-            # exact value; then int before float, and -0.0 before 0.0
-            return (2, v, type(v) is float, not str(v).startswith("-"))
-        return (3, v)
 
     rows.sort(key=lambda r: [cell_order(v) for v in r])
     if q.order_by is not None:

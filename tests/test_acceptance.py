@@ -152,7 +152,7 @@ def test_criterion_07_rewrite_equivalence():
     plan = rewrite_with_view(q1, KHOP2, LINEAGE_SCHEMA)
     q4_view = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
                            x_type="Job", y_type="Job", k=2,
-                           edge_aggregates=(("timestamp", "max", "min"),))
+                           edge_aggregates=("timestamp",))
     mismatches = 0
     for seed in range(50):
         g = random_lineage_dag(seed, jobs=25, files=40)

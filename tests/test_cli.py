@@ -109,6 +109,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "edges_expanded=" in out
 
+    def test_run_over_a_catalog_of_old_aggregates_exits_2(self, tmp_path, capsys):
+        workload = write_workload(tmp_path)
+        assert main(["materialize", "--workload", str(workload),
+                     "--view-id", "khop:Job:Job:02",
+                     "--catalog", str(tmp_path / "cat")]) == 0
+        manifest = tmp_path / "cat" / "manifest.json"
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        # a trail aggregate as a catalog saved before names stored it
+        raw["views"][0]["instance"]["edge_aggregates"] = [
+            ["timestamp", "max", "min"]]
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run",
+                     "--vertices", str(tmp_path / "lineage_vertices.csv"),
+                     "--edges", str(tmp_path / "lineage_edges.csv"),
+                     "--schema", str(tmp_path / "lineage_schema.json"),
+                     "--query", str(tmp_path / "q1.query"),
+                     "--view", "khop:Job:Job:02",
+                     "--catalog", str(tmp_path / "cat")]) == 2
+        assert "edge_aggregates" in capsys.readouterr().err
+
     def test_materialize_cap_exits_3(self, tmp_path, capsys):
         workload = write_workload(tmp_path)
         rc = main(["materialize", "--workload", str(workload),

@@ -1,7 +1,9 @@
 """Dead-code guard: every function, class, method and module-level
 constant the package defines must be used by the package, the benchmark
-or the shared test reference code. A name that only a unit test (or
-nobody) reaches is production API without a production caller; move it
+or the shared test reference code, and every defaulted parameter of a
+package function must be set by one of their calls. A name that only a
+unit test (or nobody) reaches is production API without a production
+caller, and a parameter no caller sets is a knob nobody turns; move it
 into the test or delete it."""
 
 import ast
@@ -65,3 +67,65 @@ def test_every_definition_has_a_user():
             if _uses(names, attributes, name, is_method) - own <= 0:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "defined but used only by tests or by nobody: " + ", ".join(unused)
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    """A defaulted parameter of a package function must be passed, by
+    keyword or by position, by some call of that name in the package,
+    the benchmark or the shared test reference code: one that no caller
+    sets is a knob without a user. A call with ``*args`` or ``**kwargs``
+    passes every parameter. A function also referenced as a value (a
+    kernel picked at run time, a callback) is exempt, since its calls
+    cannot be told from its name."""
+    calls, as_values = {}, Counter()
+    for path in USERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _called_name(node)
+                if name is not None:
+                    callees.add(id(node.func))
+                    calls.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if id(node) in callees:
+                continue
+            if isinstance(node, ast.Name):
+                as_values[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                as_values[node.attr] += 1
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node, is_method in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or name.startswith("__") and name.endswith("__")
+                    or as_values[name]):
+                continue
+            # a method's first parameter is its instance or class
+            bound = is_method and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            passed = set()
+            for call in calls.get(name, ()):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed.update(defaulted)
+                    break
+                passed.update(positional[:len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            unset += [f"{path.name}:{node.lineno} {name}({p})"
+                      for p in defaulted if p not in passed]
+    assert not unset, "defaulted parameters no caller sets: " + ", ".join(unset)

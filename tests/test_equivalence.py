@@ -112,7 +112,7 @@ class TestOpQueryEquivalence:
         g = random_lineage_dag(seed, jobs=14, files=20)
         v = ViewInstance(kind="KHopConnector", x="a", y="b",
                          x_type="Job", y_type="Job", k=2,
-                         edge_aggregates=(("timestamp", "max", "min"),))
+                         edge_aggregates=("timestamp",))
         view_g = materialize(g, v)
         view_ids = set(view_g.vertex_ids())
         for src in g.vertices_of_type("Job"):

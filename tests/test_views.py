@@ -284,19 +284,20 @@ class TestMaterializeSpanner:
             vertices=[("j1", "Job", {}), ("j2", "Job", {}),
                       ("f1", "File", {}), ("f2", "File", {})],
             edges=[
-                ("e1", "j1", "f1", "WRITES_TO", {"ts": 1}),
-                ("e2", "f1", "j2", "IS_READ_BY", {"ts": 9}),
-                ("e3", "j1", "f2", "WRITES_TO", {"ts": 4}),
-                ("e4", "f2", "j2", "IS_READ_BY", {"ts": 5}),
+                ("e1", "j1", "f1", "WRITES_TO", {"ts": 1, "cost": 1}),
+                ("e2", "f1", "j2", "IS_READ_BY", {"ts": 9, "cost": 2}),
+                ("e3", "j1", "f2", "WRITES_TO", {"ts": 4, "cost": 6}),
+                ("e4", "f2", "j2", "IS_READ_BY", {"ts": 5, "cost": 1}),
             ],
         )
         v = ViewInstance(kind="KHopConnector", x="a", y="b",
                          x_type="Job", y_type="Job", k=2,
-                         edge_aggregates=(("ts", "max", "min"),))
-        view_g = materialize_spanner(g, v)
-        (edge,) = list(view_g.edges())
-        # trails: max(1,9)=9 and max(4,5)=5; min across trails = 5
-        assert edge[4] == {"path_count": 2, "ts": 5}
+                         edge_aggregates=("cost", "ts"))
+        for graph in (g, as_cyclic(g)):
+            (edge,) = list(materialize_spanner(graph, v).edges())
+            # ts: max(1,9)=9 and max(4,5)=5, min across trails = 5;
+            # cost: max(1,2)=2 and max(6,1)=6, min across trails = 2
+            assert edge[4] == {"path_count": 2, "cost": 2, "ts": 5}
 
     def test_through_types_composition(self):
         # spanner over the {Job, File} sparsifier: trails must not route
@@ -318,7 +319,7 @@ class TestMaterializeSpanner:
             k=2, through_types=frozenset({"Job"}))).m == 0
         # a File reaches a Job only at odd lengths
         walked = []
-        monkeypatch.setattr(views, "_sweep",
+        monkeypatch.setattr(views, "_walk",
                             lambda *args, **kw: walked.append(args) or {})
         assert materialize_spanner(g, ViewInstance(
             kind="KHopConnector", x="a", y="b", x_type="File", y_type="Job",
@@ -357,7 +358,7 @@ class TestMaterializeSpanner:
 
     def test_plain_graph_connector_has_no_step(self):
         plain, weighted = random_lineage_dag(5), weighted_lineage_dag(5)
-        timestamp = (("timestamp", "max", "min"),)
+        timestamp = ("timestamp",)
         assert views._connector_semiring(plain, ())[0] is None
         assert views._connector_semiring(weighted, ())[0] is not None
         assert views._connector_semiring(plain, timestamp)[0] is not None
@@ -382,15 +383,14 @@ class TestMaterializeSpanner:
                 break
         assert walks_needed < len(sources) // 2
         walks = 0
-        kernel = "_trails" if cyclic else "_sweep"
-        original = getattr(views, kernel)
+        original = views._walk
 
         def counted(*args, **kwargs):
             nonlocal walks
             walks += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(views, kernel, counted)
+        monkeypatch.setattr(views, "_walk", counted)
         with pytest.raises(BudgetExceededError):
             materialize_spanner(g, KHOP2, max_edges=cap)
         assert walks == walks_needed
@@ -436,32 +436,11 @@ class TestMaterializeSpanner:
             assert execute(q, graph)[0].rows == [("j1", 3)]
             assert execute(plan.rewritten, view_g)[0].rows == [("j1", 3)]
 
-    def test_input_path_count_weights_sum_across_trails(self):
-        # the trail through e1 stands for two paths, so it adds its
-        # timestamp sum twice: 2 * (1 + 10) + (3 + 30) = 55
-        g = PropertyGraph.build(
-            LINEAGE_SCHEMA,
-            vertices=[("j1", "Job", {}), ("j2", "Job", {}),
-                      ("f1", "File", {}), ("f2", "File", {})],
-            edges=[
-                ("e1", "j1", "f1", "WRITES_TO", {"path_count": 2, "ts": 1}),
-                ("e2", "f1", "j2", "IS_READ_BY", {"ts": 10}),
-                ("e3", "j1", "f2", "WRITES_TO", {"ts": 3}),
-                ("e4", "f2", "j2", "IS_READ_BY", {"ts": 30}),
-            ],
-        )
-        v = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
-                         x_type="Job", y_type="Job", k=2,
-                         edge_aggregates=(("ts", "sum", "sum"),))
-        for graph in (g, as_cyclic(g)):
-            (edge,) = materialize_spanner(graph, v).edges()
-            assert edge[4] == {"path_count": 3, "ts": 55}
-
 
 def connector_views():
-    """Connectors over the lineage schema, with trail aggregates under
-    every along-reducer and every across-reducer."""
-    views = [
+    """Connectors over the lineage schema, the last two with a trail
+    aggregate."""
+    return [
         KHOP2,
         ViewInstance(kind="KHopConnector", x="a", y="b",
                      x_type="File", y_type="File", k=2),
@@ -475,15 +454,27 @@ def connector_views():
         ViewInstance(kind="KHopConnector", x="a", y="b",
                      x_type="Job", y_type="Job", k=2,
                      through_types=frozenset({"Job", "File"})),
+        ViewInstance(kind="SameVertexTypeConnector", x="a", y="b",
+                     x_type="Job", y_type="Job", lo=2, hi=6,
+                     edge_aggregates=("timestamp",)),
+        ViewInstance(kind="SourceToSinkConnector", x="a", y="b",
+                     x_type="Job", y_type="File", lo=1, hi=5,
+                     edge_aggregates=("timestamp",)),
     ]
-    for along in ("max", "min", "sum"):
-        for across in ("min", "max", "sum"):
-            views.append(ViewInstance(
-                kind="SameVertexTypeConnector", x="a", y="b",
-                x_type="Job", y_type="Job", lo=2, hi=6,
-                edge_aggregates=(("timestamp", "max", "min"),
-                                 ("timestamp", along, across))))
-    return views
+
+
+TWO_PROPERTIES = ViewInstance(kind="SameVertexTypeConnector", x="a", y="b",
+                              x_type="Job", y_type="Job", lo=2, hi=6,
+                              edge_aggregates=("cost", "timestamp"))
+
+
+def with_costs(g: PropertyGraph, seed: int) -> PropertyGraph:
+    """``g`` with an int ``cost`` on every edge: a second edge property
+    for trail aggregates."""
+    rng = random.Random(seed)
+    return PropertyGraph.build(g.schema, list(g.vertices()), [
+        (eid, s, d, label, {**props, "cost": rng.randint(1, 20)})
+        for eid, s, d, label, props in g.edges()])
 
 
 def view_content(view_g):
@@ -496,10 +487,10 @@ class TestConnectorSweep:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_views_match_trail_search(self, seed):
-        for g in (random_lineage_dag(seed, jobs=12, files=18),
-                  weighted_lineage_dag(seed, jobs=12, files=18)):
+        for g in (with_costs(random_lineage_dag(seed, jobs=12, files=18), seed),
+                  with_costs(weighted_lineage_dag(seed, jobs=12, files=18), seed)):
             assert g.is_acyclic
-            for v in connector_views():
+            for v in connector_views() + [TWO_PROPERTIES]:
                 assert (view_content(materialize_spanner(g, v))
                         == view_content(materialize_spanner(as_cyclic(g), v))), \
                     (seed, v.view_id, v.edge_aggregates)
@@ -519,7 +510,7 @@ class TestConnectorSweep:
         )
         v = ViewInstance(kind="KHopConnector", x="a", y="b",
                          x_type="Job", y_type="Job", k=2,
-                         edge_aggregates=(("ts", "max", "min"),))
+                         edge_aggregates=("ts",))
         for graph in (g, as_cyclic(g)):
             (edge,) = materialize_spanner(graph, v).edges()
             assert edge[4] == {"path_count": 1, "ts": 4}
@@ -534,10 +525,13 @@ class TestConnectorSweep:
     def test_missing_properties_raise_exactly_when_trail_search_does(self, seed):
         rng = random.Random(seed)
         g = random_lineage_dag(seed, jobs=12, files=18)
-        edges = [(eid, s, d, label, {} if rng.random() < 0.08 else props)
-                 for eid, s, d, label, props in g.edges()]
+        # a missing timestamp and cost, or a cost that is no number
+        edges = [(eid, s, d, label, {} if rng.random() < 0.08
+                  else {**props, "cost": rng.choice(["high", True])}
+                  if rng.random() < 0.04 else props)
+                 for eid, s, d, label, props in with_costs(g, seed).edges()]
         g = PropertyGraph.build(LINEAGE_SCHEMA, list(g.vertices()), edges)
-        for v in connector_views()[-9:]:
+        for v in connector_views()[-2:] + [TWO_PROPERTIES]:
             outcomes = []
             for graph in (g, as_cyclic(g)):
                 try:
@@ -943,11 +937,10 @@ class TestDerivedGraphs:
             connectors = [ViewInstance(kind="KHopConnector", x="a", y="b",
                                        x_type="Junction", y_type="Junction", k=k)
                           for k in (2, 4)]
-            connectors += [ViewInstance(
+            connectors.append(ViewInstance(
                 kind="SameVertexTypeConnector", x="a", y="b",
                 x_type="Junction", y_type="Junction", lo=1, hi=3,
-                edge_aggregates=(("length", "sum", across),))
-                for across in ("min", "sum")]
+                edge_aggregates=("length",)))
         else:
             prop = "timestamp"
             connectors = connector_views()
@@ -998,19 +991,6 @@ class TestDerivedGraphs:
 class TestDerivedGraphChecks:
     """What a derived graph re-checks: created props, vertex ids made by
     the view, and the spanner's cap."""
-
-    @pytest.mark.parametrize("across", ["max", "sum"])
-    def test_overflowing_trail_sum_names_the_view_edge(self, across):
-        g = PropertyGraph.build(
-            LINEAGE_SCHEMA,
-            [("j1", "Job", {}), ("j2", "Job", {}), ("f1", "File", {})],
-            [("e1", "j1", "f1", "WRITES_TO", {"w": 1e308}),
-             ("e2", "f1", "j2", "IS_READ_BY", {"w": 1e308})])
-        v = ViewInstance(kind="KHopConnector", x="a", y="b", x_type="Job",
-                         y_type="Job", k=2, edge_aggregates=(("w", "sum", across),))
-        for graph in (g, as_cyclic(g)):
-            with pytest.raises(MalformedRowError, match="'ve000000'.*'w'"):
-                materialize_spanner(graph, v)
 
     def test_overflowing_aggregates_name_the_supervertex_and_superedge(self):
         schema = GraphSchema.of(["N"], [("N", "N", "L")])
@@ -1088,6 +1068,26 @@ class TestCatalog:
         raw["views"][0]["id"] = "khop:Job:Job:02"
         manifest.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(CorruptCatalogError, match="khop:Job:Job:02"):
+            catalog_load(tmp_path / "cat")
+
+    @pytest.mark.parametrize("stored", [[["timestamp", "max", "min"]],
+                                        "timestamp", [""], [3], None])
+    def test_edge_aggregates_must_be_property_names(self, tmp_path, stored):
+        # the first is how a catalog saved before aggregates were
+        # property names stored them
+        g = random_lineage_dag(1, jobs=6, files=9)
+        v = ViewInstance(kind="KHopConnector", x="a", y="b", x_type="Job",
+                         y_type="Job", k=2, edge_aggregates=("timestamp",))
+        catalog = ViewCatalog()
+        catalog.add(v, materialize_spanner(g, v))
+        catalog_save(catalog, tmp_path / "cat")
+        assert catalog_load(tmp_path / "cat").get(v.view_id).view == v
+        manifest = tmp_path / "cat" / "manifest.json"
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        assert raw["views"][0]["instance"]["edge_aggregates"] == ["timestamp"]
+        raw["views"][0]["instance"]["edge_aggregates"] = stored
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(CorruptCatalogError, match="edge_aggregates"):
             catalog_load(tmp_path / "cat")
 
     def test_failed_save_keeps_the_earlier_catalog(self, tmp_path,
