@@ -14,7 +14,9 @@ raw length must map onto whole view hops), positional label constraints,
 and, for multi-hop view traversals, that every qualifying schema path
 passes through the endpoint type at each contraction boundary. Instances
 that fail these checks raise RewriteInfeasibleError and simply contribute
-no plan; soundness is preferred over coverage.
+no plan; soundness is preferred over coverage. A plan is the rewritten
+query plus, over a connector, the most view hops its contracted path
+takes, which is how far an op walks over the view.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .query import (
     shape_key,
     with_filters,
 )
-from .store import GraphSchema, PropertyValue
+from .store import PATH_COUNT_PROP, GraphSchema, PropertyValue
 
 VIEW_KINDS = (
     "KHopConnector",
@@ -100,7 +102,8 @@ class ViewInstance:
     plus per-property aggregate functions. ``edge_aggregates`` names the
     edge properties connector materialization carries onto view edges,
     each as the minimum across trails of its maximum along each trail
-    (what ``path_lengths`` computes); ``through_types``
+    (what ``path_lengths`` computes), and never ``path_count``, which
+    holds each view edge's trail count; ``through_types``
     optionally restricts contraction to trails through the given types,
     which is how a sparsifier-then-spanner pipeline is expressed.
     """
@@ -124,6 +127,10 @@ class ViewInstance:
     def __post_init__(self):
         if self.kind not in VIEW_KINDS:
             raise ValidationError(f"unknown view kind {self.kind!r}")
+        if PATH_COUNT_PROP in self.edge_aggregates:
+            raise ValidationError(
+                f"edge_aggregates cannot name {PATH_COUNT_PROP!r}: it holds "
+                f"each connector edge's trail count")
 
     # -- identity -------------------------------------------------------
 
@@ -231,22 +238,14 @@ class ViewInstance:
         return f"(ID='{self.view_id}')"
 
 
-@dataclass(frozen=True)
-class HopMapping:
-    raw_lower: int
-    raw_upper: int
-    view_lower: int
-    view_upper: int
-
-
 @dataclass
 class RewritePlan:
-    """How one query runs over one view with identical results."""
+    """How one query runs over one view with identical results: the
+    rewritten query, and over a connector the most view hops its
+    contracted path takes (None over a filter)."""
 
-    original: QueryGraph
-    view: ViewInstance
     rewritten: QueryGraph
-    hop_mapping: HopMapping | None
+    view_hops: int | None
 
 
 # --------------------------------------------------------------------------
@@ -394,13 +393,11 @@ def rewrite_with_view(q: QueryGraph, v: ViewInstance,
     key = (shape_key(q), v)
     known = plans.get(key)
     if known is not None:
-        rewritten, mapping = known
-        return RewritePlan(original=q, view=v,
-                           rewritten=with_filters(rewritten, q.filters),
-                           hop_mapping=mapping)
+        return RewritePlan(with_filters(known.rewritten, q.filters),
+                           known.view_hops)
     plan = _rewrite(q, v, schema)
-    plans.put(key, (with_filters(plan.rewritten, plan.rewritten.filters),
-                    plan.hop_mapping))
+    plans.put(key, RewritePlan(
+        with_filters(plan.rewritten, plan.rewritten.filters), plan.view_hops))
     return plan
 
 
@@ -457,7 +454,6 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
                 f"the query needs {feasible}")
         _check_label_soundness(c, v, b, view_hops=range(a, z + 1))
         _check_boundary_types(c, v, b, feasible)
-        mapping = HopMapping(lo, hi, a, z)
     else:
         if [l for l in feasible if not (v.lo <= l <= v.hi)]:
             raise RewriteInfeasibleError(
@@ -473,10 +469,8 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
         a = 0 if lo == 0 else 1
         z = 1
         _check_label_soundness(c, v, b, view_hops=[1])
-        mapping = HopMapping(lo, hi, a, z)
 
-    rewritten = _build_rewritten(q, v, b, a, z)
-    return RewritePlan(original=q, view=v, rewritten=rewritten, hop_mapping=mapping)
+    return RewritePlan(_build_rewritten(q, v, b, a, z), z)
 
 
 def _labels_possible(c: ConstraintSet, v: ViewInstance, length: int) -> bool:
@@ -612,7 +606,7 @@ def _rewrite_vertex_filter(q: QueryGraph, v: ViewInstance,
                     raise RewriteInfeasibleError(
                         f"a {length}-hop path may route through filtered-out "
                         f"types {sorted(set(sp.type_sequence) - kept)}")
-    return RewritePlan(original=q, view=v, rewritten=q, hop_mapping=None)
+    return RewritePlan(q, None)
 
 
 def _rewrite_edge_filter(q: QueryGraph, v: ViewInstance,
@@ -631,4 +625,4 @@ def _rewrite_edge_filter(q: QueryGraph, v: ViewInstance,
             raise RewriteInfeasibleError("unlabelled path may match filtered-out labels")
         if p.labels is not None and not set(p.labels) <= kept:
             raise RewriteInfeasibleError("query path needs filtered-out labels")
-    return RewritePlan(original=q, view=v, rewritten=q, hop_mapping=None)
+    return RewritePlan(q, None)

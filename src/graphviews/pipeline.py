@@ -19,7 +19,10 @@ label_propagation and largest_community (report-only: they also run over
 the smallest-id selected connector when that view has fewer edges than
 the base graph, measured, not asserted equivalent). Relative paths
 resolve against the workload file's directory. Raw op walks keep to the
-schema type bands from the source's type to ``result_type``.
+schema type bands from the source's type to ``result_type`` (T); over
+a k-hop connector, the same walk takes the view hops of the plan of
+``(x:T)-[*1..hops]->(y:T)``. An op whose source is not a T vertex, or a
+path_lengths op over ``path_count`` (a view edge's trail count), runs raw.
 
 Each query runs over the selected view with its cheapest plan, as
 selection costed it before anything was materialized.
@@ -58,7 +61,6 @@ from .errors import (
     InvalidParamsError,
     NameEliminatedButReferencedError,
     RewriteInfeasibleError,
-    ValidationError,
 )
 from .execution import (
     ExecutionStats,
@@ -78,7 +80,13 @@ from .query import (
     is_name,
     parse_query,
 )
-from .store import DegreeSummary, GraphSchema, degree_summary, load_graph
+from .store import (
+    PATH_COUNT_PROP,
+    DegreeSummary,
+    GraphSchema,
+    degree_summary,
+    load_graph,
+)
 from .views import (
     Candidate,
     ViewCatalog,
@@ -92,8 +100,14 @@ from .views import (
     view_degree_summary,
 )
 
-OPS = ("ancestors", "descendants", "path_lengths",
-       "label_propagation", "largest_community")
+# each op's params, in the order they are checked
+_OP_PARAMS = {
+    "ancestors": ("hops", "result_type", "source"),
+    "descendants": ("hops", "result_type", "source"),
+    "path_lengths": ("hops", "result_type", "source", "property"),
+    "label_propagation": ("passes",),
+    "largest_community": ("passes", "count_type"),
+}
 REPORT_ONLY_OPS = ("label_propagation", "largest_community")
 
 
@@ -109,7 +123,7 @@ class QuerySpec:
         if (self.file is None) == (self.op is None):
             raise InvalidParamsError(
                 f"query {self.name!r} must set exactly one of file/op")
-        if self.op is not None and self.op not in OPS:
+        if self.op is not None and self.op not in _OP_PARAMS:
             raise InvalidParamsError(f"unknown op {self.op!r}")
         if self.weight <= 0:
             raise InvalidParamsError("query weights must be positive")
@@ -167,17 +181,9 @@ class WorkloadSpec:
             raise InvalidParamsError(f"malformed workload: {exc}") from exc
 
 
-@dataclass
 class OpRewrite(RewritePlan):
     """How an op query runs over a k-hop connector view: the plan of its
-    pattern proxy, the hops the op walks over the view, and the property
-    a path_lengths op needs the view to carry."""
-
-    needs_property: str | None = None
-
-    @property
-    def view_hops(self) -> int:
-        return self.hop_mapping.view_upper
+    pattern proxy, whose ``view_hops`` is how far the op walks there."""
 
 
 @dataclass
@@ -200,21 +206,12 @@ def _stage(name: str):
 # Preparation
 # --------------------------------------------------------------------------
 
-def _require_params(spec: QuerySpec, *names: str) -> None:
-    for name in names:
-        if name not in spec.params:
-            raise InvalidParamsError(f"op {spec.op!r} needs param {name!r}")
-
-
-def _int_param(spec: QuerySpec, name: str, least: int | None = None) -> int:
-    _require_params(spec, name)
-    value = spec.params[name]
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)):
-        wanted = "an integer" if least is None else f"an integer >= {least}"
-        raise InvalidParamsError(
-            f"op {spec.op!r}: param {name!r} must be {wanted}, got {value!r}")
-    return value
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+# what each op param must be, and the test of it
+_PARAM_RULES = {"hops": _COUNT, "passes": _COUNT, "source": _TEXT,
+                "property": _TEXT, "count_type": _TEXT,
+                "result_type": ("a vertex type name", is_name)}
 
 
 def _prepare(spec: QuerySpec) -> _Prepared:
@@ -224,20 +221,17 @@ def _prepare(spec: QuerySpec) -> _Prepared:
         text = Path(spec.file).read_text(encoding="utf-8")
         query = parse_query(text)
         return _Prepared(spec, query, query)
+    for name in _OP_PARAMS[spec.op]:
+        if name not in spec.params:
+            raise InvalidParamsError(f"op {spec.op!r} needs param {name!r}")
+        wanted, valid = _PARAM_RULES[name]
+        if not valid(spec.params[name]):
+            raise InvalidParamsError(
+                f"op {spec.op!r}: param {name!r} must be {wanted}, "
+                f"got {spec.params[name]!r}")
     if spec.op in REPORT_ONLY_OPS:
-        _int_param(spec, "passes", least=1)
-        if spec.op == "largest_community":
-            _require_params(spec, "count_type")
         return _Prepared(spec, None, None)
-    hops = _int_param(spec, "hops", least=1)
-    _require_params(spec, "result_type", "source")
-    if spec.op == "path_lengths":
-        _require_params(spec, "property")
-    result_type = spec.params["result_type"]
-    if not is_name(result_type):
-        raise InvalidParamsError(
-            f"op {spec.op!r}: param 'result_type' must be a vertex type "
-            f"name, got {result_type!r}")
+    result_type, hops = spec.params["result_type"], spec.params["hops"]
     # MATCH (x:T)-[p*1..hops]->(y:T) RETURN x, y
     synth = QueryGraph(
         pattern_vertices={"x": result_type, "y": result_type},
@@ -293,7 +287,7 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
     triples = _triple_counts(graph)
     samples: dict[tuple, DegreeSummary | None] = {}
     for pq in prepared:
-        if pq.synth is None:
+        if pq.synth is None or not _starts_on_proxy(pq.spec, graph):
             continue
         raw_cost = None   # costed once, at the query's first plan
         constraints = mine_constraints(pq.synth, schema)
@@ -347,22 +341,31 @@ def _merge_twins(candidates: list[Candidate]) -> list[Candidate]:
     return kept
 
 
+def _starts_on_proxy(spec: QuerySpec, graph) -> bool:
+    """False for an op whose source is not a vertex of its ``result_type``,
+    where its pattern proxy starts: no plan of the proxy answers it."""
+    if spec.op is None:
+        return True
+    source = spec.params["source"]
+    return (graph.has_vertex(source)
+            and graph.vertex_type(source) == spec.params["result_type"])
+
+
 def _plan_for(pq: _Prepared, v: ViewInstance, schema: GraphSchema):
     """The plan of ``pq`` over ``v``, or None. An op runs over a k-hop
-    connector whose k divides its hops, by the plan of its pattern proxy."""
-    op = pq.spec.op
-    if op is not None and (v.kind != "KHopConnector"
-                           or pq.spec.params["hops"] % v.k):
+    connector whose k divides its hops, by the plan of its pattern proxy;
+    a path_lengths op over ``path_count`` runs raw only, since that name
+    holds each connector edge's trail count."""
+    spec = pq.spec
+    if spec.op is not None and (
+            v.kind != "KHopConnector" or spec.params["hops"] % v.k
+            or spec.params.get("property") == PATH_COUNT_PROP):
         return None
     try:
         plan = rewrite_with_view(pq.synth, v, schema)
     except (RewriteInfeasibleError, NameEliminatedButReferencedError):
         return None
-    if op is None:
-        return plan
-    prop = pq.spec.params["property"] if op == "path_lengths" else None
-    return OpRewrite(plan.original, plan.view, plan.rewritten,
-                     plan.hop_mapping, needs_property=prop)
+    return plan if spec.op is None else OpRewrite(plan.rewritten, plan.view_hops)
 
 
 # --------------------------------------------------------------------------
@@ -477,15 +480,6 @@ class BenchReport:
 # Execution helpers
 # --------------------------------------------------------------------------
 
-def _result_table_for_set(ids) -> ResultTable:
-    return ResultTable(("vertex",), sorted((v,) for v in ids))
-
-
-def _result_table_for_map(mapping) -> ResultTable:
-    return ResultTable(("vertex", "value"),
-                       sorted((k, float(v)) for k, v in mapping.items()))
-
-
 def _timed(fn, stats: ExecutionStats):
     started = time.perf_counter()
     result = fn()
@@ -502,49 +496,45 @@ def _op_bands(spec: QuerySpec, g) -> tuple:
         params["hops"], None, spec.op != "ancestors")
 
 
-def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
+def _run_walk_op(spec: QuerySpec, g, hops: int, allowed
+                 ) -> tuple[ResultTable, ExecutionStats]:
+    """An ancestors, descendants or path_lengths op over ``g``: a walk of
+    at most ``hops`` edges from the source, within the type bands
+    ``allowed`` when given, keeping the vertices of ``result_type``. A
+    source not in ``g`` reaches nothing."""
     stats = ExecutionStats()
-    spec = pq.spec
-    if spec.op is None:
-        return execute(pq.query, g, stats)
     params = spec.params
-    if spec.op in ("ancestors", "descendants"):
+    source = params["source"]
+    if not g.has_vertex(source):
+        reached = {}
+    elif spec.op == "path_lengths":
+        reached = _timed(lambda: path_lengths(
+            g, source, hops, params["property"], allowed=allowed,
+            stats=stats), stats)
+    else:
         direction = "backward" if spec.op == "ancestors" else "forward"
         reached = _timed(lambda: k_hop_neighborhood(
-            g, [params["source"]], direction, params["hops"],
-            allowed=_op_bands(spec, g), stats=stats), stats)
-        kept = {v for v in reached
-                if g.vertex_type(v) == params["result_type"]}
-        return _result_table_for_set(kept), stats
+            g, [source], direction, hops, allowed=allowed, stats=stats), stats)
+    kept = [v for v in reached if g.vertex_type(v) == params["result_type"]]
     if spec.op == "path_lengths":
-        values = _timed(lambda: path_lengths(
-            g, params["source"], params["hops"], params["property"],
-            allowed=_op_bands(spec, g), stats=stats), stats)
-        kept = {v: x for v, x in values.items()
-                if g.vertex_type(v) == params["result_type"]}
-        return _result_table_for_map(kept), stats
-    return _run_community_op(pq, g, params["passes"])
+        return ResultTable(("vertex", "value"),
+                           sorted((v, float(reached[v])) for v in kept)), stats
+    return ResultTable(("vertex",), sorted((v,) for v in kept)), stats
+
+
+def _run_raw(pq: _Prepared, g) -> tuple[ResultTable, ExecutionStats]:
+    spec = pq.spec
+    if spec.op is None:
+        return execute(pq.query, g)
+    if spec.op in REPORT_ONLY_OPS:
+        return _run_community_op(pq, g, spec.params["passes"])
+    return _run_walk_op(spec, g, spec.params["hops"], _op_bands(spec, g))
 
 
 def _run_over_view(pq: _Prepared, plan, view_graph) -> tuple[ResultTable, ExecutionStats]:
-    stats = ExecutionStats()
-    spec = pq.spec
-    if spec.op is None:
-        return execute(plan.rewritten, view_graph, stats)
-    params = spec.params
-    in_view = view_graph.has_vertex(params.get("source", ""))
-    if spec.op in ("ancestors", "descendants"):
-        direction = "backward" if spec.op == "ancestors" else "forward"
-        reached = _timed(lambda: k_hop_neighborhood(
-            view_graph, [params["source"]], direction, plan.view_hops,
-            stats=stats), stats) if in_view else set()
-        return _result_table_for_set(reached), stats
-    if spec.op == "path_lengths":
-        values = _timed(lambda: path_lengths(
-            view_graph, params["source"], plan.view_hops,
-            params["property"], stats=stats), stats) if in_view else {}
-        return _result_table_for_map(values), stats
-    raise ValidationError(f"op {spec.op!r} has no view rewrite")
+    if pq.spec.op is None:
+        return execute(plan.rewritten, view_graph)
+    return _run_walk_op(pq.spec, view_graph, plan.view_hops, None)
 
 
 def _run_community_op(pq: _Prepared, g, passes: int
@@ -677,11 +667,8 @@ def _report_only_host(chosen: list[Candidate], catalog: ViewCatalog, graph):
 
 
 def _needed_aggregates(cand: Candidate, prepared) -> tuple:
-    """Edge properties the selected connector must carry, sorted, so
-    path_lengths op rewrites can run over it."""
-    if cand.view.kind not in CONNECTOR_KINDS:
-        return cand.view.edge_aggregates
-    needed = set(cand.view.edge_aggregates)
-    needed.update(plan.needs_property for plan in cand.per_query_plans.values()
-                  if isinstance(plan, OpRewrite) and plan.needs_property)
-    return tuple(sorted(needed))
+    """Edge properties the selected view must carry, sorted: those the
+    path_lengths ops it plans read, so they can run over it."""
+    return tuple(sorted({pq.spec.params["property"] for pq in prepared
+                         if pq.spec.op == "path_lengths"
+                         and pq.spec.name in cand.per_query_plans}))

@@ -63,6 +63,7 @@ from .query import AGGREGATE_FUNCS
 from .store import (
     DegreeSummary,
     GraphSchema,
+    PATH_COUNT_PROP,
     PERCENTILE_ALPHAS,
     PropertyGraph,
     TypeDegrees,
@@ -304,7 +305,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     endpoints.update(u for u, pairs in found.items() if pairs)
     vertices = sorted(endpoints, key=vids.__getitem__)
     at = {x: i for i, x in enumerate(vertices)}
-    keys = ["path_count", *v.edge_aggregates]
+    keys = [PATH_COUNT_PROP, *v.edge_aggregates]
     label = v.view_label
     esrc, edst, edges = [], [], []
     for u in sources:   # pairs in ascending (src id, dst id) order
@@ -312,7 +313,7 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
             esrc.append(at[u])
             edst.append(at[w])
             props = (dict(zip(keys, value)) if v.edge_aggregates
-                     else {"path_count": value})
+                     else {PATH_COUNT_PROP: value})
             edges.append((f"ve{len(edges):06d}", label, props))
     return PropertyGraph.derive(g, v.view_schema(g.schema), vertices,
                                 esrc, edst, edges)

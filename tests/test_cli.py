@@ -173,12 +173,24 @@ class TestCommands:
         (query,) = json.loads(text)["queries"]
         assert query["name"] == "q10" and query["results_match"]
 
-    @pytest.mark.parametrize("params", [{}, {"passes": "six"}, {"passes": 0}])
-    def test_bench_bad_op_params_exit_2_at_parse(self, tmp_path, capsys, params):
+    # a JSON list as source or property must not reach a walk, where it
+    # raises TypeError, nor an empty or numeric one the execute stage
+    @pytest.mark.parametrize("op, params, name", [
+        ("label_propagation", {}, "passes"),
+        ("label_propagation", {"passes": "six"}, "passes"),
+        ("label_propagation", {"passes": 0}, "passes"),
+        *[("path_lengths", {"source": "j2", "hops": 4, "result_type": "Job",
+                            "property": "timestamp", name: value}, name)
+          for name, value in [("source", ["j2"]), ("source", 3),
+                              ("source", ""), ("property", ["timestamp"]),
+                              ("property", 3), ("property", "")]]])
+    def test_bench_bad_op_params_exit_2_at_parse(self, tmp_path, capsys, op,
+                                                 params, name):
         workload = write_workload(tmp_path, queries=[
-            {"name": "q7", "op": "label_propagation", "params": params}])
+            {"name": "q7", "op": op, "params": params}])
         assert main(["bench", "--workload", str(workload)]) == 2
-        assert "stage 'parse'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stage 'parse'" in err and f"param {name!r}" in err
 
     def test_unknown_view_id_exits_2(self, tmp_path, capsys):
         workload = write_workload(tmp_path)

@@ -1,10 +1,11 @@
 """Dead-code guard: every function, class, method and module-level
 constant the package defines must be used by the package, the benchmark
-or the shared test reference code, and every defaulted parameter of a
-package function must be set by one of their calls. A name that only a
-unit test (or nobody) reaches is production API without a production
-caller, and a parameter no caller sets is a knob nobody turns; move it
-into the test or delete it."""
+or the shared test reference code, every defaulted parameter of a
+package function must be set by one of their calls, and every class
+field must be read by one of them. A name that only a unit test (or
+nobody) reaches is production API without a production caller, a
+parameter no caller sets is a knob nobody turns, and a field nobody
+reads is state nobody uses; move it into the test or delete it."""
 
 import ast
 from collections import Counter
@@ -129,3 +130,26 @@ def test_every_defaulted_parameter_has_a_setter():
             unset += [f"{path.name}:{node.lineno} {name}({p})"
                       for p in defaulted if p not in passed]
     assert not unset, "defaulted parameters no caller sets: " + ", ".join(unset)
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field in a package class body must be read as an
+    attribute somewhere in the package, the benchmark or the shared test
+    reference code: a field that is only ever written is state nobody
+    uses."""
+    read = Counter()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read[node.attr] += 1
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            unread += [f"{path.name}:{f.lineno} {node.name}.{f.target.id}"
+                       for f in node.body
+                       if isinstance(f, ast.AnnAssign)
+                       and isinstance(f.target, ast.Name)
+                       and not read[f.target.id]]
+    assert not unread, "fields nothing reads: " + ", ".join(unread)

@@ -171,8 +171,7 @@ class TestRewrite:
         assert path.labels == ("JOB_TO_JOB_2HOP",)
         assert path.name == "r"
         assert r.projection == q.projection
-        assert plan.hop_mapping.raw_lower == 2
-        assert plan.hop_mapping.raw_upper == 10
+        assert plan.view_hops == 5
         assert "[r:JOB_TO_JOB_2HOP*1..5]" in render_query(r)
 
     def test_k4_rejected_for_full_range(self):
@@ -276,7 +275,7 @@ class TestRewrite:
                          predicate=Predicate(types=frozenset({"Job", "File"})))
         plan = rewrite_with_view(q, v, PROVENANCE_SCHEMA)
         assert plan.rewritten == q
-        assert plan.hop_mapping is None
+        assert plan.view_hops is None
 
     def test_vertex_inclusion_missing_needed_type(self):
         q = parse_query("MATCH (t:Task)-[:RUNS_ON]->(m:Machine) RETURN t, m")

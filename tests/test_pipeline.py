@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,14 +27,21 @@ from graphviews.pipeline import (
     WorkloadSpec,
     _Prepared,
     _estimate_weight,
+    _needed_aggregates,
     _prepare,
+    _run_over_view,
     _run_raw,
     _triple_counts,
     build_candidates,
     run_pipeline,
 )
 from graphviews.query import parse_query
-from graphviews.store import GraphSchema, degree_summary, load_graph
+from graphviews.store import (
+    GraphSchema,
+    PropertyGraph,
+    degree_summary,
+    load_graph,
+)
 from graphviews.views import (
     materialize,
     query_picks,
@@ -653,6 +662,90 @@ def op_specs(g, result_types, hops=(1, 2, 4)):
                 specs.append(QuerySpec("p", op="path_lengths", params={
                     **params, "property": "timestamp"}))
     return specs
+
+
+class TestWalkOps:
+    """Ancestors, descendants and path_lengths run raw and over a k-hop
+    connector through one runner; the view side walks the plan's view
+    hops from the source, when the source is a vertex of the view."""
+
+    @staticmethod
+    def khop_with_plans(g, specs):
+        prepared = [_prepare(spec) for spec in specs]
+        candidates = build_candidates(prepared, g.schema, degree_summary(g),
+                                      g, 95, 10)
+        (cand,) = [c for c in candidates
+                   if c.view.view_id == "khop:Job:Job:02"]
+        view = replace(cand.view,
+                       edge_aggregates=_needed_aggregates(cand, prepared))
+        return prepared, cand.per_query_plans, materialize(g, view)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_raw_and_view_answers_agree(self, seed):
+        g = random_lineage_dag(seed)
+        specs = []
+        for spec in op_specs(g, ["Job"], hops=(2, 4)):
+            specs.append(replace(spec, name=f"{spec.name}{len(specs)}"))
+        prepared, plans, vg = self.khop_with_plans(g, specs)
+        assert next(vg.edges())[4].keys() == {"path_count", "timestamp"}
+        unviewed = 0
+        for pq in prepared:
+            source = pq.spec.params["source"]
+            if g.vertex_type(source) != "Job":
+                # the proxy starts at a Job: no plan answers a File source
+                assert pq.spec.name not in plans
+                continue
+            raw = _run_raw(pq, g)[0]
+            view = _run_over_view(pq, plans[pq.spec.name], vg)[0]
+            assert raw.multiset_equal(view, rel_tol=1e-9), pq.spec
+            if not vg.has_vertex(source):
+                assert raw.rows == []
+                unviewed += 1
+        assert unviewed
+
+    @pytest.mark.parametrize("op", ["descendants", "path_lengths"])
+    def test_source_of_another_type_runs_raw_only(self, tmp_path, op):
+        params = {"source": "f3", "hops": 4, "result_type": "Job"}
+        if op == "path_lengths":
+            params["property"] = "timestamp"
+        queries = [{"name": "q3", "op": "descendants",
+                    "params": {**params, "source": "j2"}},
+                   {"name": "qf", "op": op, "params": params}]
+        path = write_workload(tmp_path, queries=queries, jobs=40, files=80)
+        q3, qf = run_pipeline(WorkloadSpec.from_file(path)).queries
+        assert q3.view_id == "khop:Job:Job:02" and q3.results_match
+        assert qf.rows == 5
+        assert qf.view_id is None and qf.results_match is None
+
+    def test_unknown_source_fails_at_execute(self, tmp_path):
+        queries = [{"name": "q2", "op": "ancestors", "params": {
+            "source": "nope", "hops": 4, "result_type": "Job"}}]
+        spec = WorkloadSpec.from_file(write_workload(tmp_path, queries=queries))
+        with pytest.raises(GraphViewsError) as exc:
+            run_pipeline(spec)
+        assert exc.value.stage == "execute"
+
+    def test_path_lengths_over_path_count_keeps_trail_counts(self, tmp_path):
+        # planned over the connector, the op would make it carry path_count
+        # as a trail aggregate, overwriting the trail counts q1 reads
+        rng = random.Random(4)
+        g = random_lineage_dag(4, jobs=20, files=30)
+        g = PropertyGraph.build(g.schema, list(g.vertices()), [
+            (eid, src, dst, label, {**props, "path_count": rng.randint(1, 3)})
+            for eid, src, dst, label, props in g.edges()])
+        (tmp_path / "count.query").write_text(
+            BLAST.replace("avg(q_j2.cpu_hours)", "count(q_j2)"),
+            encoding="utf-8")
+        queries = [{"name": "q1", "file": "count.query"},
+                   {"name": "q4", "op": "path_lengths", "params": {
+                       "source": "j2", "hops": 4, "result_type": "Job",
+                       "property": "path_count"}}]
+        spec = WorkloadSpec.from_file(write_workload(tmp_path, queries=queries))
+        g.export_csv(spec.vertex_file, spec.edge_file)
+        spec.schema_file.write_text(g.schema.to_json(), encoding="utf-8")
+        q1, q4 = run_pipeline(spec).queries
+        assert q1.view_id == "khop:Job:Job:02" and q1.results_match
+        assert q4.view_id is None and q4.rows
 
 
 class TestOpBands:

@@ -236,7 +236,7 @@ class TestRewriteMemo:
                     refusals += 1
                 else:
                     plans += 1
-                    assert got[0].original is q
+                    assert got[0].rewritten.filters is q.filters
         assert plans and refusals
         kept = schema.memo[rewrite_with_view]
         assert 0 < len(kept) < plans
@@ -249,7 +249,6 @@ class TestRewriteMemo:
         rewrite_with_view(first, v, schema)
         q = parse_query(BLAST.format(name="q_j1", lit="'j9'"))
         plan = rewrite_with_view(q, v, schema)
-        assert plan.original is q
         assert plan.rewritten.filters is q.filters
         assert plan == _rewrite(q, v, schema)
 

@@ -299,6 +299,14 @@ class TestMaterializeSpanner:
             # cost: max(1,2)=2 and max(6,1)=6, min across trails = 2
             assert edge[4] == {"path_count": 2, "cost": 2, "ts": 5}
 
+    @pytest.mark.parametrize("aggregates", [("path_count",),
+                                            ("cost", "path_count")])
+    def test_edge_aggregates_never_name_the_trail_count(self, aggregates):
+        # an aggregate of that name would overwrite each edge's count
+        with pytest.raises(ValidationError, match="path_count"):
+            ViewInstance(kind="KHopConnector", x="a", y="b", x_type="Job",
+                         y_type="Job", k=2, edge_aggregates=aggregates)
+
     def test_through_types_composition(self):
         # spanner over the {Job, File} sparsifier: trails must not route
         # through tasks (none can on this schema; the restriction is a
@@ -1071,7 +1079,9 @@ class TestCatalog:
             catalog_load(tmp_path / "cat")
 
     @pytest.mark.parametrize("stored", [[["timestamp", "max", "min"]],
-                                        "timestamp", [""], [3], None])
+                                        "timestamp", [""], [3], None,
+                                        ["path_count"],
+                                        ["timestamp", "path_count"]])
     def test_edge_aggregates_must_be_property_names(self, tmp_path, stored):
         # the first is how a catalog saved before aggregates were
         # property names stored them
