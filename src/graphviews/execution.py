@@ -19,10 +19,14 @@ live names only, those a filter, the projection or an aggregate reads
 (``QueryGraph.referenced_names``), and bindings with one key sum their
 multiplicities. A name nobody reads is summed out, as in a factorised
 representation: a pattern through unread middle vertices keeps one
-entry per distinct tuple of its read names. Filters and projection
-compile to getters from a key slot to the element's properties;
-external ids are used only for the ``id`` fallback and for returning a
-bound name itself.
+entry per distinct tuple of its read names. A variable-length step
+whose start no later step and no live name reads sums that start out
+before it walks, as eager aggregation does below a join: the steps
+before it gather {start: multiplicity} per prefix of the names still
+read, and one walk per prefix runs from the summed multiplicities.
+Filters and projection compile to getters from a key slot to the
+element's properties; external ids are used only for the ``id``
+fallback and for returning a bound name itself.
 
 Trail-shaped work (variable-length paths, ``path_lengths``, connector
 materialization) runs on one of two kernels. On an acyclic graph every
@@ -241,14 +245,19 @@ def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
 
     out: dict[tuple, int] = {}
     slot = {name: i for i, name in enumerate(layout)}
-    first = _compile_steps(q, g, names, anchor, slot,
-                           [slot[name] for name in keyed], out, stats)
+    first, each, last = _compile_steps(q, g, names, anchor, slot,
+                                       [slot[name] for name in keyed], out,
+                                       stats)
     binding = [None] * len(layout)
     at = slot[anchor]
     stats.vertices_touched += len(candidates)
     for start in candidates:
         binding[at] = start
         first(binding, 1)
+        for flush in each:
+            flush()
+    for flush in last:
+        flush()
     return list(out.items())
 
 
@@ -269,11 +278,24 @@ def _pick_constraint(constraints: list[_Constraint], bound: set[str]) -> int:
 
 def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
                    keep: list[int], out: dict, stats: ExecutionStats):
-    """The component's step plan as one callable ``step(binding, mult)``:
-    constraints in the order ``_pick_constraint`` gives from the anchor,
-    each extending the binding and calling the next. The last keys the
-    finished binding by its entries at the ``keep`` slots, those of the
-    live names, and adds its multiplicity to that key's in ``out``."""
+    """The component's step plan as ``(first, each, last)``: one callable
+    ``first(binding, mult)`` and two lists of flushes. Steps follow the
+    order ``_pick_constraint`` gives from the anchor, each extending the
+    binding and calling the next. The last keys the finished binding by
+    its entries at the ``keep`` slots, those of the live names, and adds
+    its multiplicity to that key's in ``out``.
+
+    A variable-length step whose start slot is not needed after it (it is
+    no live name and no end of a later step) and is not its own far end is
+    a merge point: its start is summed out before the walk. Its step
+    gathers {start vertex: multiplicity} under the binding's prefix, the
+    slots bound before the merge point that are needed after it or are
+    its bound far end. Its flush runs one walk per buffered prefix,
+    seeded with the summed multiplicities, and goes on down the chain.
+    Flushes whose prefix holds the anchor are in ``each``, to run after
+    each anchor candidate; the others are in ``last``, to run once after
+    every candidate, so a dead anchor seeds one walk. Both lists are in
+    plan order, so one flush fills later buffers before they run."""
     constraints = []
     for i, e in enumerate(q.pattern_edges):
         if e.src in names or e.dst in names:
@@ -282,13 +304,18 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
         if p.src in names or p.dst in names:
             constraints.append(_Constraint(100 + i, False, p.src, p.dst, p))
     bound = {anchor}
+    filled = {slot[anchor]}
     plan = []
     while constraints:
         c = constraints.pop(_pick_constraint(constraints, bound))
         forward = c.src in bound
         here, other = (c.src, c.dst) if forward else (c.dst, c.src)
-        plan.append((c, forward, here, other, other in bound))
+        plan.append((c, forward, here, other, other in bound,
+                     frozenset(filled)))
         bound.update((c.src, c.dst))
+        filled.update((slot[c.src], slot[c.dst]))
+        if c.is_edge and c.payload.name in slot:
+            filled.add(slot[c.payload.name])
 
     key_of = _slot_getter(keep, len(slot))
     total = out.get
@@ -300,19 +327,34 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
     types = q.pattern_vertices
     index = schema_index(g.schema)
     step = emit
-    for c, forward, here, other, other_bound in reversed(plan):
-        args = (forward, slot[here], slot[other], other_bound, types[other])
+    needed = set(keep)
+    each, last = [], []
+    for c, forward, here, other, other_bound, filled in reversed(plan):
+        start, end = slot[here], slot[other]
         if c.is_edge:
             e = c.payload
             named = slot.get(e.name)
-            step = _edge_step(g, e.label, named, *args, step, stats)
+            step = _edge_step(g, e.label, named, forward, start, end,
+                              other_bound, types[other], step, stats)
         else:
             p = c.payload
             labels = frozenset(p.labels) if p.labels else None
             bands = index.type_bands(types[here], types[other], p.lower,
                                      p.upper, labels, forward)
-            step = _path_step(g, p, labels, bands, *args, step, stats)
-    return step
+            follow = _path_walk(g, p, labels, bands, forward, end,
+                                other_bound, types[other], step, stats)
+            if start in needed or start == end:
+                step = _path_step(start, follow)
+            else:
+                prefix = sorted(filled & (needed | {end}))
+                buffer: dict[tuple, dict] = {}
+                flushes = each if slot[anchor] in prefix else last
+                flushes.append(_flush(prefix, len(slot), buffer, follow))
+                step = _gather(prefix, len(slot), start, buffer)
+        needed.update((start, end))
+    each.reverse()
+    last.reverse()
+    return step, each, last
 
 
 def _slot_getter(keep: list[int], width: int):
@@ -366,30 +408,72 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
     return step
 
 
-def _path_step(g: PropertyGraph, p, labels, bands, forward: bool, here: int,
+def _path_walk(g: PropertyGraph, p, labels, bands, forward: bool,
                there: int, there_bound: bool, want, nxt, stats):
-    """One variable-length path from the vertex in slot ``here``, over
-    ``labels`` edges and within the type ``bands``: every trail endpoint,
-    in ascending external id order, weighted by its summed trail
+    """``follow(binding, seeds)`` for one variable-length path: walk it
+    from ``seeds``, {start vertex: multiplicity}, over ``labels`` edges
+    and within the type ``bands``, then extend the binding with every
+    trail endpoint (the one in slot ``there`` when that is bound), in
+    ascending external id order, weighted by its summed trail
     multiplicity."""
     extend = _count_step(g)
     vids, vtypes = g._vids, g._vtypes
 
-    def step(binding: list, mult: int):
-        reached = _walk(g, {binding[here]: 1}, p.lower, p.upper, extend,
-                        operator.add, forward=forward, labels=labels,
-                        allowed=bands, stats=stats)
+    def follow(binding: list, seeds: dict):
+        reached = _walk(g, seeds, p.lower, p.upper, extend, operator.add,
+                        forward=forward, labels=labels, allowed=bands,
+                        stats=stats)
         if there_bound:
             count = reached.get(binding[there])
             if count is not None:
-                nxt(binding, mult * count)
+                nxt(binding, count)
             return
         ends = [w for w in reached if want is None or vtypes[w] == want]
         ends.sort(key=vids.__getitem__)
         for w in ends:
             binding[there] = w
-            nxt(binding, mult * reached[w])
+            nxt(binding, reached[w])
+    return follow
+
+
+def _path_step(here: int, follow):
+    """One variable-length path from the vertex in slot ``here``, seeded
+    with the binding's multiplicity."""
+    def step(binding: list, mult: int):
+        follow(binding, {binding[here]: mult})
     return step
+
+
+def _gather(prefix: list[int], width: int, start: int, buffer: dict):
+    """A merge point's own step: add the binding's multiplicity to its
+    start vertex's in the seeds that ``buffer`` holds under its entries
+    at the ``prefix`` slots."""
+    prefix_of = _slot_getter(prefix, width)
+
+    def step(binding: list, mult: int):
+        key = prefix_of(binding)
+        seeds = buffer.get(key)
+        v = binding[start]
+        if seeds is None:
+            buffer[key] = {v: mult}
+        else:
+            seeds[v] = seeds.get(v, 0) + mult
+    return step
+
+
+def _flush(prefix: list[int], width: int, buffer: dict, follow):
+    """A merge point's walks: one ``follow`` per buffered prefix, in the
+    order the prefixes were first gathered, from a binding that holds the
+    prefix; then the buffer is emptied."""
+    binding = [None] * width
+
+    def flush():
+        for key, seeds in buffer.items():
+            for at, v in zip(prefix, key):
+                binding[at] = v
+            follow(binding, seeds)
+        buffer.clear()
+    return flush
 
 
 # --------------------------------------------------------------------------

@@ -837,8 +837,8 @@ class TestReportDigests:
     plans, rows, work counters) is a fact a change must account for."""
 
     @pytest.mark.parametrize("shape, digest", [
-        ("lineage", "0de42bbd447b"),
-        ("provenance", "cdb0f053e25e"),
+        ("lineage", "c3b3e40d7b7b"),
+        ("provenance", "ed1a3e708833"),
         ("road", "d3d3be503540"),
     ])
     def test_digest_is_pinned(self, tmp_path, shape, digest):
