@@ -9,10 +9,14 @@ infeasible candidates are never produced.
 
 Rewriting is conservative: a plan is only produced when the rewritten
 query provably returns the same rows over the view as the original does
-over the raw graph. The checks cover hop-range coverage (every feasible
-raw length must map onto whole view hops), positional label constraints,
+over the raw graph. A connector graph holds only the endpoints of its
+contracted trails, so the query must be exactly the contracted path
+(no other fixed edge, path or component) and no feasible raw length may
+be 0. The checks then cover hop-range coverage (every feasible raw
+length must map onto whole view hops), positional label constraints,
 and, for multi-hop view traversals, that every qualifying schema path
-passes through the endpoint type at each contraction boundary. Instances
+passes through the endpoint type at each contraction boundary. A vertex
+filter must keep every type and label the query names. Instances
 that fail these checks raise RewriteInfeasibleError and simply contribute
 no plan; soundness is preferred over coverage. A plan is the rewritten
 query plus, over a connector, the most view hops its contracted path
@@ -430,12 +434,24 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
     if overlap:
         raise NameEliminatedButReferencedError(
             f"view contracts away referenced name(s) {sorted(overlap)}")
+    # the view graph holds the contracted path and nothing else; the
+    # folded edges are some of the query's, so equal counts mean all
+    if (set(q.pattern_vertices) != {v.x, v.y, *b.eliminated}
+            or len(q.pattern_edges) != len(b.folded_edges)
+            or q.var_length_paths != ((b.path,) if b.path is not None else ())):
+        raise RewriteInfeasibleError(
+            "the query matches more than the contracted path, and the view "
+            "holds nothing else")
 
     lo, hi = b.k_min, b.k_max
     feasible = [l for l in range(lo, hi + 1) if c.has_path(v.x_type, v.y_type, l)]
     if not feasible:
         raise RewriteInfeasibleError(
             "no schema path matches the query's connector range")
+    if feasible[0] == 0:
+        raise RewriteInfeasibleError(
+            f"a zero-length path matches every {v.x_type} vertex, but the "
+            f"view holds only those on a connector edge")
 
     if v.kind == "KHopConnector":
         a = math.ceil(lo / v.k)
@@ -484,26 +500,12 @@ def _labels_possible(c: ConstraintSet, v: ViewInstance, length: int) -> bool:
 def _diagnose_eliminated_reference(q: QueryGraph, v: ViewInstance,
                                    referenced: set[str]):
     """If folding fails only because of query references, say which."""
-    unconstrained = query_hop_bounds(_without_references(q))
-    for b in unconstrained:
+    for b in query_hop_bounds(q, set()):
         if (b.src, b.dst) == (v.x, v.y):
             overlap = set(b.eliminated) & referenced
             if overlap:
                 raise NameEliminatedButReferencedError(
                     f"view contracts away referenced name(s) {sorted(overlap)}")
-
-
-def _without_references(q: QueryGraph) -> QueryGraph:
-    from .query import NameRef, ProjectionItem
-    anchor = next(iter(q.pattern_vertices))
-    return QueryGraph(
-        pattern_vertices=dict(q.pattern_vertices),
-        pattern_edges=q.pattern_edges,
-        var_length_paths=q.var_length_paths,
-        filters=None,
-        projection=(ProjectionItem(Aggregate("count", NameRef(anchor)),
-                                   "count"),),
-    )
 
 
 def _check_label_soundness(c: ConstraintSet, v: ViewInstance,
@@ -556,12 +558,11 @@ def _satisfies_constraints(path, b: ConnectorBounds, length: int) -> bool:
 
 def _build_rewritten(q: QueryGraph, v: ViewInstance, b: ConnectorBounds,
                      a: int, z: int) -> QueryGraph:
+    """``q``, which is exactly the contracted path of ``b``, as a path of
+    ``a..z`` view hops between the view's endpoints."""
     eliminated = set(b.eliminated)
     vertices = {name: vtype for name, vtype in q.pattern_vertices.items()
                 if name not in eliminated}
-    folded = set(id(e) for e in b.folded_edges)
-    edges = tuple(e for e in q.pattern_edges if id(e) not in folded)
-    paths = tuple(p for p in q.var_length_paths if p is not b.path)
     new_path = VarLengthPath(
         src=v.x, dst=v.y, lower=a, upper=z,
         labels=(v.view_label,),
@@ -569,8 +570,8 @@ def _build_rewritten(q: QueryGraph, v: ViewInstance, b: ConnectorBounds,
     )
     return QueryGraph(
         pattern_vertices=vertices,
-        pattern_edges=edges,
-        var_length_paths=paths + (new_path,),
+        pattern_edges=(),
+        var_length_paths=(new_path,),
         filters=q.filters,
         projection=q.projection,
         order_by=q.order_by,
@@ -592,6 +593,12 @@ def _rewrite_vertex_filter(q: QueryGraph, v: ViewInstance,
             "untyped pattern vertices may bind to filtered-out types")
     if not {t for t in pattern_types if t} <= kept:
         raise RewriteInfeasibleError("query references a filtered-out vertex type")
+    named = {e.label for e in q.pattern_edges if e.label is not None}
+    named.update(*(p.labels for p in q.var_length_paths if p.labels))
+    dropped = named - v.view_schema(schema).labels()
+    if dropped:
+        raise RewriteInfeasibleError(
+            f"query names label(s) {sorted(dropped)} the view drops")
     c = mine_constraints(q, schema)
     for p in q.var_length_paths:
         src_t = q.pattern_vertices[p.src]

@@ -42,13 +42,13 @@ on a cyclic graph they count trail prefixes and the entries scanned
 from them.
 
 An edge may declare that it stands for several parallel contracted paths
-through an integer ``path_count`` property (written by connector view
-materialization). A binding's multiplicity is the product of the
-path_counts of every edge it traverses; aggregate contributions and
-result rows are weighted accordingly. Raw edges carry no path_count, so
-their multiplicity is 1 and the semantics reduces to plain Cypher-style
-row-per-match. This is what makes a query rewritten over a contracted
-view return byte-identical result tables on acyclic inputs.
+through a positive integer ``path_count`` (written by connector view
+materialization), read from the column the store checks at load. A
+binding's multiplicity is the product of the path_counts of every edge
+it traverses; aggregate contributions and result rows are weighted
+accordingly. Raw edges carry none, so their multiplicity is 1 and the
+semantics reduces to plain Cypher-style row-per-match: a query rewritten
+over a contracted view returns byte-identical tables on acyclic inputs.
 
 Rows group implicitly by the non-aggregated RETURN columns. A missing
 property evaluates to false in WHERE, is skipped by aggregates, and
@@ -81,7 +81,7 @@ from .query import (
     _cell_sort_key,
     _row_sort_key,
 )
-from .store import PATH_COUNT_PROP, PropertyGraph, induced_subgraph
+from .store import PropertyGraph, induced_subgraph
 
 
 @dataclass
@@ -91,14 +91,6 @@ class ExecutionStats:
     edges_expanded: int = 0
     vertices_touched: int = 0
     wall_ms: float = 0.0
-
-
-def _path_count(props: dict) -> int:
-    pc = props.get(PATH_COUNT_PROP, 1)
-    if isinstance(pc, bool) or not isinstance(pc, int) or pc < 1:
-        raise PropertyTypeMismatchError(
-            f"{PATH_COUNT_PROP} must be a positive integer, got {pc!r}")
-    return pc
 
 
 # --------------------------------------------------------------------------
@@ -378,7 +370,7 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
     edges that pass multiply in their ``path_count``; only entries with
     the edge's label count as expanded."""
     adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
-    elabel, vtypes, eprops = g._elabel, g._vtypes, g._eprops
+    elabel, vtypes, counts = g._elabel, g._vtypes, g._path_counts
 
     def step(binding: list, mult: int):
         edges = adj[binding[here]]
@@ -400,9 +392,7 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
                 binding[there] = w
             if named is not None:
                 binding[named] = ei
-            props = eprops[ei]
-            nxt(binding, mult * _path_count(props)
-                if PATH_COUNT_PROP in props else mult)
+            nxt(binding, mult if counts is None else mult * counts[ei])
         stats.edges_expanded += expanded
         stats.vertices_touched += touched
     return step
@@ -495,14 +485,10 @@ def _count_step(g: PropertyGraph):
     """``extend`` of the count semiring: multiply by the edge's path_count.
     None on a graph where no edge carries one, so the kernels pass the
     count through without a call per edge."""
-    if not g._has_path_count:
+    counts = g._path_counts
+    if counts is None:
         return None
-    eprops = g._eprops
-
-    def extend(count: int, ei: int) -> int:
-        props = eprops[ei]
-        return count * _path_count(props) if PATH_COUNT_PROP in props else count
-    return extend
+    return lambda count, ei: count * counts[ei]
 
 
 def _walk(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
@@ -887,9 +873,9 @@ def label_propagation(g: PropertyGraph, passes: int,
         neighbors[s].append(d)
         neighbors[d].append(s)
     weights: list[list[int] | None] = [None] * n
-    if g._has_path_count:
+    if g._path_counts is not None:
         counts: list[list[int]] = [[] for _ in range(n)]
-        for s, d, w in zip(src, dst, map(_path_count, g._eprops)):
+        for s, d, w in zip(src, dst, g._path_counts):
             counts[s].append(w)
             counts[d].append(w)
         # a vertex whose edges all weigh 1 takes the unweighted count

@@ -83,6 +83,20 @@ def _bad_props(kind: str, ids: list, maps: list[PropertyMap],
     return None
 
 
+def _path_count_column(ids: list, maps: list[PropertyMap]) -> tuple:
+    """The path_count of every edge map (1 where absent), or None when no
+    map has one; and the first that is not a positive int (bools
+    excluded) as (row, error), or None."""
+    if not any(PATH_COUNT_PROP in props for props in maps):
+        return None, None
+    counts = [props.get(PATH_COUNT_PROP, 1) for props in maps]
+    if set(map(type, counts)) == {int} and min(counts) > 0:
+        return counts, None
+    row = next(i for i, c in enumerate(counts) if type(c) is not int or c < 1)
+    return counts, (row, MalformedRowError(f"edge {ids[row]!r}: {PATH_COUNT_PROP} "
+                                           f"must be a positive integer, got {counts[row]!r}"))
+
+
 def _created(items: list) -> Iterator[int]:
     """The positions of ``derive``'s created vertices or edges: those
     given as tuples, not as base indexes."""
@@ -248,7 +262,7 @@ class PropertyGraph:
         self._in: list[list[int]] = []        # (both set by _seal)
         self._type_counts: dict[str, int] = {}
         self._acyclic: bool | None = None
-        self._has_path_count = False          # set by _seal
+        self._path_counts: list[int] | None = None   # set by the edge checks
         self._explicit_ids: dict[PropertyValue, list[int]] | None = None
 
     # -- construction -------------------------------------------------
@@ -264,13 +278,14 @@ class PropertyGraph:
 
     def _check_edges(self, dangling: list[tuple[int, str, str]],
                      blanks: list[int] | None = None):
-        """Index the edge columns, raising the first violation: the lowest
-        row, and in a row an empty id, a duplicate id, an unknown source,
-        an unknown destination, a triple not in the schema, then bad
-        props. ``dangling`` lists (row, src, dst) of every row with an
-        endpoint that is not a vertex id, its index stored as -1."""
+        """Index the edge columns and their path counts, raising the first
+        violation: the lowest row, and in a row an empty id, a duplicate
+        id, an unknown source, then destination, a triple not in the
+        schema, bad props, then a bad path_count. ``dangling`` lists (row,
+        src, dst) of every row with an endpoint not a vertex id (index -1)."""
         ids = self._eids
         self._eindex, duplicate = _index(ids, "edge")
+        self._path_counts, bad_count = _path_count_column(ids, self._eprops)
         unknown_end, limit = None, len(ids)
         if dangling:
             row, src, dst = dangling[0]
@@ -280,7 +295,7 @@ class PropertyGraph:
             limit = row
         _raise_first([_empty_id(ids, "edge"), duplicate, unknown_end,
                       self._unknown_triple(limit),
-                      _bad_props("edge", ids, self._eprops)], blanks)
+                      _bad_props("edge", ids, self._eprops), bad_count], blanks)
 
     def _undeclared_type(self) -> tuple[int, ValidationError] | None:
         """The first vertex whose type is not in the schema."""
@@ -321,8 +336,6 @@ class PropertyGraph:
             inn[edst[ei]].append(ei)
         self._out, self._in = out, inn
         self._type_counts = dict(Counter(self._vtypes))
-        self._has_path_count = any(PATH_COUNT_PROP in props
-                                   for props in self._eprops)
 
     @classmethod
     def build(cls, schema: GraphSchema,
@@ -366,10 +379,10 @@ class PropertyGraph:
         a base edge index (keeping the base edge's id, label and props)
         or a created (id, label, props). Props taken from ``base`` are
         copied, not re-checked; created props are checked as
-        :meth:`build` checks them. Every vertex type and each distinct
-        (src type, dst type, label) triple must be in ``schema``, and
-        vertex and edge ids must be unique. Raises the first violation
-        of the first failing check, in that order."""
+        :meth:`build` checks them, path counts included. Every vertex type
+        and each distinct (src type, dst type, label) triple must be in
+        ``schema``, and vertex and edge ids must be unique. Raises the
+        first violation of the first failing check, in that order."""
         g = cls(schema)
         vids, vtypes, vprops = g._vids, g._vtypes, g._vprops
         for x in vertices:
@@ -396,9 +409,10 @@ class PropertyGraph:
         g._esrc, g._edst = list(esrc), list(edst)
         g._vindex, duplicate_vertex = _index(vids, "vertex")
         g._eindex, duplicate_edge = _index(eids, "edge")
+        g._path_counts, bad_count = _path_count_column(eids, eprops)
         for violation in (_bad_props("vertex", vids, vprops, _created(vertices)),
                           _bad_props("edge", eids, eprops, _created(edges)),
-                          g._undeclared_type(), duplicate_vertex, duplicate_edge,
+                          bad_count, g._undeclared_type(), duplicate_vertex, duplicate_edge,
                           g._unknown_triple(len(eids))):
             if violation:
                 raise violation[1]
@@ -717,7 +731,6 @@ class DegreeSummary:
     per_type: dict[str, TypeDegrees]
     edge_source_types: frozenset[str]
     total_vertices: int
-    total_edges: int
 
     def types(self) -> list[str]:
         return sorted(self.per_type)
@@ -757,5 +770,4 @@ def degree_summary(g: PropertyGraph) -> DegreeSummary:
         per_type=per_type,
         edge_source_types=g.schema.edge_source_types(),
         total_vertices=g.n,
-        total_edges=g.m,
     )

@@ -530,8 +530,8 @@ def sampled_degree_summary(g: PropertyGraph, v: ViewInstance,
     """Degree summary connector ``v`` is expected to have over ``g``, from
     the scan :func:`materialize_spanner` runs, walked from every
     ceil(n / SAMPLE_SOURCES)-th of its n sources in id order: every
-    ``x_type`` vertex counts, with the out-degree percentiles and mean of
-    the sample. None when the sample reads more than
+    ``x_type`` vertex counts, with the out-degree percentiles of the
+    sample. None when the sample reads more than
     SAMPLE_MAX_EXPANDED adjacency entries."""
     sources, scan = _connector_scan(g, v, max_expanded=SAMPLE_MAX_EXPANDED)
     try:
@@ -540,8 +540,7 @@ def sampled_degree_summary(g: PropertyGraph, v: ViewInstance,
         return None
     degrees = sorted(map(len, found.values()))
     return _connector_summary(
-        v, raw, {a: nearest_rank(degrees, a) for a in PERCENTILE_ALPHAS},
-        raw.n_of(v.x_type) * sum(degrees) / max(len(degrees), 1))
+        v, raw, {a: nearest_rank(degrees, a) for a in PERCENTILE_ALPHAS})
 
 
 def view_degree_summary(v: ViewInstance, raw: DegreeSummary,
@@ -550,13 +549,11 @@ def view_degree_summary(v: ViewInstance, raw: DegreeSummary,
     spread evenly over its sources: the cost of a connector whose
     sample passes its cap."""
     deg = math.ceil(estimated_edges / max(raw.n_of(v.x_type), 1))
-    return _connector_summary(v, raw, dict.fromkeys(PERCENTILE_ALPHAS, deg),
-                              estimated_edges)
+    return _connector_summary(v, raw, dict.fromkeys(PERCENTILE_ALPHAS, deg))
 
 
 def _connector_summary(v: ViewInstance, raw: DegreeSummary,
-                       percentiles: dict[int, int],
-                       edges: float) -> DegreeSummary:
+                       percentiles: dict[int, int]) -> DegreeSummary:
     """A connector view's summary: every ``x_type`` vertex with the given
     out-degree percentiles, every ``y_type`` vertex with none."""
     per_type = {v.x_type: TypeDegrees(raw.n_of(v.x_type), percentiles)}
@@ -567,7 +564,6 @@ def _connector_summary(v: ViewInstance, raw: DegreeSummary,
         per_type=per_type,
         edge_source_types=frozenset({v.x_type}),
         total_vertices=sum(td.vertex_count for td in per_type.values()),
-        total_edges=int(edges),
     )
 
 
@@ -582,7 +578,6 @@ def sparsifier_degree_summary(v: ViewInstance, raw: DegreeSummary,
         per_type=per_type,
         edge_source_types=view_schema.edge_source_types(),
         total_vertices=sum(td.vertex_count for td in per_type.values()),
-        total_edges=raw.total_edges,
     )
 
 

@@ -455,7 +455,8 @@ def reference_columns(schema, vertices, edges) -> dict[str, list]:
     id, src, dst, label, props) edges, each checked in turn against the
     rows before it: an empty id, a duplicate id, an undeclared type (or
     an unknown source, an unknown destination, a triple not in the
-    schema), then the props. Raises the first violation with its line."""
+    schema), then the props, and an edge's path_count (1 when absent)
+    must be a positive int. Raises the first violation with its line."""
     cols = {name: [] for name in ("vids", "vtypes", "vprops", "eids", "esrc",
                                   "edst", "elabel", "eprops")}
     vindex, eindex = {}, {}
@@ -487,6 +488,11 @@ def reference_columns(schema, vertices, edges) -> dict[str, list]:
                 f"edge {eid!r}: triple ({triple[0]}, {triple[1]}, {label}) not in schema",
                 line=line)
         checked = _reference_props(props, f"edge {eid!r}", line)
+        count = checked.get("path_count", 1)
+        if type(count) is not int or count < 1:
+            raise MalformedRowError(
+                f"edge {eid!r}: path_count must be a positive integer, "
+                f"got {count!r}", line=line)
         eindex[eid] = len(cols["eids"])
         cols["eids"].append(eid)
         cols["esrc"].append(vindex[src])

@@ -38,6 +38,23 @@ class TestCommands:
         assert main(["load-check", *graph_flags(dataset)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0", '""2""', "true", "1.5"])
+    def test_bad_path_count_exits_2_at_load(self, tmp_path, capsys, bad):
+        # the row's line is named, whether or not a walk would cross it
+        workload = write_workload(tmp_path)
+        edges = tmp_path / "lineage_edges.csv"
+        header, first, *rest = edges.read_text(encoding="utf-8").splitlines()
+        first = first.rsplit(",", 1)[0] + f',"{{""path_count"": {bad}}}"'
+        edges.write_text("\n".join([header, first, *rest]) + "\n",
+                         encoding="utf-8")
+        flags = ["--vertices", str(tmp_path / "lineage_vertices.csv"),
+                 "--edges", str(edges),
+                 "--schema", str(tmp_path / "lineage_schema.json")]
+        assert main(["load-check", *flags]) == 2
+        assert "line 2: edge 'e0': path_count" in capsys.readouterr().err
+        assert main(["bench", "--workload", str(workload)]) == 2
+        assert "stage 'load': line 2: edge 'e0'" in capsys.readouterr().err
+
     def test_mine_golden_facts(self, tmp_path, dataset, capsys):
         qfile = tmp_path / "q.query"
         qfile.write_text(BLAST, encoding="utf-8")
@@ -156,6 +173,23 @@ class TestCommands:
             {"name": "q9", "file": "q9.query"}])
         assert main(["bench", "--workload", str(workload)]) == 0
         assert "q9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, match", [
+        # khop:File:File:02 held no Job end for the fixed edge; no view
+        # is left to plan it, so there is nothing to compare
+        ("MATCH (a:Job)-[:WRITES_TO]->(f:File), (f)-[*2..4]->(b:File) "
+         "RETURN a.id, f.id, b.id", None),
+        # vert:Job dropped the label the path names
+        ("MATCH (a:Job)-[:WRITES_TO*1..3]->(b:Job) RETURN count(b)", True)])
+    def test_bench_refused_plans_exit_0(self, tmp_path, capsys, text, match):
+        (tmp_path / "r.query").write_text(text, encoding="utf-8")
+        workload = write_workload(tmp_path, jobs=40, files=80,
+                                  queries=[{"name": "r", "file": "r.query"}])
+        out = tmp_path / "report.json"
+        assert main(["bench", "--workload", str(workload),
+                     "--out", str(out)]) == 0
+        (query,) = json.loads(out.read_text(encoding="utf-8"))["queries"]
+        assert query["results_match"] is match
 
     def test_bench_400_hop_query_exits_0(self, tmp_path, capsys):
         # its raw cost series passes the largest float

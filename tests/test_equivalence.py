@@ -3,31 +3,41 @@ materialized view must return exactly the rows the original returns over
 the raw graph. Lineage inputs are acyclic, which is what makes contracted
 path multiplicities recoverable from path_count products."""
 
+import random
+
 import pytest
 
 from graphviews.enumeration import (
+    Predicate,
     ViewInstance,
     enumerate_views,
     rewrite_with_view,
 )
-from graphviews.errors import RewriteInfeasibleError
+from graphviews.errors import (
+    GraphViewsError,
+    NameEliminatedButReferencedError,
+    RewriteInfeasibleError,
+)
 from graphviews.execution import (
     execute,
     k_hop_neighborhood,
     path_lengths,
 )
-from graphviews.generate import generate_road_like
+from graphviews.generate import generate_lineage, generate_road_like
 from graphviews.mining import mine_constraints
 from graphviews.query import ResultTable, parse_query
-from graphviews.store import load_graph
+from graphviews.store import PropertyGraph, load_graph
 from graphviews.views import materialize
 
 from conftest import (
     BLAST_RADIUS_QUERY,
     LINEAGE_SCHEMA,
     PROVENANCE_SCHEMA,
+    cluttered_lineage_dag,
     random_lineage_dag,
+    weighted_lineage_dag,
 )
+from test_execution import random_lineage_query
 
 KHOP2 = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
                      x_type="Job", y_type="Job", k=2)
@@ -129,7 +139,6 @@ class TestOpQueryEquivalence:
 
 class TestSparsifierCountsDiffer:
     def test_q5_differs_on_spanner_matches_on_sparsifier(self):
-        from graphviews.enumeration import Predicate
         g = random_lineage_dag(0, jobs=12, files=16, schema=PROVENANCE_SCHEMA)
         q5 = parse_query("MATCH (a)-[]->(b) RETURN count(a)")
         raw, _ = execute(q5, g)
@@ -165,3 +174,118 @@ class TestCyclicRewrites:
         raw, _ = execute(q, g)
         rewritten, _ = execute(plan.rewritten, materialize(g, view))
         assert raw.multiset_equal(rewritten)
+
+
+def with_isolated_vertices(g: PropertyGraph) -> PropertyGraph:
+    """``g`` plus one Job and one File with no edge: a zero-length path
+    or a second pattern component matches them, and no connector view
+    holds them."""
+    return PropertyGraph.build(
+        g.schema, [*g.vertices(), ("j_lone", "Job", {"cpu_hours": 7}),
+                   ("f_lone", "File", {})], list(g.edges()))
+
+
+def outcome(run):
+    """The result table ``run`` gives, or the class of the error it raises."""
+    try:
+        return run()[0]
+    except GraphViewsError as exc:
+        return type(exc)
+
+
+class TestEveryPlanIsSound:
+    """Every enumerated view the rewriter plans a seeded random query over
+    gives the raw rows (or the raw error), on four acyclic graph
+    families. Cyclic graphs are left out: there a plan of two or more
+    view hops can reuse a raw edge (``TestCyclicRewrites``)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_queries(self, seed):
+        rng = random.Random(seed)
+        texts = [random_lineage_query(rng) for _ in range(8)]
+        plans, unsound = 0, []
+        for g in (random_lineage_dag(seed), weighted_lineage_dag(seed),
+                  cluttered_lineage_dag(seed),
+                  with_isolated_vertices(random_lineage_dag(seed))):
+            views = {}
+            for text in texts:
+                q = parse_query(text)
+                raw = outcome(lambda: execute(q, g))
+                for v in enumerate_views(q, g.schema, mine_constraints(q, g.schema)):
+                    try:
+                        plan = rewrite_with_view(q, v, g.schema)
+                    except (RewriteInfeasibleError,
+                            NameEliminatedButReferencedError):
+                        continue
+                    plans += 1
+                    if v.view_id not in views:
+                        views[v.view_id] = materialize(g, v)
+                    got = outcome(lambda: execute(plan.rewritten,
+                                                  views[v.view_id]))
+                    if isinstance(raw, ResultTable):
+                        sound = (isinstance(got, ResultTable)
+                                 and raw.multiset_equal(got, rel_tol=1e-9))
+                    else:
+                        sound = got is raw
+                    if not sound:
+                        unsound.append((text, v.view_id))
+        assert plans and not unsound, unsound
+
+
+def tiny_lineage() -> PropertyGraph:
+    """j0 -WRITES_TO-> f0 -IS_READ_BY-> j1, and j2 with no edge."""
+    return PropertyGraph.build(
+        LINEAGE_SCHEMA, [("j0", "Job", {}), ("j1", "Job", {}), ("j2", "Job", {}),
+                         ("f0", "File", {})],
+        [("e0", "j0", "f0", "WRITES_TO", {}), ("e1", "f0", "j1", "IS_READ_BY", {})])
+
+
+def job_connector(kind, **bounds) -> ViewInstance:
+    return ViewInstance(kind=kind, x="a", y="b", x_type="Job", y_type="Job",
+                        **bounds)
+
+
+class TestRefusedPlans:
+    """Plans the rewriter used to emit, each of which returned other rows
+    than the raw query or failed over its view."""
+
+    def test_another_component_is_refused(self):
+        # the view graph holds no vertex without a connector edge: c
+        # would bind j0 and j1 only
+        g = tiny_lineage()
+        q = parse_query("MATCH (a:Job)-[*2..2]->(b:Job), (c:Job) RETURN count(c)")
+        assert execute(q, g)[0].rows == [(3,)]
+        for v in (job_connector("KHopConnector", k=2),
+                  job_connector("SameVertexTypeConnector", lo=2, hi=2)):
+            with pytest.raises(RewriteInfeasibleError, match="more than"):
+                rewrite_with_view(q, v, LINEAGE_SCHEMA)
+
+    def test_an_unfolded_fixed_edge_is_refused(self, tmp_path):
+        # the view graph has neither the Job vertices nor WRITES_TO edges
+        ds = generate_lineage(tmp_path, 0, jobs=40, files=80)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        q = parse_query("MATCH (a:Job)-[:WRITES_TO]->(f:File), (f)-[*2..4]->(b:File) "
+                        "RETURN a.id, f.id, b.id")
+        assert execute(q, g)[0].rows
+        v = ViewInstance(kind="KHopConnector", x="f", y="b", x_type="File",
+                         y_type="File", k=2)
+        with pytest.raises(RewriteInfeasibleError, match="more than"):
+            rewrite_with_view(q, v, ds.schema)
+
+    def test_a_zero_length_path_is_refused(self):
+        # j2 reaches itself in zero hops, but is in no connector graph
+        g = tiny_lineage()
+        q = parse_query("MATCH (a:Job)-[*0..2]->(b:Job) RETURN count(b)")
+        assert execute(q, g)[0].rows == [(4,)]
+        with pytest.raises(RewriteInfeasibleError, match="zero-length"):
+            rewrite_with_view(q, job_connector("KHopConnector", k=2),
+                              LINEAGE_SCHEMA)
+
+    def test_a_label_the_filter_drops_is_refused(self):
+        g = tiny_lineage()
+        q = parse_query("MATCH (a:Job)-[:WRITES_TO*1..3]->(b:Job) RETURN count(b)")
+        assert execute(q, g)[0].rows == [(0,)]
+        v = ViewInstance(kind="VertexInclusion",
+                         predicate=Predicate(types=frozenset({"Job"})))
+        with pytest.raises(RewriteInfeasibleError, match="WRITES_TO"):
+            rewrite_with_view(q, v, LINEAGE_SCHEMA)

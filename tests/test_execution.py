@@ -9,6 +9,7 @@ from graphviews import execution
 from graphviews.errors import (
     BudgetExceededError,
     GraphViewsError,
+    MalformedRowError,
     PropertyTypeMismatchError,
     TypeNotInSchemaError,
     ValidationError,
@@ -324,14 +325,17 @@ class TestLabelPropagationOracle:
         g = single(["a", "x", "y"], edges, {("y", "x"): {"path_count": 2}})
         assert label_propagation(g, 1)["x"] == "a"
 
-    @pytest.mark.parametrize("bad", [0, "2", True])
+    @pytest.mark.parametrize("bad", [0, "2", True, 1.5])
     def test_invalid_path_count_raises_in_both(self, bad):
-        g = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
+        # no graph holds a bad count for either to read: build and derive
+        # refuse it, so label propagation never meets one
+        with pytest.raises(MalformedRowError, match="edge 'e1': path_count"):
+            single(["a", "b", "c"], [("a", "b"), ("b", "c")],
                    {("b", "c"): {"path_count": bad}})
-        with pytest.raises(PropertyTypeMismatchError):
-            label_propagation(g, 1)
-        with pytest.raises(PropertyTypeMismatchError):
-            label_propagation_oracle(g, 1)
+        g = single(["a", "b"], [("a", "b")])
+        with pytest.raises(MalformedRowError, match="edge 'n0': path_count"):
+            PropertyGraph.derive(g, SINGLE, [0, 1], [0, 1], [1, 0],
+                                 [0, ("n0", "L", {"path_count": bad})])
 
     def test_zero_passes_rejected(self):
         g = single(["a", "b"], [("a", "b")])
@@ -392,13 +396,13 @@ class TestFrontierSweep:
         assert not single(["a", "b"], [("a", "b"), ("b", "b")]).is_acyclic
 
     def test_plain_graphs_pass_counts_through(self):
-        # whether any edge carries path_count is recorded at seal time;
-        # without one, the kernels get no per-edge count step to call
+        # the store keeps the path counts as a column, None when no edge
+        # carries one; then the kernels get no per-edge count step to call
         plain, weighted = random_lineage_dag(5), weighted_lineage_dag(5)
         one = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
                      {("b", "c"): {"path_count": 1}})
-        assert not plain._has_path_count
-        assert weighted._has_path_count and one._has_path_count
+        assert plain._path_counts is None
+        assert max(weighted._path_counts) > 1 and one._path_counts == [1, 1]
         assert _count_step(plain) is None
         assert _count_step(as_cyclic(plain)) is None
         assert _count_step(one) is not None
@@ -474,15 +478,22 @@ class TestFrontierSweep:
                 want, _ = execute(q, h)
                 assert got.rows == want.rows, (seed, text)
 
-    def test_invalid_path_count_raises_in_both(self):
-        g = PropertyGraph.build(
-            SINGLE, [("a", "N", {}), ("b", "N", {}), ("c", "N", {})],
-            [("e1", "a", "b", "L", {}), ("e2", "b", "c", "L", {"path_count": 0})])
-        for graph in (g, as_cyclic(g)):
-            assert _trail_endpoints(graph, "a", 1, 1, None, True,
-                                    ExecutionStats()) == {"b": 1}
-            with pytest.raises(PropertyTypeMismatchError):
-                _trail_endpoints(graph, "a", 1, 2, None, True, ExecutionStats())
+    def test_invalid_path_count_raises_in_both(self, tmp_path):
+        # a bad count fails when the graph is built or loaded, with its
+        # line, not when a walk of either kernel first crosses it
+        edges = [("e1", "a", "b", "L", {}), ("e2", "b", "c", "L", {"path_count": 0})]
+        with pytest.raises(MalformedRowError, match="edge 'e2': path_count"):
+            PropertyGraph.build(
+                SINGLE, [("a", "N", {}), ("b", "N", {}), ("c", "N", {})], edges)
+        vertex_file = tmp_path / "v.csv"
+        vertex_file.write_text("id,type,props\na,N,\nb,N,\nc,N,\n",
+                               encoding="utf-8")
+        edge_file = tmp_path / "e.csv"
+        edge_file.write_text('id,src,dst,label,props\ne1,a,b,L,\n\n'
+                             'e2,b,c,L,"{""path_count"": 0}"\n', encoding="utf-8")
+        with pytest.raises(MalformedRowError, match="edge 'e2': path_count") as exc:
+            load_graph(vertex_file, edge_file, SINGLE)
+        assert exc.value.line == 4
 
     def test_non_numeric_path_length_raises_in_both(self):
         g = single(["a", "b", "c"], [("a", "b"), ("b", "c")],
@@ -560,7 +571,7 @@ class TestTrailCounters:
     @pytest.mark.parametrize("seed", range(4))
     def test_trails_match_the_trail_search_oracle(self, seed):
         g = cyclic_multigraph(seed)
-        assert not g.is_acyclic and g._has_path_count
+        assert not g.is_acyclic and g._path_counts is not None
         extend = _count_step(g)
         pruned = 0
         for v, (lo, hi), forward, labels, last in itertools.product(

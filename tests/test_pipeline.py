@@ -589,7 +589,6 @@ class TestPicksAtSelection:
                 degrees = sorted(len(view_g.out_edges(j)) if view_g.has_vertex(j)
                                  else 0 for j in g.vertices_of_type("Job"))
                 got = sampled_degree_summary(g, v, raw)
-                assert got.total_edges == view_g.m
                 for alpha in (50, 90, 95, 100):
                     rank = -(-alpha * len(degrees) // 100)
                     assert got.deg("Job", alpha) == degrees[rank - 1]

@@ -114,7 +114,8 @@ V3 = "id,type,props\nj1,Job,\nj2,Job,\nf1,File,\n"
 class TestFirstViolation:
     """The error raised is the one of the lowest row; within a row, the
     column count, the props JSON, the id, the duplicate id, the type or
-    the source, the destination and the triple, then the props values."""
+    the source, the destination and the triple, the props values, then
+    an edge's path_count."""
 
     @pytest.mark.parametrize("vertices, edges, error, text, line", [
         ("id,type,props\n,Ghost,{broken\n", "", MalformedRowError, "bad props JSON", 2),
@@ -145,6 +146,14 @@ class TestFirstViolation:
          UnknownEdgeTripleError, "'e1'", 2),
         ("id,type,props\n", "id,src,dst,label,props\ne1,a,b,L,\n",
          DanglingEdgeEndpointError, "source vertex 'a'", 2),
+        (V3, 'id,src,dst,label,props\ne1,j1,f1,WRITES_TO,"{""path_count"": 0}"\n'
+         "e1,j1,f1,WRITES_TO,\n", MalformedRowError,
+         "edge 'e1': path_count must be a positive integer, got 0", 2),
+        (V3, 'id,src,dst,label,props\ne1,j1,f1,WRITES_TO,'
+         '"{""path_count"": 1.5, """": 1}"\n', MalformedRowError,
+         "edge 'e1': property keys", 2),
+        (V3, 'id,src,dst,label,props\ne1,f1,j1,WRITES_TO,"{""path_count"": 0}"\n',
+         UnknownEdgeTripleError, "(File, Job, WRITES_TO)", 2),
     ])
     def test_first_violation(self, tmp_path, vertices, edges, error, text, line):
         vf = write(tmp_path / "v.csv", vertices)
@@ -487,6 +496,9 @@ BAD_JSON = ["{broken", '{"a": 1', '{"a": 1}}', '{"a" 1}', "{]", "{'a': 1}",
 NOT_AN_OBJECT = ["[1]", "3", '"x"', "null", "true"]
 BAD_VALUES = ['{"a": NaN}', '{"a": 1e400}', '{"a": -Infinity}', '{"a": [1]}',
               '{"": 1}', '{"a": null}', '{"a": {"b": 1}}']
+# bad as an edge's path_count, which no vertex has
+BAD_COUNTS = ['{"path_count": 0}', '{"path_count": "2"}', '{"path_count": true}',
+              '{"path_count": 1.5}', '{"a": 1, "path_count": -3}']
 GOOD_CELLS = ["  ", ' {"a": 1} ', '{"a":1,"a":2}', '{"a": 1.5}', '{"a": true}',
               "{}", '{"a": "x, \\"y\\"", "b": -2}', '{"a": 1e308}']
 
@@ -497,9 +509,9 @@ class TestIngestMatchesReference:
     class, message and line, of the row-by-row reference loader."""
 
     FAULTS = {"vertices": ["width", "empty id", "duplicate id", "type", "json",
-                           "value", "good"],
+                           "value", "count", "good"],
               "edges": ["width", "empty id", "duplicate id", "endpoint", "triple",
-                        "json", "value", "good"]}
+                        "json", "value", "count", "good"]}
 
     def mutate(self, rng, files, last):
         """One fault in a vertex or edge row; half the time in the row the
@@ -533,7 +545,8 @@ class TestIngestMatchesReference:
                 row[3] = rng.choice(["NOPE", "WRITES_TO", "IS_READ_BY", "ROAD"])
         else:
             row[-1] = rng.choice({"json": BAD_JSON + NOT_AN_OBJECT,
-                                  "value": BAD_VALUES, "good": GOOD_CELLS}[what])
+                                  "value": BAD_VALUES, "count": BAD_COUNTS,
+                                  "good": GOOD_CELLS}[what])
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_load_graph(self, tmp_path, name):
@@ -577,7 +590,8 @@ class TestIngestMatchesReference:
                                       [vids[i] for i in valid["edst"]],
                                       valid["elabel"], valid["eprops"])]
         bad_props = [{"a": float("nan")}, {"a": float("inf")}, {"a": [1]}, {"": 1},
-                     {1: 2}, {"a": None}, {"a": 1.5, "b": float("-inf")}]
+                     {1: 2}, {"a": None}, {"a": 1.5, "b": float("-inf")},
+                     {"path_count": 0}, {"path_count": True}, {"path_count": 2.0}]
         good_props = [{"a": 1.5}, {"a": True}, {}, {"a": "x"}]
         seen = set()
         for seed in range(60):

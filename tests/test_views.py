@@ -930,7 +930,7 @@ def assert_same_graph(got: PropertyGraph, want: PropertyGraph, context):
     assert (got._vindex, got._eindex) == (want._vindex, want._eindex), context
     assert (got._out, got._in) == (want._out, want._in), context
     assert got.type_counts() == want.type_counts(), context
-    assert got._has_path_count == want._has_path_count, context
+    assert got._path_counts == want._path_counts, context
     assert got.is_acyclic == want.is_acyclic, context
 
 
