@@ -35,11 +35,16 @@ of each length at once: (sum, x path_count) for multiplicities, (min,
 max) for path lengths, O(hops x reachable edges). On a cyclic graph
 a trail may not reuse an edge, and a depth-first trail search
 enumerates them one by one. ``k_hop_neighborhood`` is a breadth-first
-search on either. The work counters follow the kernel: on an acyclic
-graph ``vertices_touched`` counts each (depth, vertex) of a frontier
-that is expanded and ``edges_expanded`` each adjacency entry it scans;
-on a cyclic graph they count trail prefixes and the entries scanned
-from them.
+search on either. Each step, fixed or variable-length, reads its
+edges from a selection (``PropertyGraph.step_edges``): per vertex, only
+the adjacency entries of the schema triples with one of the step's
+labels into one of the types of its band, derived from the flat
+adjacency lists on first use (on the provenance schema, a Job's step
+toward a File never scans its SPAWNS entries). The work counters follow
+the kernel: on an acyclic graph ``vertices_touched`` counts each
+(depth, vertex) of a frontier that is expanded and ``edges_expanded``
+each entry of the triples a step may take that it scans; on a cyclic
+graph they count trail prefixes and the entries scanned from them.
 
 An edge may declare that it stands for several parallel contracted paths
 through a positive integer ``path_count`` (written by connector view
@@ -327,7 +332,8 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
             e = c.payload
             named = slot.get(e.name)
             step = _edge_step(g, e.label, named, forward, start, end,
-                              other_bound, types[other], step, stats)
+                              other_bound, types[here], types[other], step,
+                              stats)
         else:
             p = c.payload
             labels = frozenset(p.labels) if p.labels else None
@@ -363,37 +369,34 @@ def _slot_getter(keep: list[int], width: int):
 
 
 def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
-               there: int, there_bound: bool, want, nxt, stats):
-    """One fixed edge from the vertex in slot ``here``, in ascending edge
-    id order: the far end must equal slot ``there`` when that is bound,
-    else have type ``want`` (when not None) and be bound to it. Only
-    edges that pass multiply in their ``path_count``; only entries with
-    the edge's label count as expanded."""
-    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
-    elabel, vtypes, counts = g._elabel, g._vtypes, g._path_counts
+               there: int, there_bound: bool, have, want, nxt, stats):
+    """One fixed edge from the vertex in slot ``here``, of type ``have``,
+    in ascending edge id order, over the selection of its ``label`` into
+    type ``want`` (either any when None): the far end must equal slot
+    ``there`` when that is bound, else is bound to it. A bound far end
+    has type ``want`` already, so the selection holds every edge that can
+    reach it. Each edge taken multiplies in its ``path_count``."""
+    adj, _ = g.step_edges(forward,
+                          None if label is None else frozenset((label,)),
+                          None if want is None else frozenset((want,)),
+                          None if have is None else frozenset((have,)))
+    far, counts = (g._edst if forward else g._esrc), g._path_counts
 
     def step(binding: list, mult: int):
         edges = adj[binding[here]]
-        expanded = len(edges) if label is None else 0
+        stats.edges_expanded += len(edges)
         touched = 0
         for ei in edges:
-            if label is not None:
-                if elabel[ei] != label:
-                    continue
-                expanded += 1
             w = far[ei]
             if there_bound:
                 if binding[there] != w:
                     continue
-            elif want is not None and vtypes[w] != want:
-                continue
             else:
                 touched += 1
                 binding[there] = w
             if named is not None:
                 binding[named] = ei
             nxt(binding, mult if counts is None else mult * counts[ei])
-        stats.edges_expanded += expanded
         stats.vertices_touched += touched
     return step
 
@@ -476,10 +479,12 @@ def _flush(prefix: list[int], width: int, buffer: dict, follow):
 # when a step leaves the value as it is) and ``plus(a, b)`` joins two
 # trails, a semiring over the trails. The sweep
 # folds walks, which are the trails only on an acyclic graph. Both work
-# on the graph's internal integer ids and adjacency lists, return
-# {vertex index: value}, and count every adjacency entry they scan as
-# one expanded edge. Given ``max_expanded``, they raise
-# BudgetExceededError once ``stats.edges_expanded`` passes it.
+# on the graph's internal integer ids, return {vertex index: value}, and
+# read each step's edges from its selection (``g.step_edges``), so every
+# entry they scan is an edge the step may take, and each counts as one
+# expanded edge. ``labels`` and the bands of ``allowed`` are frozensets
+# (or None). Given ``max_expanded``, they raise BudgetExceededError once
+# ``stats.edges_expanded`` passes it.
 
 def _count_step(g: PropertyGraph):
     """``extend`` of the count semiring: multiply by the edge's path_count.
@@ -521,24 +526,22 @@ def _sweep(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     ``seen`` set turns the sweep into a breadth-first search: a vertex in
     it is not entered again, and every vertex entered is added to it.
     The cap is checked after each level."""
-    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
-    elabel, vtypes = g._elabel, g._vtypes
+    far = g._edst if forward else g._esrc
     limit = float("inf") if max_expanded is None else max_expanded
     reached = dict(seeds) if lo == 0 else {}
     frontier = seeds
+    near = frozenset(map(g._vtypes.__getitem__, seeds))
     for depth in range(1, hi + 1):
-        types = allowed[depth] if allowed is not None else None
+        adj, near = g.step_edges(
+            forward, labels, allowed[depth] if allowed is not None else None,
+            near)
         nxt: dict = {}
         for v, value in frontier.items():
             edges = adj[v]
             stats.vertices_touched += 1
             stats.edges_expanded += len(edges)
             for ei in edges:
-                if labels is not None and elabel[ei] not in labels:
-                    continue
                 w = far[ei]
-                if types is not None and vtypes[w] not in types:
-                    continue
                 if seen is not None:
                     if w in seen:
                         continue
@@ -569,8 +572,15 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
     trail may take joins its far end into the result in place, with no
     call and no mark in ``used``, and still counts as one prefix. The
     cap is checked at each prefix, before its edges are followed."""
-    adj, far = (g._out, g._edst) if forward else (g._in, g._esrc)
-    elabel, vtypes = g._elabel, g._vtypes
+    far = g._edst if forward else g._esrc
+    # adjs[d]: the selection of the step from depth d to d + 1
+    adjs = []
+    near = frozenset(map(g._vtypes.__getitem__, seeds))
+    for d in range(hi):
+        adj, near = g.step_edges(
+            forward, labels, allowed[d + 1] if allowed is not None else None,
+            near)
+        adjs.append(adj)
     reached: dict = {}
     used: set[int] = set()
     # prefixes of hi edges end trails of lo..hi edges only when hi >= lo
@@ -583,21 +593,16 @@ def _trails(g: PropertyGraph, seeds: dict, lo: int, hi: int, extend, plus, *,
             reached[v] = plus(reached[v], value) if v in reached else value
         if depth == hi:
             return
-        types = allowed[depth + 1] if allowed is not None else None
-        edges = adj[v]
+        edges = adjs[depth][v]
         stats.edges_expanded += len(edges)
         if stats.edges_expanded > limit:
             raise _over_cap(max_expanded)
         fold = depth == last
         ends = 0
         for ei in edges:
-            if labels is not None and elabel[ei] not in labels:
-                continue
             if ei in used:
                 continue
             w = far[ei]
-            if types is not None and vtypes[w] not in types:
-                continue
             x = value if extend is None else extend(value, ei)
             if fold:
                 reached[w] = plus(reached[w], x) if w in reached else x

@@ -264,6 +264,10 @@ class PropertyGraph:
         self._acyclic: bool | None = None
         self._path_counts: list[int] | None = None   # set by the edge checks
         self._explicit_ids: dict[PropertyValue, list[int]] | None = None
+        # filled on first use by step_edges() and selection()
+        self._steps: dict[tuple, tuple[list, frozenset[str]]] = {}
+        self._selections: dict[tuple[bool, frozenset, frozenset], list] = {}
+        self._type_members: dict[str, list[int]] = {}   # type -> vertices
 
     # -- construction -------------------------------------------------
 
@@ -488,6 +492,90 @@ class PropertyGraph:
                             ready.append(u)
             self._acyclic = removed == len(members)
         return self._acyclic
+
+    def step_edges(self, forward: bool, labels: frozenset[str] | None,
+                   types: frozenset[str] | None, near: frozenset[str] | None
+                   ) -> tuple[list, frozenset[str]]:
+        """What a step from a vertex of one of the ``near`` types reads: its
+        out-edges (in-edges when not ``forward``) with one of ``labels``
+        into a vertex of one of ``types``, None standing for any. Every
+        edge's triple is checked at load, so those are exactly the edges
+        of the schema triples the step picks. Returns their
+        :meth:`selection` and the far-end types of the picked triples: the
+        near types of the next step. The answer is kept per request (a few
+        references each), since every walk asks once per depth."""
+        key = forward, labels, types, near
+        found = self._steps.get(key)
+        if found is None:
+            near_at, far_at = (0, 1) if forward else (1, 0)
+            picked = frozenset(t for t in self.schema.edge_types
+                               if (near is None or t[near_at] in near)
+                               and (labels is None or t[2] in labels)
+                               and (types is None or t[far_at] in types))
+            found = self._steps[key] = (
+                self.selection(forward, picked, near),
+                frozenset(t[far_at] for t in picked))
+        return found
+
+    def selection(self, forward: bool, picked: frozenset[tuple[str, str, str]],
+                  near: frozenset[str] | None) -> list:
+        """Per vertex, the internal indexes of its out-edges (in-edges when
+        not ``forward``) whose (src type, dst type, label) triple is one of
+        ``picked``, in ascending external edge id order, for the vertices
+        of the ``near`` types (of any type when None); ``picked`` holds
+        triples leaving near types only. A vertex of another type, or of a
+        near type whose every triple is picked, keeps its whole list, so
+        the selection that filters no type is the adjacency itself. The
+        other near types' lists are filtered by (label, far-end type),
+        which is the triple since the near type is fixed.
+
+        A selection that filters is built on first use and kept under what
+        it filters: the partly picked near types and their picked triples.
+        So steps that filter alike share one, and a graph keeps at most one
+        per direction and such choice, a bound set by the schema, not the
+        queries (on provenance, only Job's out-lists are ever filtered).
+        Each costs a list of n entries plus the entries it keeps. Two
+        threads that build one at once build equal lists, and the last one
+        stays."""
+        near_at = 0 if forward else 1
+        partial = frozenset(t[near_at] for t in self.schema.edge_types
+                            if (near is None or t[near_at] in near)
+                            and t not in picked)
+        if not partial:
+            return self._out if forward else self._in
+        key = forward, partial, picked.intersection(
+            t for t in self.schema.edge_types if t[near_at] in partial)
+        found = self._selections.get(key)
+        if found is None:
+            found = self._selections[key] = self._select(*key)
+        return found
+
+    def _select(self, forward: bool, partial: frozenset[str],
+                kept: frozenset) -> list:
+        flat = self._out if forward else self._in
+        near_at, far_at = (0, 1) if forward else (1, 0)
+        adj = flat.copy()
+        elabel, vtypes = self._elabel, self._vtypes
+        far = self._edst if forward else self._esrc
+        for vtype in partial:
+            pairs = {(t[2], t[far_at]) for t in kept if t[near_at] == vtype}
+            labels = {label for label, _ in pairs}
+            # the label test first: an entry of another label skips the
+            # far end's type, a lookup in two more columns; every empty
+            # list is the one shared ()
+            for v in self._members(vtype):
+                adj[v] = [ei for ei in flat[v] if elabel[ei] in labels
+                          and (elabel[ei], vtypes[far[ei]]) in pairs] or ()
+        return adj
+
+    def _members(self, vtype: str) -> list[int]:
+        """The internal indexes of the vertices of ``vtype``, listed on
+        first use and kept."""
+        found = self._type_members.get(vtype)
+        if found is None:
+            found = self._type_members[vtype] = [
+                v for v, t in enumerate(self._vtypes) if t == vtype]
+        return found
 
     def type_counts(self) -> dict[str, int]:
         counts = {t: 0 for t in self.schema.vertex_types}

@@ -126,7 +126,8 @@ def trail_search(g, start, lo, hi, labels=None, allowed=None, forward=True):
     vertex of one of the types ``allowed[depth]`` (when given). Returns
     ({end id: sum over the trails of lo..hi edges ending there of the
     product of the path_counts it crosses}, the number of prefixes, the
-    adjacency entries of the prefixes shorter than hi)."""
+    adjacency entries of the prefixes shorter than hi that a step may
+    take: of one of ``labels`` into one of the ``allowed`` types)."""
     ends: dict[str, int] = {}
     prefixes = scanned = 0
 
@@ -138,13 +139,15 @@ def trail_search(g, start, lo, hi, labels=None, allowed=None, forward=True):
         if depth == hi:
             return
         adjacency = g.out_edges(v) if forward else g.in_edges(v)
-        scanned += len(adjacency)
         for eid, w, label, props in adjacency:
-            if eid in used or (labels is not None and label not in labels):
+            if labels is not None and label not in labels:
                 continue
             if allowed is not None and g.vertex_type(w) not in allowed[depth + 1]:
                 continue
-            walk(w, depth + 1, mult * props.get("path_count", 1), used | {eid})
+            scanned += 1
+            if eid not in used:
+                walk(w, depth + 1, mult * props.get("path_count", 1),
+                     used | {eid})
 
     walk(start, 0, 1, frozenset())
     return ends, prefixes, scanned

@@ -114,3 +114,45 @@ def test_traced_names_are_pipeline_attributes():
     assert calls, "spans.PIPELINE_CALLS not found"
     missing = sorted(name for name in calls if not hasattr(pipeline, name))
     assert not missing, f"graphviews.pipeline lacks traced names {missing}"
+
+
+def _layer_names(tree: ast.Module) -> set:
+    """The string keys of ``spans.LAYERS`` and of the dicts it spreads."""
+    dicts = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    dicts[target.id] = node.value
+
+    def keys(name):
+        out = set()
+        for key, value in zip(dicts[name].keys, dicts[name].values):
+            if key is None and isinstance(value, ast.Name):
+                out |= keys(value.id)
+            elif isinstance(key, ast.Constant):
+                out.add(key.value)
+        return out
+    return keys("LAYERS") if "LAYERS" in dicts else set()
+
+
+def test_traced_graph_methods_are_called_by_the_package():
+    # a traced name that is no pipeline attribute is a PropertyGraph
+    # method the tracer patches; a refactor that stops calling it leaves
+    # the benchmark's traced run without its span
+    from graphviews.store import PropertyGraph
+
+    names = _layer_names(ast.parse((BENCH / "spans.py").read_text(encoding="utf-8")))
+    assert names, "spans.LAYERS not found"
+    methods = sorted(name for name in names if not hasattr(pipeline, name))
+    assert methods, "every traced name is a pipeline attribute"
+    package = Path(pipeline.__file__).resolve().parent
+    called = {node.func.attr
+              for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    for name in methods:
+        assert callable(getattr(PropertyGraph, name, None)), (
+            f"traced name {name!r} is neither a pipeline attribute nor a "
+            f"PropertyGraph method")
+        assert name in called, f"no graphviews module calls {name!r}"

@@ -2,6 +2,8 @@ import itertools
 import math
 import operator
 import random
+import sys
+import threading
 
 import pytest
 
@@ -53,7 +55,7 @@ def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
     a variable-length step sees, keyed by external id."""
     reached = _walk(g, {g._require(start): 1}, lo, hi, _count_step(g),
                     operator.add, forward=forward,
-                    labels=set(labels) if labels else None, stats=stats)
+                    labels=frozenset(labels) if labels else None, stats=stats)
     return {g._vids[v]: count for v, count in reached.items()}
 
 
@@ -427,7 +429,7 @@ class TestFrontierSweep:
             for v in range(g.n):
                 for forward in (True, False):
                     for lo, hi in ((0, 0), (0, 3), (1, 4), (2, 6), (3, 3)):
-                        for labels in (None, {"IS_READ_BY"}):
+                        for labels in (None, frozenset({"IS_READ_BY"})):
                             args = (g, {v: 1}, lo, hi, extend, operator.add)
                             kw = dict(forward=forward, labels=labels)
                             sweep = _sweep(*args, **kw, stats=ExecutionStats())
@@ -566,7 +568,7 @@ class TestTrailCounters:
     """The trail search's results and work counters against a plain
     recursive search: ``vertices_touched`` is the number of trail
     prefixes of 0..hi edges, ``edges_expanded`` the adjacency entries of
-    the prefixes shorter than hi."""
+    the prefixes shorter than hi that a step may take."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_trails_match_the_trail_search_oracle(self, seed):
@@ -576,8 +578,8 @@ class TestTrailCounters:
         pruned = 0
         for v, (lo, hi), forward, labels, last in itertools.product(
                 range(g.n), ((1, 1), (0, 3), (4, 4), (3, 2)), (True, False),
-                (None, {"L"}), (None, {"N"})):
-            allowed = None if last is None else [{"N", "M"}] * hi + [last]
+                (None, frozenset("L")), (None, frozenset("N"))):
+            allowed = None if last is None else [frozenset("NM")] * hi + [last]
             stats = ExecutionStats()
             got = _trails(g, {v: 1}, lo, hi, extend, operator.add,
                           forward=forward, labels=labels, allowed=allowed,
@@ -592,6 +594,190 @@ class TestTrailCounters:
                 pruned += ends != trail_search(g, g._vids[v], lo, hi, labels,
                                                None, forward)[0]
         assert pruned   # the last-depth restriction drops some ends
+
+
+# one label into two types, and one type with two out-labels
+MULTI = GraphSchema.of(["A", "B", "C"], [("A", "B", "L"), ("A", "C", "L"),
+                                         ("A", "B", "M"), ("B", "A", "L")])
+
+
+def multi_triple_graph(seed: int, acyclic: bool) -> PropertyGraph:
+    """A random graph over ``MULTI`` whose edge ids are shuffled against
+    load order, about a third of the edges carrying path_count; acyclic
+    when every edge runs forward in one random vertex order."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)] + ["c0", "c1", "c2"]
+    rng.shuffle(names)
+    kind = {"a": "A", "b": "B", "c": "C"}
+    triples = sorted(MULTI.edge_types)
+    edges = []
+    while len(edges) < 36:
+        src_type, dst_type, label = rng.choice(triples)
+        src = rng.choice([n for n in names if kind[n[0]] == src_type])
+        dst = rng.choice([n for n in names if kind[n[0]] == dst_type])
+        if acyclic and names.index(src) > names.index(dst):
+            continue
+        props = {"path_count": rng.randint(2, 3)} if rng.random() < 0.3 else {}
+        edges.append((src, dst, label, props))
+    ids = rng.sample(range(100, 100 + len(edges)), len(edges))
+    return PropertyGraph.build(
+        MULTI, [(n, kind[n[0]], {"w": rng.randint(1, 9)}) for n in names],
+        [(f"e{i}", *edge) for i, edge in zip(ids, edges)])
+
+
+MULTI_QUERIES = [
+    # an untyped far end, and a typed one that is one of a label's two
+    "MATCH (x:A)-[:L]->(y) RETURN x.id, y.id",
+    "MATCH (x:A)-[:L]->(y:B) RETURN x.id, count(y)",
+    "MATCH (x:A)-[e]->(y:B) RETURN e.id, y.w",
+    "MATCH (x)-[:L]->(y:C) RETURN x.id, count(y)",
+    "MATCH (y:B)-[:L]->(x:A)-[:M]->(z) RETURN y.id, z.id",
+    # a far end already bound
+    "MATCH (x:A)-[:L]->(y:B), (x)-[m:M]->(y) RETURN x.id, m.id",
+    "MATCH (x:A)-[:L]->(y:B)-[:L]->(z:A), (z)-[p*1..3]->(y) RETURN x.id, z.id",
+    # variable-length steps over some of a type's triples
+    "MATCH (x:A)-[p:L*1..3]->(y:B) RETURN x.id, y.id",
+    "MATCH (x:A)-[p*1..4]->(y:C) RETURN y.id, count(y)",
+    "MATCH (x:B)-[p:L|M*0..4]->(y) RETURN y.id, count(x)",
+    "MATCH (x)-[p:M*1..2]->(y:B) RETURN x.id, sum(y.w)",
+]
+
+# per depth 0..3; the oracle reads a band at every depth after the first
+MULTI_BANDS = [None, [None, frozenset("B"), frozenset("A"), frozenset("BC")],
+               [None, frozenset("CA"), frozenset("B"), frozenset("A")],
+               [None, frozenset("AB"), frozenset("AB"), frozenset("AB")]]
+
+
+class TestSelections:
+    """The kernels read each step's edges from a selection derived from
+    the flat adjacency: on a schema where a label leads into two types
+    and a type has two out-labels, they match the plain trail search and
+    the matcher matches the recursive oracle, for every label set and
+    band, in both directions."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernels_match_the_trail_search(self, seed):
+        dag = multi_triple_graph(seed, acyclic=True)
+        assert dag.is_acyclic
+        for g in (dag, multi_triple_graph(seed, acyclic=False)):
+            extend = _count_step(g)
+            for v, (lo, hi), forward, labels, bands in itertools.product(
+                    range(g.n), ((1, 1), (0, 3), (2, 3)), (True, False),
+                    (None, frozenset(["L"]), frozenset(["M"]),
+                     frozenset(["L", "M"])), MULTI_BANDS):
+                allowed = None if bands is None else bands[:hi + 1]
+                kw = dict(forward=forward, labels=labels, allowed=allowed)
+                ends, prefixes, scanned = trail_search(
+                    g, g._vids[v], lo, hi, labels, allowed, forward)
+                stats = ExecutionStats()
+                got = _trails(g, {v: 1}, lo, hi, extend, operator.add, **kw,
+                              stats=stats)
+                case = (seed, g.is_acyclic, v, lo, hi, forward, labels, bands)
+                assert {g._vids[w]: x for w, x in got.items()} == ends, case
+                assert (stats.vertices_touched, stats.edges_expanded) == (
+                    prefixes, scanned), case
+                if g.is_acyclic:
+                    got = _sweep(g, {v: 1}, lo, hi, extend, operator.add, **kw,
+                                 stats=ExecutionStats())
+                    assert {g._vids[w]: x for w, x in got.items()} == ends, case
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_execute_matches_oracle(self, seed):
+        dag = multi_triple_graph(seed, acyclic=True)
+        for g in (dag, as_cyclic(dag), multi_triple_graph(seed, acyclic=False)):
+            for text in MULTI_QUERIES:
+                q = parse_query(text)
+                table, _ = execute(q, g)
+                assert rows_close(table.rows, query_rows(g, q)), (seed, text)
+
+    def test_selections_list_the_edges_a_step_may_take(self):
+        g = multi_triple_graph(0, acyclic=False)
+        some = (None, frozenset("A"), frozenset("B"), frozenset("BC"),
+                frozenset("C"))
+        for forward, labels, types, near in itertools.product(
+                (True, False), (None, frozenset("L"), frozenset("M")), some,
+                some):
+            adj, fars = g.step_edges(forward, labels, types, near)
+            flat, far = (g._out, g._edst) if forward else (g._in, g._esrc)
+            near_at, far_at = (0, 1) if forward else (1, 0)
+            picked = [t for t in MULTI.edge_types
+                      if (near is None or t[near_at] in near)
+                      and (labels is None or t[2] in labels)
+                      and (types is None or t[far_at] in types)]
+            assert fars == {t[far_at] for t in picked}
+            for v, edges in enumerate(adj):
+                ids = [g._eids[ei] for ei in edges]
+                assert ids == sorted(ids)
+                if near is None or g._vtypes[v] in near:
+                    assert list(edges) == [
+                        ei for ei in flat[v]
+                        if (g._elabel[ei] in (labels or MULTI.labels()))
+                        and (types is None or g._vtypes[far[ei]] in types)]
+
+    def test_selections_share_the_adjacency_and_each_other(self):
+        g = multi_triple_graph(1, acyclic=False)
+        fs, step = frozenset, g.step_edges
+        assert step(True, None, None, None)[0] is g._out
+        assert step(False, fs("LM"), fs("ABC"), None)[0] is g._in
+        # B's and C's out-triples are all picked, or they have none
+        assert step(True, fs("L"), fs("A"), fs("BC"))[0] is g._out
+        partial = step(True, fs("L"), None, fs("A"))[0]
+        assert partial is not g._out
+        # requests that pick the same triples share one list
+        assert step(True, fs("L"), fs("BC"), fs("A"))[0] is partial
+        # and so do steps that filter alike, whatever else they pick
+        assert step(True, fs("L"), None, fs("AB"))[0] is partial
+        only_m = step(True, fs("M"), None, fs("A"))[0]
+        assert step(True, fs("M"), fs("B"), fs("A"))[0] is only_m
+        assert step(True, None, fs("B"), fs("A"))[0] is not only_m
+
+    def test_concurrent_builds_agree(self):
+        # the selections of one graph, built from four threads at once
+        # with a short switch interval, equal those built alone
+        fs = frozenset
+        requests = list(itertools.product(
+            (True, False), (None, fs("L"), fs("M")), (None, fs("B"), fs("AC")),
+            (fs("A"), fs("B"), None)))
+        alone = multi_triple_graph(2, acyclic=False)
+        want = {request: alone.step_edges(*request) for request in requests}
+        g = multi_triple_graph(2, acyclic=False)
+        got, errors = [], []
+
+        def build():
+            try:
+                for request in requests:
+                    got.append((request, g.step_edges(*request)))
+            except Exception as exc:     # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(got) == 4 * len(requests)
+        for key, (adj, fars) in got:
+            assert (list(map(list, adj)), fars) == (
+                list(map(list, want[key][0])), want[key][1])
+
+    def test_pinned_blast_radius_scans_half_the_entries(self, tmp_path):
+        # j0's out-list holds its SPAWNS entries next to its WRITES_TO
+        # ones; scanning whole lists read 248 entries
+        ds = generate_lineage(tmp_path, seed=0, jobs=40, files=80, tasks=400,
+                              machines=200)
+        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        q = parse_query(BLAST_RADIUS_QUERY.replace(
+            "RETURN", "WHERE q_j1.id = 'j0' RETURN"))
+        table, stats = execute(q, g)
+        every, _ = execute(parse_query(BLAST_RADIUS_QUERY), g)
+        assert table.rows == [row for row in every.rows if row[0] == "j0"]
+        assert table.rows and stats.edges_expanded <= 248 // 2
 
 
 class TestExpansionCap:

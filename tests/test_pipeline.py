@@ -837,7 +837,7 @@ class TestReportDigests:
 
     @pytest.mark.parametrize("shape, digest", [
         ("lineage", "c3b3e40d7b7b"),
-        ("provenance", "ed1a3e708833"),
+        ("provenance", "991e4c0b10c9"),
         ("road", "d3d3be503540"),
     ])
     def test_digest_is_pinned(self, tmp_path, shape, digest):
