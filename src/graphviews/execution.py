@@ -47,8 +47,8 @@ each entry of the triples a step may take that it scans; on a cyclic
 graph they count trail prefixes and the entries scanned from them.
 
 An edge may declare that it stands for several parallel contracted paths
-through a positive integer ``path_count`` (written by connector view
-materialization), read from the column the store checks at load. A
+through a positive integer ``path_count`` (each edge of a connector view
+has one), read from the column the store checks at load. A
 binding's multiplicity is the product of the path_counts of every edge
 it traverses; aggregate contributions and result rows are weighted
 accordingly. Raw edges carry none, so their multiplicity is 1 and the
@@ -627,20 +627,22 @@ def _getter(q: QueryGraph, g: PropertyGraph, slots: dict[str, int], ref):
     property, None when missing, except that ``id`` falls back to the
     element id."""
     at = slots[ref.name]
-    if ref.name in q.pattern_vertices:
-        ids, props = g._vids, g._vprops
-    else:
-        ids, props = g._eids, g._eprops
+    vertex = ref.name in q.pattern_vertices
+    ids = g._vids if vertex else g._eids
     if isinstance(ref, NameRef):
         return lambda binding: ids[binding[at]]
-    key = ref.key
+    key, props = ref.key, g._vprops
+    # the store reads an edge's property: a view's path_count is a column
+    get = None if vertex else g._edge_getter(key)
     if key != "id":
-        return lambda binding: props[binding[at]].get(key)
+        if vertex:
+            return lambda binding: props[binding[at]].get(key)
+        return lambda binding: get(binding[at])
 
-    def element_id(binding):
+    def element_id(binding):   # no property is None
         i = binding[at]
-        own = props[i]
-        return own["id"] if "id" in own else ids[i]
+        own = props[i].get("id") if vertex else get(i)
+        return ids[i] if own is None else own
     return element_id
 
 
@@ -839,11 +841,11 @@ def path_lengths(g: PropertyGraph, source: str, k_max: int,
     keeping only the smallest value per vertex and depth is exact."""
     if stats is None:
         stats = ExecutionStats()
-    eprops = g._eprops
+    get = g._edge_getter(edge_property)
     context = f"edge property {edge_property!r}"
 
     def extend(acc, ei: int):
-        value = _numeric(eprops[ei].get(edge_property), context)
+        value = _numeric(get(ei), context)
         return value if acc is None else max(acc, value)
 
     best = _walk(g, {g._require(source): None}, 1, k_max, extend, min,

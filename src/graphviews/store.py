@@ -42,7 +42,8 @@ PropertyMap = dict[str, PropertyValue]
 
 PERCENTILE_ALPHAS = (50, 90, 95, 100)
 
-# the number of contracted paths an edge stands for (1 when absent)
+# the number of contracted paths an edge stands for (1 when absent); a
+# view given its counts keeps them apart from its maps (PropertyGraph._props)
 PATH_COUNT_PROP = "path_count"
 
 
@@ -83,18 +84,22 @@ def _bad_props(kind: str, ids: list, maps: list[PropertyMap],
     return None
 
 
-def _path_count_column(ids: list, maps: list[PropertyMap]) -> tuple:
+def _path_count_column(maps: list[PropertyMap]) -> list[int] | None:
     """The path_count of every edge map (1 where absent), or None when no
-    map has one; and the first that is not a positive int (bools
-    excluded) as (row, error), or None."""
-    if not any(PATH_COUNT_PROP in props for props in maps):
-        return None, None
-    counts = [props.get(PATH_COUNT_PROP, 1) for props in maps]
+    map has one."""
+    if any(PATH_COUNT_PROP in props for props in maps):
+        return [props.get(PATH_COUNT_PROP, 1) for props in maps]
+    return None
+
+
+def _bad_count(ids: list, counts: list) -> tuple[int, ValidationError] | None:
+    """The first count that is not a positive int (bools excluded) as
+    (row, error), or None."""
     if set(map(type, counts)) == {int} and min(counts) > 0:
-        return counts, None
+        return None
     row = next(i for i, c in enumerate(counts) if type(c) is not int or c < 1)
-    return counts, (row, MalformedRowError(f"edge {ids[row]!r}: {PATH_COUNT_PROP} "
-                                           f"must be a positive integer, got {counts[row]!r}"))
+    return row, MalformedRowError(f"edge {ids[row]!r}: {PATH_COUNT_PROP} "
+                                  f"must be a positive integer, got {counts[row]!r}")
 
 
 def _created(items: list) -> Iterator[int]:
@@ -263,6 +268,7 @@ class PropertyGraph:
         self._type_counts: dict[str, int] = {}
         self._acyclic: bool | None = None
         self._path_counts: list[int] | None = None   # set by the edge checks
+        self._counts_apart = False   # _path_counts holds them, no map does
         self._explicit_ids: dict[PropertyValue, list[int]] | None = None
         # filled on first use by step_edges() and selection()
         self._steps: dict[tuple, tuple[list, frozenset[str]]] = {}
@@ -289,7 +295,7 @@ class PropertyGraph:
         src, dst) of every row with an endpoint not a vertex id (index -1)."""
         ids = self._eids
         self._eindex, duplicate = _index(ids, "edge")
-        self._path_counts, bad_count = _path_count_column(ids, self._eprops)
+        counts = self._path_counts = _path_count_column(self._eprops)
         unknown_end, limit = None, len(ids)
         if dangling:
             row, src, dst = dangling[0]
@@ -299,7 +305,8 @@ class PropertyGraph:
             limit = row
         _raise_first([_empty_id(ids, "edge"), duplicate, unknown_end,
                       self._unknown_triple(limit),
-                      _bad_props("edge", ids, self._eprops), bad_count], blanks)
+                      _bad_props("edge", ids, self._eprops),
+                      counts and _bad_count(ids, counts)], blanks)
 
     def _undeclared_type(self) -> tuple[int, ValidationError] | None:
         """The first vertex whose type is not in the schema."""
@@ -374,49 +381,52 @@ class PropertyGraph:
     @classmethod
     def derive(cls, base: "PropertyGraph", schema: GraphSchema,
                vertices: list, esrc: list[int], edst: list[int],
-               edges: list) -> "PropertyGraph":
+               edges: list, counts: list[int] | None = None) -> "PropertyGraph":
         """A graph over ``schema`` made from the valid graph ``base``.
 
         ``vertices`` lists its vertices in order, each a base vertex
         index or a created (id, type, props). Edge ``i`` runs from
         ``vertices[esrc[i]]`` to ``vertices[edst[i]]`` and is ``edges[i]``:
-        a base edge index (keeping the base edge's id, label and props)
-        or a created (id, label, props). Props taken from ``base`` are
-        copied, not re-checked; created props are checked as
-        :meth:`build` checks them, path counts included. Every vertex type
-        and each distinct (src type, dst type, label) triple must be in
-        ``schema``, and vertex and edge ids must be unique. Raises the
-        first violation of the first failing check, in that order."""
+        a base edge index (keeping the base edge's id, label, props and
+        path count) or a created (id, label, props) of path count
+        ``counts[i]`` when ``counts`` is given. When every edge's count is
+        apart from its props (given, or kept apart by ``base``), the graph
+        keeps them apart too; otherwise its props maps hold them and
+        ``counts`` is not read. It owns the created maps, which edges may
+        share. Only created props and counts are checked, as :meth:`build`
+        checks them. Every vertex type and each distinct (src type, dst
+        type, label) triple must be in ``schema``, and vertex and edge ids
+        must be unique. Raises the first violation of the first failing
+        check, in that order."""
         g = cls(schema)
         vids, vtypes, vprops = g._vids, g._vtypes, g._vprops
         for x in vertices:
-            if type(x) is int:
-                vids.append(base._vids[x])
-                vtypes.append(base._vtypes[x])
-                vprops.append(dict(base._vprops[x]))
-            else:
-                vid, vtype, props = x
-                vids.append(vid)
-                vtypes.append(vtype)
-                vprops.append(dict(props))
+            vid, vtype, props = x if type(x) is not int else (
+                base._vids[x], base._vtypes[x], dict(base._vprops[x]))
+            vids.append(vid)
+            vtypes.append(vtype)
+            vprops.append(props)
+        apart = g._counts_apart = bool(edges) and all(
+            base._counts_apart if type(x) is int else counts is not None for x in edges)
         eids, elabel, eprops = g._eids, g._elabel, g._eprops
         for x in edges:
-            if type(x) is int:
-                eids.append(base._eids[x])
-                elabel.append(base._elabel[x])
-                eprops.append(dict(base._eprops[x]))
-            else:
-                eid, label, props = x
-                eids.append(eid)
-                elabel.append(label)
-                eprops.append(dict(props))
+            # the maps of a graph that keeps counts apart are never handed out
+            eid, label, props = x if type(x) is not int else (
+                base._eids[x], base._elabel[x],
+                base._eprops[x] if apart else dict(base._props(x)))
+            eids.append(eid)
+            elabel.append(label)
+            eprops.append(props)
         g._esrc, g._edst = list(esrc), list(edst)
         g._vindex, duplicate_vertex = _index(vids, "vertex")
         g._eindex, duplicate_edge = _index(eids, "edge")
-        g._path_counts, bad_count = _path_count_column(eids, eprops)
+        column = g._path_counts = (
+            [base._path_counts[x] if type(x) is int else counts[i]
+             for i, x in enumerate(edges)] if apart else _path_count_column(eprops))
         for violation in (_bad_props("vertex", vids, vprops, _created(vertices)),
                           _bad_props("edge", eids, eprops, _created(edges)),
-                          bad_count, g._undeclared_type(), duplicate_vertex, duplicate_edge,
+                          column and _bad_count(eids, column), g._undeclared_type(),
+                          duplicate_vertex, duplicate_edge,
                           g._unknown_triple(len(eids))):
             if violation:
                 raise violation[1]
@@ -583,7 +593,21 @@ class PropertyGraph:
         return counts
 
     def edge_props(self, eid: str) -> PropertyMap:
-        return self._eprops[self._eindex[eid]]
+        return self._props(self._eindex[eid])
+
+    def _props(self, ei: int) -> PropertyMap:
+        """Edge ``ei``'s props as public reads give them: a new map with its
+        count when counts are kept apart, as edges may share a map then."""
+        if self._counts_apart:
+            return {PATH_COUNT_PROP: self._path_counts[ei], **self._eprops[ei]}
+        return self._eprops[ei]
+
+    def _edge_getter(self, key: str):
+        """ei -> edge ei's ``key`` as :meth:`_props` has it, or None."""
+        if key == PATH_COUNT_PROP and self._counts_apart:
+            return self._path_counts.__getitem__
+        eprops = self._eprops
+        return lambda ei: eprops[ei].get(key)
 
     def _require(self, vid: str) -> int:
         if vid not in self._vindex:
@@ -593,32 +617,24 @@ class PropertyGraph:
     def out_edges(self, vid: str, label: str | None = None
                   ) -> list[tuple[str, str, str, PropertyMap]]:
         """Outgoing (edge id, dst id, label, props), ascending edge id."""
-        vi = self._require(vid)
-        out = []
-        for ei in self._out[vi]:
-            if label is not None and self._elabel[ei] != label:
-                continue
-            out.append((self._eids[ei], self._vids[self._edst[ei]],
-                        self._elabel[ei], self._eprops[ei]))
-        return out
+        return self._adjacent(self._out, self._edst, vid, label)
 
     def in_edges(self, vid: str, label: str | None = None
                  ) -> list[tuple[str, str, str, PropertyMap]]:
         """Incoming (edge id, src id, label, props), ascending edge id."""
-        vi = self._require(vid)
-        out = []
-        for ei in self._in[vi]:
-            if label is not None and self._elabel[ei] != label:
-                continue
-            out.append((self._eids[ei], self._vids[self._esrc[ei]],
-                        self._elabel[ei], self._eprops[ei]))
-        return out
+        return self._adjacent(self._in, self._esrc, vid, label)
+
+    def _adjacent(self, adj: list, far: list[int], vid: str, label: str | None):
+        eids, vids, elabel = self._eids, self._vids, self._elabel
+        return [(eids[ei], vids[far[ei]], elabel[ei], self._props(ei))
+                for ei in adj[self._require(vid)]
+                if label is None or elabel[ei] == label]
 
     def edges(self) -> Iterator[tuple[str, str, str, str, PropertyMap]]:
         """Iterate (edge id, src id, dst id, label, props) in load order."""
         for i, eid in enumerate(self._eids):
             yield (eid, self._vids[self._esrc[i]], self._vids[self._edst[i]],
-                   self._elabel[i], self._eprops[i])
+                   self._elabel[i], self._props(i))
 
     def vertices(self) -> Iterator[tuple[str, str, PropertyMap]]:
         for i, vid in enumerate(self._vids):
@@ -628,23 +644,15 @@ class PropertyGraph:
 
     def export_csv(self, vertex_file: str | Path, edge_file: str | Path):
         """Write the graph back out in the load CSV formats, id-sorted."""
-        with open(vertex_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "type", "props"])
-            for vid in sorted(self._vids):
-                i = self._vindex[vid]
-                props = self._vprops[i]
-                writer.writerow([vid, self._vtypes[i],
-                                 json.dumps(props, sort_keys=True) if props else ""])
-        with open(edge_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "src", "dst", "label", "props"])
-            for eid in sorted(self._eids):
-                i = self._eindex[eid]
-                props = self._eprops[i]
-                writer.writerow([eid, self._vids[self._esrc[i]],
-                                 self._vids[self._edst[i]], self._elabel[i],
-                                 json.dumps(props, sort_keys=True) if props else ""])
+        for path, header, rows in (
+                (vertex_file, ["id", "type", "props"], self.vertices()),
+                (edge_file, ["id", "src", "dst", "label", "props"], self.edges())):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for *row, props in sorted(rows, key=itemgetter(0)):
+                    writer.writerow([*row, json.dumps(props, sort_keys=True)
+                                     if props else ""])
 
 
 def induced_subgraph(g: PropertyGraph, schema: GraphSchema,

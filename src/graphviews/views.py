@@ -20,13 +20,14 @@ depth from which the endpoint type is still reachable in range, as
 :meth:`SchemaIndex.type_bands` gives them for execution too), which is
 also how a sparsifier-then-spanner pipeline composes: an explicit
 ``through_types`` binding intersects the bands. The
-output is one edge per connected (src, dst) pair carrying ``path_count``
+output is one edge per connected (src, dst) pair, whose ``path_count``
 (the contracted trails, each weighted by the product of the path_counts
-it crosses) plus, for each requested edge property, the minimum across
-trails of its maximum along each trail; raw vertex
-ids and properties are preserved. Views always materialize from the raw
-graph, never from other views. Every materializer works on the graph's
-internal indices and hands the view to :meth:`PropertyGraph.derive`.
+it crosses) goes to the store as a column, and whose props hold, for
+each requested edge property, the minimum across trails of its maximum
+along each trail; raw vertex ids and properties are preserved. Views
+always materialize from the raw graph, never from other views. Every
+materializer works on the graph's internal indices and hands the view
+to :meth:`PropertyGraph.derive`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .query import AGGREGATE_FUNCS
 from .store import (
     DegreeSummary,
     GraphSchema,
-    PATH_COUNT_PROP,
     PERCENTILE_ALPHAS,
     PropertyGraph,
     TypeDegrees,
@@ -287,9 +287,9 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
                         max_edges: int | None = None,
                         threads: int = 1) -> PropertyGraph:
     """Materialize a connector view over ``g``. One edge per ordered
-    (src, dst) pair connected by at least one qualifying trail, carrying
-    path_count and any requested trail aggregates. ``max_edges`` is
-    checked as pairs are found: the pair past it raises."""
+    (src, dst) pair connected by at least one qualifying trail, counting
+    its trails and carrying any requested trail aggregates. ``max_edges``
+    is checked as pairs are found: the pair past it raises."""
     sources, scan = _connector_scan(g, v, max_edges=max_edges)
     if threads <= 1 or len(sources) < 2:
         found = scan(sources)
@@ -305,18 +305,18 @@ def materialize_spanner(g: PropertyGraph, v: ViewInstance,
     endpoints.update(u for u, pairs in found.items() if pairs)
     vertices = sorted(endpoints, key=vids.__getitem__)
     at = {x: i for i, x in enumerate(vertices)}
-    keys = [PATH_COUNT_PROP, *v.edge_aggregates]
-    label = v.view_label
-    esrc, edst, edges = [], [], []
+    aggregates, label = v.edge_aggregates, v.view_label
+    no_props: dict = {}   # shared by all edges: the store never hands it out
+    esrc, edst, edges, counts = [], [], [], []
     for u in sources:   # pairs in ascending (src id, dst id) order
         for w, value in found[u]:
             esrc.append(at[u])
             edst.append(at[w])
-            props = (dict(zip(keys, value)) if v.edge_aggregates
-                     else {PATH_COUNT_PROP: value})
+            counts.append(value[0] if aggregates else value)
+            props = dict(zip(aggregates, value[1:])) if aggregates else no_props
             edges.append((f"ve{len(edges):06d}", label, props))
     return PropertyGraph.derive(g, v.view_schema(g.schema), vertices,
-                                esrc, edst, edges)
+                                esrc, edst, edges, counts)
 
 
 # --------------------------------------------------------------------------
@@ -360,8 +360,8 @@ def _filter_vertices(g, v, keep_matching: bool) -> PropertyGraph:
 
 def _filter_edges(g, v, keep_matching: bool) -> PropertyGraph:
     pred = _require_predicate(v)
-    kept = [ei for ei, (label, props) in enumerate(zip(g._elabel, g._eprops))
-            if pred.matches(label, props) == keep_matching]
+    kept = [ei for ei, label in enumerate(g._elabel)
+            if pred.matches(label, g._props(ei)) == keep_matching]
     return PropertyGraph.derive(g, v.view_schema(g.schema), list(range(g.n)),
                                 [g._esrc[ei] for ei in kept],
                                 [g._edst[ei] for ei in kept], kept)
@@ -464,7 +464,7 @@ def _aggregate_edges(g, v: ViewInstance) -> PropertyGraph:
     groups: dict[tuple[int, int, str], list[dict]] = {}
     esrc, edst, edges = [], [], []
     for ei, (s, d, label, props) in enumerate(
-            zip(g._esrc, g._edst, g._elabel, g._eprops)):
+            zip(g._esrc, g._edst, g._elabel, map(g._props, range(g.m)))):
         if pred.matches(label, props):
             groups.setdefault((s, d, label), []).append(props)
         else:

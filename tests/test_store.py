@@ -467,6 +467,22 @@ class TestDerive:
                                  [("n0", "L", props)])
 
 
+    def test_created_counts_are_kept_apart_and_checked(self):
+        g = self.base()
+        view = PropertyGraph.derive(g, self.SCHEMA, [0, 1], [0, 0], [1, 1],
+                                    [("n0", "L", {}), ("n1", "L", {"w": 1})], [2, 3])
+        assert list(view.edges()) == [("n0", "a", "b", "L", {"path_count": 2}),
+                                      ("n1", "a", "b", "L", {"path_count": 3, "w": 1})]
+        assert view._path_counts == [2, 3]
+        sub = PropertyGraph.derive(view, self.SCHEMA, [1, 0], [1], [0], [1])
+        assert list(sub.edges()) == [("n1", "a", "b", "L", {"path_count": 3, "w": 1})]
+        assert sub._path_counts == [3]
+        for bad in (0, "2", True, 1.5):
+            with pytest.raises(MalformedRowError, match="edge 'n1': path_count"):
+                PropertyGraph.derive(g, self.SCHEMA, [0, 1], [0, 0], [1, 1],
+                                     [("n0", "L", {}), ("n1", "L", {})], [1, bad])
+
+
 def columns(g):
     return {"vids": g._vids, "vtypes": g._vtypes, "vprops": g._vprops,
             "eids": g._eids, "esrc": g._esrc, "edst": g._edst,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphviews.enumeration import VIEW_KINDS, Predicate, ViewInstance
+from graphviews.enumeration import CONNECTOR_KINDS, VIEW_KINDS, Predicate, ViewInstance
 from graphviews.enumeration import rewrite_with_view
 from graphviews.errors import (
     BudgetExceededError,
@@ -15,11 +15,16 @@ from graphviews.errors import (
     ValidationError,
 )
 from graphviews import views
-from graphviews.execution import execute, label_propagation, largest_community
+from graphviews.execution import (
+    execute,
+    label_propagation,
+    largest_community,
+    path_lengths,
+)
 from graphviews.generate import generate_road_like
 from graphviews.mining import SchemaIndex
 from graphviews.query import parse_query
-from graphviews.store import GraphSchema, PropertyGraph, load_graph
+from graphviews.store import GraphSchema, PropertyGraph, induced_subgraph, load_graph
 from graphviews.views import (
     Candidate,
     ViewCatalog,
@@ -994,6 +999,160 @@ class TestDerivedGraphs:
             assert [g._eids[ei] for ei in g._out[a]] == want
             assert [g._eids[ei] for ei in g._in[b]] == want
             assert [eid for eid, *_ in g.out_edges("a")] == want
+
+
+def export_bytes(g: PropertyGraph, out) -> tuple[bytes, bytes]:
+    out.mkdir()
+    g.export_csv(out / "v.csv", out / "e.csv")
+    return (out / "v.csv").read_bytes(), (out / "e.csv").read_bytes()
+
+
+def catalog_bytes(v: ViewInstance, g: PropertyGraph, out) -> dict[str, bytes]:
+    catalog = ViewCatalog()
+    catalog.add(v, g)
+    catalog.entries[v.view_id].created_at = "2000-01-01T00:00:00"
+    catalog_save(catalog, out)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+class TestConnectorReadPaths:
+    """A connector view hands the store its trail counts as a column and
+    keeps only its trail aggregates in its edges' props maps. Every read
+    of a view edge must still give what the graph ``build`` makes of the
+    view's own tuples gives, where each count is in the props map."""
+
+    @staticmethod
+    def graphs(tmp_path):
+        dag = random_lineage_dag(3, jobs=12, files=18)
+        return [dag, as_cyclic(dag), weighted_lineage_dag(4, jobs=12, files=18),
+                road_5x5(tmp_path)]
+
+    def pairs(self, tmp_path):
+        """(context, view graph, its rebuilt twin) of every connector of
+        ``TestDerivedGraphs.views_for``, with and without aggregates."""
+        aggregated = set()
+        for gi, g in enumerate(self.graphs(tmp_path)):
+            for v in TestDerivedGraphs.views_for(g):
+                if v.kind in CONNECTOR_KINDS:
+                    view_g = materialize(g, v)
+                    assert view_g.m, v.view_id
+                    aggregated.add(bool(v.edge_aggregates))
+                    yield (gi, v), v, view_g, rebuilt(view_g)
+        assert aggregated == {False, True}
+
+    def test_props_reads(self, tmp_path):
+        for context, v, view_g, want in self.pairs(tmp_path):
+            assert list(view_g.edges()) == list(want.edges()), context
+            assert all(p.keys() >= {"path_count", *v.edge_aggregates}
+                       for *_, p in view_g.edges()), context
+            for eid, *_ in want.edges():
+                assert view_g.edge_props(eid) == want.edge_props(eid), context
+            for vid in want.vertex_ids():
+                assert view_g.out_edges(vid) == want.out_edges(vid), context
+                assert view_g.in_edges(vid) == want.in_edges(vid), context
+                assert (view_g.out_edges(vid, v.view_label)
+                        == want.out_edges(vid, v.view_label)), context
+
+    def test_files(self, tmp_path):
+        for i, (context, v, view_g, want) in enumerate(self.pairs(tmp_path)):
+            assert (export_bytes(view_g, tmp_path / f"got{i}")
+                    == export_bytes(want, tmp_path / f"want{i}")), context
+            assert (catalog_bytes(v, view_g, tmp_path / f"gotcat{i}")
+                    == catalog_bytes(v, want, tmp_path / f"wantcat{i}")), context
+
+    def test_queries_and_ops(self, tmp_path):
+        for context, v, view_g, want in self.pairs(tmp_path):
+            shape = f"MATCH (a:{v.x_type})-[r:{v.view_label}]->(b:{v.y_type}) "
+            read = ", ".join(f"r.{p}" for p in ("id", "path_count", *v.edge_aggregates))
+            for text in [
+                    shape + f"RETURN a.id, b.id, {read}",
+                    shape + "WHERE r.path_count > 1 RETURN b.id, count(a), sum(r.path_count)"]:
+                q = parse_query(text)
+                assert execute(q, view_g)[0].rows == execute(q, want)[0].rows, context
+            for prop in ("path_count", *v.edge_aggregates):
+                for src in want.vertex_ids():
+                    assert (path_lengths(view_g, src, 2, prop)
+                            == path_lengths(want, src, 2, prop)), (context, prop, src)
+            labels = label_propagation(view_g, 3)
+            assert labels == label_propagation(want, 3), context
+            got = largest_community(view_g, labels, v.y_type)
+            expected = largest_community(want, labels, v.y_type)
+            assert got[0] == expected[0], context
+            assert_same_graph(got[1], expected[1], context)
+
+    def test_subgraphs_and_sparsifiers(self, tmp_path):
+        for context, v, view_g, want in self.pairs(tmp_path):
+            ids = sorted(want.vertex_ids())
+            for keep in (ids[::2], ids[: len(ids) // 2 + 1], ids):
+                got = induced_subgraph(view_g, view_g.schema,
+                                       [view_g._vindex[x] for x in keep])
+                expected = induced_subgraph(want, want.schema,
+                                            [want._vindex[x] for x in keep])
+                assert_same_graph(got, expected, context)
+                assert_same_graph(got, rebuilt(got), context)
+            labels = frozenset({v.view_label})
+            for sparsifier in (
+                    ViewInstance(kind="EdgeRemoval",
+                                 predicate=Predicate(prop=("path_count", "<", 2))),
+                    ViewInstance(kind="EdgeAggregator",
+                                 aggregations=(("path_count", "sum"),),
+                                 predicate=Predicate(types=labels))):
+                assert_same_graph(materialize_sparsifier(view_g, sparsifier),
+                                  materialize_sparsifier(want, sparsifier),
+                                  (context, sparsifier.kind))
+
+    def test_a_returned_map_changes_no_other_edge(self, tmp_path):
+        for context, v, view_g, want in self.pairs(tmp_path):
+            first, src, *_ = next(want.edges())
+            view_g.edge_props(first)["path_count"] = 0
+            view_g.edge_props(first)["extra"] = 1
+            (props,) = [p for eid, _, _, p in view_g.out_edges(src) if eid == first]
+            props.clear()
+            assert list(view_g.edges())[1:] == list(want.edges())[1:], context
+            assert view_g._path_counts == want._path_counts, context
+
+
+TINY_LINEAGE = [("j1", "Job", {}), ("j2", "Job", {}), ("j3", "Job", {}),
+                ("f1", "File", {}), ("f2", "File", {})]
+TINY_EDGES = [("e1", "j1", "f1", "WRITES_TO", {"timestamp": 3}),
+              ("e2", "f1", "j2", "IS_READ_BY", {"timestamp": 5}),
+              ("e3", "j1", "f2", "WRITES_TO", {"timestamp": 4}),
+              ("e4", "f2", "j2", "IS_READ_BY", {"timestamp": 9}),
+              ("e5", "f1", "j3", "IS_READ_BY", {"timestamp": 1})]
+
+
+class TestConnectorCatalogFormat:
+    """The edge file a catalog holds for a connector view, byte for byte:
+    a catalog saved by an earlier version loads with the same counts."""
+
+    @pytest.mark.parametrize("aggregates, rows", [
+        ((), ['ve000000,j1,j2,JOB_TO_JOB_2HOP,"{""path_count"": 2}"',
+              've000001,j1,j3,JOB_TO_JOB_2HOP,"{""path_count"": 1}"']),
+        (("timestamp",),
+         ['ve000000,j1,j2,JOB_TO_JOB_2HOP,"{""path_count"": 2, ""timestamp"": 5}"',
+          've000001,j1,j3,JOB_TO_JOB_2HOP,"{""path_count"": 1, ""timestamp"": 3}"']),
+    ])
+    def test_edges_file_bytes(self, tmp_path, aggregates, rows):
+        g = PropertyGraph.build(LINEAGE_SCHEMA, TINY_LINEAGE, TINY_EDGES)
+        v = ViewInstance(kind="KHopConnector", x="a", y="b", x_type="Job",
+                         y_type="Job", k=2, edge_aggregates=aggregates)
+        view_g = materialize(g, v)
+        saved = catalog_bytes(v, view_g, tmp_path / "cat")
+        assert saved["view000_edges.csv"] == "".join(
+            row + "\r\n" for row in ["id,src,dst,label,props", *rows]).encode()
+        loaded = catalog_load(tmp_path / "cat").entries[v.view_id].graph
+        assert loaded._path_counts == view_g._path_counts == [2, 1]
+        assert list(loaded.edges()) == list(view_g.edges())
+
+
+def test_an_aggregate_free_connector_holds_no_map_per_edge(tmp_path):
+    g = road_5x5(tmp_path)
+    v = ViewInstance(kind="KHopConnector", x="a", y="b",
+                     x_type="Junction", y_type="Junction", k=4)
+    view_g = materialize(g, v)
+    assert view_g.m > 100
+    assert len({id(props) for props in view_g._eprops}) <= 1
+    assert len(set(view_g._path_counts)) > 1
 
 
 class TestDerivedGraphChecks:
