@@ -57,7 +57,9 @@ over a contracted view returns byte-identical tables on acyclic inputs.
 
 Rows group implicitly by the non-aggregated RETURN columns. A missing
 property evaluates to false in WHERE, is skipped by aggregates, and
-groups as an empty cell in projections.
+groups as an empty cell in projections. Each distinct binding or group
+is projected and sorted once, and its row is repeated by its
+multiplicity only after ORDER BY, until LIMIT rows are out.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
+from itertools import chain, islice, repeat, starmap
 
 from .errors import (
     BudgetExceededError,
@@ -743,6 +746,10 @@ def _aggregate(func: str, get, at: int):
 
 def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
              bindings) -> ResultTable:
+    """The result table of (binding, multiplicity) ``bindings``. Without
+    an aggregate each binding's row is projected and sorted once, with
+    its multiplicity; with one, each group gives one row.
+    ``_order_and_limit`` applies ORDER BY, then repeats rows to LIMIT."""
     columns = tuple(item.alias for item in q.projection)
     group_items = q.group_keys()
     agg_items = q.aggregates()
@@ -751,10 +758,9 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
               if group_items else lambda binding: ())
 
     if not agg_items:
-        rows = []
-        for binding, mult in bindings:
-            rows.extend([key_of(binding)] * mult)
-        return _order_and_limit(q, ResultTable(columns, rows))
+        pairs = [(key_of(binding), mult) for binding, mult in bindings]
+        pairs.sort(key=lambda pair: _row_sort_key(pair[0]))
+        return _order_and_limit(q, columns, pairs)
 
     adds, results, initial = [], [], []
     for item in agg_items:
@@ -785,27 +791,35 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
 
     if not groups and not group_items:
         # aggregate over an empty match: count()/sum() are 0, others null
-        zeros = {"count": 0, "sum": 0, "avg": None, "max": None, "min": None}
-        rows = [tuple(zeros[item.expr.func] for item in q.projection)]
-        return _order_and_limit(q, ResultTable(columns, rows))
+        groups[()] = ((), list(initial))
 
+    # Distinct groups differ in their cells, so when every group cell comes
+    # before the first aggregate the group keys order the rows as
+    # _row_sort_key would.
+    leading = q.projection[:len(group_items)] == group_items
     rows = []
-    for key, acc in groups.values():
+    for key, acc in map(groups.get, sorted(groups) if leading else groups):
         keys, aggs = iter(key), iter(results)
         rows.append(tuple(next(aggs)(acc) if isinstance(item.expr, Aggregate)
                           else next(keys) for item in q.projection))
-    return _order_and_limit(q, ResultTable(columns, rows))
+    if not leading:
+        rows.sort(key=_row_sort_key)
+    return _order_and_limit(q, columns, [(row, 1) for row in rows])
 
 
-def _order_and_limit(q: QueryGraph, table: ResultTable) -> ResultTable:
-    rows = sorted(table.rows, key=_row_sort_key)
+def _order_and_limit(q: QueryGraph, columns: tuple[str, ...],
+                     pairs: list[tuple[tuple, int]]) -> ResultTable:
+    """The table of (row, multiplicity) ``pairs`` given in
+    ``_row_sort_key`` order: ORDER BY sorts them stably, then each row is
+    repeated by its multiplicity until LIMIT rows are out. Rows with equal
+    sort keys are equal, so this is the list that sorting the repeated
+    rows gives."""
     if q.order_by is not None:
-        idx = table.columns.index(q.order_by.alias)
-        rows.sort(key=lambda r: _cell_sort_key(r[idx]),
-                  reverse=q.order_by.descending)
-    if q.limit is not None:
-        rows = rows[:q.limit]
-    return ResultTable(table.columns, rows)
+        idx = columns.index(q.order_by.alias)
+        pairs.sort(key=lambda pair: _cell_sort_key(pair[0][idx]),
+                   reverse=q.order_by.descending)
+    rows = chain.from_iterable(starmap(repeat, pairs))
+    return ResultTable(columns, list(islice(rows, q.limit)))
 
 
 # --------------------------------------------------------------------------

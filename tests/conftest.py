@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from graphviews.store import GraphSchema, PropertyGraph
+from graphviews.generate import generate_road_like
+from graphviews.store import GraphSchema, PropertyGraph, load_graph
 
 
 LINEAGE_SCHEMA = GraphSchema.of(
@@ -130,3 +131,9 @@ def cluttered_lineage_dag(seed: int) -> PropertyGraph:
             edges.append((f"x{len(edges)}", task, rng.choice(machines),
                           "RUNS_ON", {}))
     return PropertyGraph.build(PROVENANCE_SCHEMA, vertices, edges)
+
+
+def road_5x5(tmp_path) -> PropertyGraph:
+    """The seed-1 5x5 road grid, written to ``tmp_path`` and loaded."""
+    ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
+    return load_graph(ds.vertex_file, ds.edge_file, ds.schema)

@@ -23,7 +23,7 @@ from graphviews.execution import (
     k_hop_neighborhood,
     path_lengths,
 )
-from graphviews.generate import generate_lineage, generate_road_like
+from graphviews.generate import generate_lineage
 from graphviews.mining import mine_constraints
 from graphviews.query import ResultTable, parse_query
 from graphviews.store import PropertyGraph, load_graph
@@ -35,6 +35,7 @@ from conftest import (
     PROVENANCE_SCHEMA,
     cluttered_lineage_dag,
     random_lineage_dag,
+    road_5x5,
     weighted_lineage_dag,
 )
 from test_execution import random_lineage_query
@@ -160,8 +161,7 @@ class TestCyclicRewrites:
         # a plan must be refused or sound. Today it is neither: raw gives
         # 41 rows, over the 2-hop view 47 (two hops may reuse a raw edge,
         # and one view edge cannot be taken twice)
-        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
-        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        g = road_5x5(tmp_path)
         assert not g.is_acyclic
         view = ViewInstance(kind="KHopConnector", x="a", y="b",
                             x_type="Junction", y_type="Junction", k=2)

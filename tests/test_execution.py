@@ -4,6 +4,7 @@ import operator
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -31,7 +32,7 @@ from graphviews.execution import (
 )
 from graphviews.generate import generate_lineage, generate_road_like
 from graphviews.mining import SchemaIndex
-from graphviews.query import parse_query
+from graphviews.query import _cell_sort_key, _row_sort_key, parse_query
 from graphviews.store import GraphSchema, PropertyGraph, load_graph
 
 from conftest import (
@@ -40,6 +41,7 @@ from conftest import (
     as_cyclic,
     cluttered_lineage_dag,
     random_lineage_dag,
+    road_5x5,
     weighted_lineage_dag,
 )
 from oracles import (
@@ -291,9 +293,7 @@ class TestLabelPropagationOracle:
 
     @pytest.mark.parametrize("passes", [1, 2, 25])
     def test_road_grid_matches_oracle(self, tmp_path, passes):
-        ds = generate_road_like(tmp_path, rows=5, cols=5, seed=1)
-        self.assert_same(load_graph(ds.vertex_file, ds.edge_file, ds.schema),
-                         passes)
+        self.assert_same(road_5x5(tmp_path), passes)
 
     def test_string_order_not_load_order(self):
         g = single(["v2", "v10"], [("v2", "v10")])
@@ -522,8 +522,7 @@ class TestFrontierSweep:
 
     def test_cyclic_road_grid_keeps_trail_semantics(self, tmp_path):
         # counting walks instead of trails here would return more rows
-        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
-        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        g = road_5x5(tmp_path)
         assert not g.is_acyclic
         q = parse_query("MATCH (a:Junction)-[p*4..4]->(b:Junction) "
                         "WHERE a.id = 'r0c0' RETURN b.id")
@@ -883,6 +882,13 @@ ORACLE_QUERIES = [
     "RETURN a.id AS s, count(b) AS n ORDER BY n DESC LIMIT 3",
     "MATCH (a:Job)-[p*1..4]->(b:Job) RETURN b.id AS t, a.cpu_hours AS c "
     "ORDER BY c LIMIT 7",
+    # repeated rows, with a LIMIT inside a run of equal rows
+    "MATCH (a:Job)-[p*1..4]->(b:Job) RETURN b.id AS t ORDER BY t DESC LIMIT 5",
+    # an aggregate before a group key, so the count orders the rows
+    "MATCH (a:Job)-[p*1..3]->(b:Job) RETURN count(b) AS n, a.id",
+    # ORDER BY an aggregate with ties
+    "MATCH (j:Job)-[w:WRITES_TO]->(f) RETURN w.timestamp AS t, count(j) AS n "
+    "ORDER BY n DESC LIMIT 4",
     # names no filter or RETURN reads, summed out of the bindings:
     # an unreferenced named edge
     "MATCH (a:Job)-[w:WRITES_TO]->(f:File)-[r:IS_READ_BY]->(b:Job) "
@@ -919,6 +925,12 @@ ORACLE_QUERIES = [
     "MATCH (a:File)-[*1..3]->(b:Job) RETURN b.id, count(b)",
     "MATCH (a:File)-[*1..3]->(b) RETURN b.id, count(b)",
 ]
+
+
+# numbers equal across types or signs, two ints that round to one float,
+# a bool, a string and a missing value; 2**53 + 1 on two vertices
+MIXED_VALUES = [1, 1.0, 2 ** 53, 2 ** 53 + 1, float(2 ** 53), 0, 0.0, -0.0,
+                -1, True, None, "1", 2.5, 2 ** 53 + 1]
 
 
 def rows_close(got, want, rel_tol=1e-9):
@@ -979,10 +991,8 @@ class TestMatcherOracle:
     def test_equal_numbers_order_the_same_from_any_input(self, seed):
         # 1 and 1.0, and 2**53 and 2**53 + 1, are equal as floats; rows of
         # them must not come out in the order their vertices were loaded
-        values = [1, 1.0, 2 ** 53, 2 ** 53 + 1, float(2 ** 53), 0, 0.0, -0.0,
-                  -1, True, None, "1", 2.5, 2 ** 53 + 1]
         vertices = [(f"v{i}", "N", {} if x is None else {"x": x})
-                    for i, x in enumerate(values)]
+                    for i, x in enumerate(MIXED_VALUES)]
         rng = random.Random(seed)
         q = parse_query("MATCH (a:N) RETURN a.x")
         ordered = parse_query("MATCH (a:N) RETURN a.x AS x ORDER BY x DESC")
@@ -1002,6 +1012,33 @@ class TestMatcherOracle:
                                     (int, "-1")]
         assert [r for _, r in tables[0][0][3:8]] == ["0", "-0.0", "0.0",
                                                      "1", "1.0"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_numbers_with_multiplicity(self, seed):
+        # each value is reached from s over one edge of path_count 1-3:
+        # every row must sit where sorting the repeated rows puts it
+        rng = random.Random(seed)
+        counts = [rng.randint(1, 3) for _ in MIXED_VALUES]
+        vertices = [("s", "N", {})] + [
+            (f"v{i}", "N", {} if x is None else {"x": x})
+            for i, x in enumerate(MIXED_VALUES)]
+        edges = [(f"e{i}", "s", f"v{i}", "L", {"path_count": n})
+                 for i, n in enumerate(counts)]
+        repeated = sorted([(x,) for x, n in zip(MIXED_VALUES, counts)
+                           for _ in range(n)], key=_row_sort_key)
+        ordered = sorted(repeated, key=lambda row: _cell_sort_key(row[0]),
+                         reverse=True)[:7]
+        cases = [("MATCH (a)-[:L]->(b) RETURN b.x", repeated),
+                 ("MATCH (a)-[:L]->(b) RETURN b.x AS x ORDER BY x DESC LIMIT 7",
+                  ordered)]
+        for _ in range(4):
+            rng.shuffle(vertices)
+            rng.shuffle(edges)
+            g = PropertyGraph.build(SINGLE, list(vertices), list(edges))
+            for text, want in cases:
+                got = execute(parse_query(text), g)[0].rows
+                assert ([(type(x), repr(x)) for (x,) in got]
+                        == [(type(x), repr(x)) for (x,) in want]), text
 
     @pytest.mark.parametrize("values, want", [
         ([True, 1], ["True 1", "1 1"]),
@@ -1048,6 +1085,40 @@ class TestMatcherOracle:
         assert table.rows == [(30,)]
         assert (stats.edges_expanded, stats.vertices_touched) == (30, 80)
 
+
+
+class TestResultAssembly:
+    """Each distinct binding's row is sorted once and repeated by its
+    multiplicity only on the way out, up to LIMIT."""
+
+    def test_each_binding_is_sorted_once(self, tmp_path, monkeypatch):
+        g = road_5x5(tmp_path)
+        q = parse_query("MATCH (a:Junction)-[p*1..4]->(b:Junction) "
+                        "WHERE a.id = 'r2c2' RETURN b.id")
+        bindings = _match(q, g, ExecutionStats())[0]
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return _row_sort_key(row)
+        monkeypatch.setattr(execution, "_row_sort_key", counted)
+        rows = execute(q, g)[0].rows
+        assert (len(bindings), len(rows)) == (25, 235)
+        assert rows == query_rows(g, q)
+        assert len(calls) <= len(bindings)
+
+    def test_limit_stops_the_repetition(self):
+        g = single(["s", "t"], [("s", "t")],
+                   {("s", "t"): {"path_count": 10 ** 7}})
+        q = parse_query("MATCH (a)-[:L]->(b) RETURN b.id LIMIT 3")
+        tracemalloc.start()
+        try:
+            rows = execute(q, g)[0].rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [("t",)] * 3
+        assert peak < 8 * 2 ** 20
 
 
 # label -> (source type, target type), as in the lineage schema
@@ -1278,8 +1349,7 @@ class TestSchemaPruning:
             assert execute(q, g)[0].rows == query_rows(g, q), text
 
     def test_road_grid(self, monkeypatch, tmp_path):
-        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
-        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        g = road_5x5(tmp_path)
         assert not g.is_acyclic
         self.both_ways(monkeypatch, g, ROAD_QUERIES)
 

@@ -55,6 +55,7 @@ from conftest import (
     as_cyclic,
     cluttered_lineage_dag,
     random_lineage_dag,
+    road_5x5,
 )
 
 BLAST = ("MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File), "
@@ -370,11 +371,6 @@ class TestDeterminism:
 def prepared_queries(*texts):
     return [_Prepared(QuerySpec(f"q{i}", file=f"q{i}.query"), q, q)
             for i, q in enumerate(map(parse_query, texts), 1)]
-
-
-def road_5x5(tmp_path):
-    ds = generate_road_like(tmp_path, 1, rows=5, cols=5)
-    return load_graph(ds.vertex_file, ds.edge_file, ds.schema)
 
 
 def edges_but_label(g):
@@ -797,8 +793,7 @@ class TestOpBands:
             assert pruned < unpruned, seed
 
     def test_road_grid(self, monkeypatch, tmp_path):
-        ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
-        g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
+        g = road_5x5(tmp_path)
         specs = [QuerySpec(name, op=op, params={
                      "source": source, "hops": 4, "result_type": "Junction",
                      **({"property": "length"} if op == "path_lengths" else {})})

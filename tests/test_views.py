@@ -21,7 +21,6 @@ from graphviews.execution import (
     largest_community,
     path_lengths,
 )
-from graphviews.generate import generate_road_like
 from graphviews.mining import SchemaIndex
 from graphviews.query import parse_query
 from graphviews.store import GraphSchema, PropertyGraph, induced_subgraph, load_graph
@@ -44,6 +43,7 @@ from conftest import (
     as_cyclic,
     cluttered_lineage_dag,
     random_lineage_dag,
+    road_5x5,
     weighted_lineage_dag,
 )
 from oracles import (
@@ -573,11 +573,6 @@ def provenance_toy():
             ("e5", "j2", "f2", "WRITES_TO", {}),
         ],
     )
-
-
-def road_5x5(tmp_path):
-    ds = generate_road_like(tmp_path, seed=1, rows=5, cols=5)
-    return load_graph(ds.vertex_file, ds.edge_file, ds.schema)
 
 
 def sparsifier_views(schema):
