@@ -44,7 +44,9 @@ toward a File never scans its SPAWNS entries). The work counters follow
 the kernel: on an acyclic graph ``vertices_touched`` counts each
 (depth, vertex) of a frontier that is expanded and ``edges_expanded``
 each entry of the triples a step may take that it scans; on a cyclic
-graph they count trail prefixes and the entries scanned from them.
+graph they count trail prefixes and the entries scanned from them. A
+fold counts only its sweeps, fixed edges included; the matcher also
+counts its anchors and, per fixed edge, the far ends it binds.
 
 An edge may declare that it stands for several parallel contracted paths
 through a positive integer ``path_count`` (each edge of a connector view
@@ -54,6 +56,22 @@ it traverses; aggregate contributions and result rows are weighted
 accordingly. Raw edges carry none, so their multiplicity is 1 and the
 semantics reduces to plain Cypher-style row-per-match: a query rewritten
 over a contracted view returns byte-identical tables on acyclic inputs.
+
+An aggregate query is folded, not matched, when its one component is a
+chain of fixed edges and at least one variable-length path with no
+pinned name, every aggregate reads one end of the chain (A), the group
+keys and the filter read only the other end (G), so no named edge is
+read, and the graph is acyclic, so that the sweep is exact. Every
+vertex of A's type is seeded with its group accumulator, as one binding
+of multiplicity 1; then each link, from A to G, is one frontier sweep
+(a fixed edge is a sweep of one level) whose ``plus`` merges the
+accumulators of walks that meet and whose ``extend`` scales their
+count, sum and avg slots by an edge's path_count. What a G vertex ends
+with is what all of its bindings would add to its group, so the
+projection merges it in; this is eager aggregation carried to the start
+of the chain, one pass instead of a walk per G vertex. A value on A's
+candidates that an aggregate cannot take falls back to the matcher,
+which raises only if a binding reaches it.
 
 Rows group implicitly by the non-aggregated RETURN columns. A missing
 property evaluates to false in WHERE, is skipped by aggregates, and
@@ -68,6 +86,7 @@ import operator
 import time
 from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
+from typing import Callable, NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -86,7 +105,9 @@ from .query import (
     PropertyRef,
     QueryGraph,
     ResultTable,
+    VarLengthPath,
     _cell_sort_key,
+    _expr_names,
     _row_sort_key,
 )
 from .store import PropertyGraph, induced_subgraph
@@ -112,14 +133,135 @@ def execute(q: QueryGraph, g: PropertyGraph,
         stats = ExecutionStats()
     started = time.perf_counter()
     _check_types(q, g)
-    bindings, slots, settled = _match(q, g, stats)
-    residual = _without(q.filters, settled)
-    if residual is not None:
-        test = _compile_filter(q, g, slots, residual)
-        bindings = [bm for bm in bindings if test(bm[0])]
-    table = _project(q, g, slots, bindings)
+    table = _fold(q, g, stats)
+    if table is None:
+        bindings, slots, settled = _match(q, g, stats)
+        residual = _without(q.filters, settled)
+        if residual is not None:
+            test = _compile_filter(q, g, slots, residual)
+            bindings = [bm for bm in bindings if test(bm[0])]
+        table = _project(q, g, slots, bindings)
     stats.wall_ms += (time.perf_counter() - started) * 1000.0
     return table, stats
+
+
+def _fold_chain(q: QueryGraph, g: PropertyGraph):
+    """``(G, A, links)`` when ``q`` folds over ``g``, else None: its one
+    unpinned component is a chain of fixed edges and at least one
+    variable-length path, every aggregate reads the chain's end A, and
+    the group keys and the filter read only the other end G, so no named
+    edge is read; ``g`` is acyclic. ``links`` are the chain's (link,
+    forward, near name, far name) from A to G."""
+    if not q.var_length_paths or not g.is_acyclic or _pinned_ids(q):
+        return None
+    aggregates = q.aggregates()
+    links = [*q.pattern_edges, *q.var_length_paths]
+    if (not aggregates or len(links) != len(q.pattern_vertices) - 1
+            or len(q.components()) != 1):
+        return None   # no aggregate, or not a tree, so not a chain
+    touching: dict[str, list] = {name: [] for name in q.pattern_vertices}
+    for link in links:
+        touching[link.src].append(link)
+        touching[link.dst].append(link)
+    if any(len(ls) > 2 for ls in touching.values()):
+        return None
+    ends = {item.expr.arg.name for item in aggregates}
+    if len(ends) != 1:
+        return None
+    (agg_end,) = ends
+    if len(touching[agg_end]) != 1:
+        return None
+    chain, here, previous = [], agg_end, None
+    while True:
+        step = [link for link in touching[here] if link is not previous]
+        if not step:
+            break
+        (previous,) = step
+        forward = previous.src == here
+        there = previous.dst if forward else previous.src
+        chain.append((previous, forward, here, there))
+        here = there
+    group_end = here
+    read = {item.expr.name for item in q.group_keys()}
+    if q.filters is not None:
+        read.update(_expr_names(q.filters))
+    if not read <= {group_end}:
+        return None
+    return group_end, agg_end, chain
+
+
+def _fold(q: QueryGraph, g: PropertyGraph,
+          stats: ExecutionStats) -> ResultTable | None:
+    """The table of ``q`` from one sweep along its chain from A to G
+    (:func:`_fold_chain`), or None when the fold does not apply: every
+    vertex of A's type is seeded with its accumulator list (one binding
+    of multiplicity 1), each link is a frontier sweep whose ``plus``
+    merges the lists of walks meeting at a vertex and whose ``extend``
+    scales them by an edge's path_count, and each G vertex reached gives
+    the bindings of its group. A value on A's candidates that an
+    aggregate cannot take also means None: the matcher raises for it if,
+    and only if, a binding reaches it."""
+    chain = _fold_chain(q, g)
+    if chain is None:
+        return None
+    group_end, agg_end, links = chain
+    folded = algebras, initial = _algebras(q, g, {agg_end: 0})
+    add = _each([algebra.add for algebra in algebras])
+    types, vtypes = q.pattern_vertices, g._vtypes
+    seeds = {}
+    try:
+        for v in (range(g.n) if types[agg_end] is None
+                  else g._members(types[agg_end])):
+            acc = seeds[v] = list(initial)
+            add(acc, (v,), 1)
+    except PropertyTypeMismatchError:
+        return None
+
+    merge = _each([algebra.merge for algebra in algebras])
+
+    def plus(acc, other):
+        acc = acc.copy()
+        merge(acc, other)
+        return acc
+
+    extend = None
+    counts = g._path_counts
+    scales = [algebra.scale for algebra in algebras
+              if algebra.scale is not None]
+    if counts is not None and scales:
+        def extend(acc, ei):
+            n = counts[ei]
+            if n == 1:
+                return acc
+            acc = acc.copy()
+            for scale in scales:
+                scale(acc, n)
+            return acc
+
+    index = schema_index(g.schema)
+    frontier = seeds
+    for link, forward, here, there in links:
+        want = types[there]
+        if isinstance(link, VarLengthPath):
+            labels = frozenset(link.labels) if link.labels else None
+            lo, hi = link.lower, link.upper
+            bands = index.type_bands(types[here], want, lo, hi, labels,
+                                     forward)
+        else:
+            labels = None if link.label is None else frozenset((link.label,))
+            lo = hi = 1
+            bands = (None, None if want is None else frozenset((want,)))
+        frontier = _sweep(g, frontier, lo, hi, extend, plus, forward=forward,
+                          labels=labels, allowed=bands, stats=stats)
+        if want is not None:
+            frontier = {v: acc for v, acc in frontier.items()
+                        if vtypes[v] == want}
+    slots = {group_end: 0}
+    bindings = [((v,), acc) for v, acc in frontier.items()]
+    if q.filters is not None:
+        test = _compile_filter(q, g, slots, q.filters)
+        bindings = [pair for pair in bindings if test(pair[0])]
+    return _project(q, g, slots, bindings, folded)
 
 
 def _check_types(q: QueryGraph, g: PropertyGraph):
@@ -185,21 +327,21 @@ def _pinned_ids(q: QueryGraph) -> dict[str, Comparison]:
     mapped to its last such conjunct. A pinned anchor's candidates are
     :meth:`PropertyGraph.vertices_with_id` of the literal, exactly the
     vertices on which that conjunct holds, so pushdown decides it; other
-    conjuncts on the name still run on every binding."""
+    conjuncts on the name still run on every binding. The conjuncts are
+    visited in order from a list, not by a nested recursive function,
+    which would be a reference cycle left to the garbage collector on
+    every call."""
     pinned: dict[str, Comparison] = {}
-
-    def walk(expr):
+    todo = [] if q.filters is None else [q.filters]
+    while todo:
+        expr = todo.pop()
         if isinstance(expr, And):
-            for child in expr.children:
-                walk(child)
+            todo.extend(reversed(expr.children))
         elif (isinstance(expr, Comparison) and expr.op == "="
               and expr.lhs.key == "id"
               and not isinstance(expr.rhs, PropertyRef)
               and isinstance(expr.rhs.value, str)):
             pinned[expr.lhs.name] = expr
-
-    if q.filters is not None:
-        walk(q.filters)
     return pinned
 
 
@@ -706,12 +848,24 @@ def _tuple_getter(getters):
     return lambda binding: tuple(get(binding) for get in getters)
 
 
-def _aggregate(func: str, get, at: int):
-    """``add(acc, binding, mult)``, ``result(acc)`` and the initial two
-    slots of one aggregate in a group's accumulator list, which holds its
-    running value at ``at`` (a total, or the extreme so far) and, for
-    avg, its weight at ``at + 1``. Missing values are skipped; sum and
-    avg weight each value by the binding's multiplicity."""
+class _Algebra(NamedTuple):
+    """One aggregate's part of a group's accumulator list."""
+
+    add: Callable      # add(acc, binding, mult): one binding
+    merge: Callable    # merge(acc, other): the bindings of another list
+    scale: Callable | None   # scale(acc, n): weight each binding by n
+    result: Callable   # result(acc): the aggregate's value
+    start: list        # its two initial slots
+
+
+def _aggregate(func: str, get, at: int) -> _Algebra:
+    """The algebra of one aggregate whose slots in a group's accumulator
+    list hold its running value at ``at`` (a total, or the extreme so
+    far) and, for sum and avg, its weight at ``at + 1``. Missing values
+    are skipped; count, sum and avg weight each value by the binding's
+    multiplicity, so their slots merge by adding and scale by
+    multiplying, while min and max merge by picking and do not scale
+    (``scale`` is None)."""
     weight = at + 1
     if func == "count":
         def add(acc, binding, mult):
@@ -735,41 +889,86 @@ def _aggregate(func: str, get, at: int):
                     _numeric(value, func)
                 best = acc[at]
                 acc[at] = value if best is None else pick(best, value)
+    if func in ("max", "min"):
+        def merge(acc, other):
+            value, best = other[at], acc[at]
+            if value is not None:
+                acc[at] = value if best is None else pick(best, value)
+        scale, start = None, [None, 0]
+    else:
+        def merge(acc, other):
+            acc[at] += other[at]
+            acc[weight] += other[weight]
+
+        def scale(acc, n):
+            acc[at] *= n
+            acc[weight] *= n
+        start = [0, 0]
     if func == "avg":
         def result(acc):
             return acc[at] / acc[weight] if acc[weight] else None
     else:
         def result(acc):
             return acc[at]
-    return add, result, [None, 0] if func in ("max", "min") else [0, 0]
+    return _Algebra(add, merge, scale, result, start)
+
+
+def _algebras(q: QueryGraph, g: PropertyGraph, slots: dict[str, int]
+              ) -> tuple[list[_Algebra], list]:
+    """The algebra of each aggregate of ``q``, reading bindings of
+    ``slots``, and the initial accumulator list of a group."""
+    algebras, initial = [], []
+    for item in q.aggregates():
+        agg: Aggregate = item.expr
+        algebra = _aggregate(agg.func, _getter(q, g, slots, agg.arg),
+                             len(initial))
+        algebras.append(algebra)
+        initial += algebra.start
+    return algebras, initial
+
+
+def _each(functions: list[Callable]) -> Callable:
+    """One function that calls each of ``functions`` with its arguments."""
+    if len(functions) == 1:
+        return functions[0]
+
+    def every(*args):
+        for function in functions:
+            function(*args)
+    return every
 
 
 def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
-             bindings) -> ResultTable:
+             bindings, folded: tuple[list[_Algebra], list] | None = None
+             ) -> ResultTable:
     """The result table of (binding, multiplicity) ``bindings``. Without
     an aggregate each binding's row is projected and sorted once, with
     its multiplicity; with one, each group gives one row.
-    ``_order_and_limit`` applies ORDER BY, then repeats rows to LIMIT."""
+    ``_order_and_limit`` applies ORDER BY, then repeats rows to LIMIT.
+    Given the fold's ``folded`` (its algebras and initial list), each
+    binding carries an accumulator of theirs in place of a multiplicity,
+    and it is merged into its group's."""
     columns = tuple(item.alias for item in q.projection)
     group_items = q.group_keys()
-    agg_items = q.aggregates()
     key_of = (_tuple_getter([_getter(q, g, slots, item.expr)
                              for item in group_items])
               if group_items else lambda binding: ())
 
-    if not agg_items:
+    if len(group_items) == len(q.projection):   # no aggregate
         pairs = [(key_of(binding), mult) for binding, mult in bindings]
         pairs.sort(key=lambda pair: _row_sort_key(pair[0]))
         return _order_and_limit(q, columns, pairs)
 
-    adds, results, initial = [], [], []
-    for item in agg_items:
-        agg: Aggregate = item.expr
-        add, result, start = _aggregate(
-            agg.func, _getter(q, g, slots, agg.arg), len(initial))
-        adds.append(add)
-        results.append(result)
-        initial += start
+    if folded is None:
+        algebras, initial = _algebras(q, g, slots)
+        combine = _each([algebra.add for algebra in algebras])
+    else:
+        algebras, initial = folded
+        merge = _each([algebra.merge for algebra in algebras])
+
+        def combine(acc, binding, other):
+            merge(acc, other)
+    results = [algebra.result for algebra in algebras]
     # A group is keyed by its cells' sort keys: equal numbers of different
     # types (1, 1.0, True) or signs (0.0, -0.0) hash alike, but the cell
     # order tells them apart, so the groups must too. The cells depend
@@ -786,8 +985,7 @@ def _project(q: QueryGraph, g: PropertyGraph, slots: dict[str, int],
             key = key_of(binding)
             acc = accs[at] = groups.setdefault(
                 tuple(map(_cell_sort_key, key)), (key, list(initial)))[1]
-        for add in adds:
-            add(acc, binding, mult)
+        combine(acc, binding, mult)
 
     if not groups and not group_items:
         # aggregate over an empty match: count()/sum() are 0, others null

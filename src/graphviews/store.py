@@ -273,6 +273,7 @@ class PropertyGraph:
         # filled on first use by step_edges() and selection()
         self._steps: dict[tuple, tuple[list, frozenset[str]]] = {}
         self._selections: dict[tuple[bool, frozenset, frozenset], list] = {}
+        self._no_edges: list | None = None   # the selection of no triple
         self._type_members: dict[str, list[int]] = {}   # type -> vertices
 
     # -- construction -------------------------------------------------
@@ -544,15 +545,21 @@ class PropertyGraph:
         So steps that filter alike share one, and a graph keeps at most one
         per direction and such choice, a bound set by the schema, not the
         queries (on provenance, only Job's out-lists are ever filtered).
-        Each costs a list of n entries plus the entries it keeps. Two
-        threads that build one at once build equal lists, and the last one
-        stays."""
+        Each costs a list of n entries plus the entries it keeps. A step
+        that picks no triple keeps nothing from any near vertex, so it
+        reads the one all-empty list the graph shares, in which the other
+        vertices keep nothing either. Two threads that build one at once
+        build equal lists, and the last one stays."""
         near_at = 0 if forward else 1
         partial = frozenset(t[near_at] for t in self.schema.edge_types
                             if (near is None or t[near_at] in near)
                             and t not in picked)
         if not partial:
             return self._out if forward else self._in
+        if not picked:
+            if self._no_edges is None:
+                self._no_edges = [()] * len(self._vids)
+            return self._no_edges
         key = forward, partial, picked.intersection(
             t for t in self.schema.edge_types if t[near_at] in partial)
         found = self._selections.get(key)

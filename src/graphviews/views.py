@@ -382,10 +382,11 @@ def _aggregate_members(aggregations, members: list[dict], props: dict) -> dict:
     for prop, func in aggregations:
         if func != "count" and not any(prop in m for m in members):
             continue
-        add, result, acc = _aggregate(func, lambda m: m.get(prop), 0)
+        algebra = _aggregate(func, lambda m: m.get(prop), 0)
+        acc = algebra.start
         for m in members:
-            add(acc, m, 1)
-        props[prop] = result(acc)
+            algebra.add(acc, m, 1)
+        props[prop] = algebra.result(acc)
     return props
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import operator
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 
 from graphviews import execution
+from graphviews.enumeration import ViewInstance, rewrite_with_view
 from graphviews.errors import (
     BudgetExceededError,
     GraphViewsError,
@@ -34,6 +36,7 @@ from graphviews.generate import generate_lineage, generate_road_like
 from graphviews.mining import SchemaIndex
 from graphviews.query import _cell_sort_key, _row_sort_key, parse_query
 from graphviews.store import GraphSchema, PropertyGraph, load_graph
+from graphviews.views import materialize
 
 from conftest import (
     BLAST_RADIUS_QUERY,
@@ -48,6 +51,8 @@ from oracles import (
     bfs_neighborhood, label_propagation_oracle, query_rows, trail_search)
 
 SINGLE = GraphSchema.of(["N"], [("N", "N", "L")])
+KHOP2 = ViewInstance(kind="KHopConnector", x="q_j1", y="q_j2",
+                     x_type="Job", y_type="Job", k=2)
 
 
 def _trail_endpoints(g, start: str, lo: int, hi: int, labels, forward: bool,
@@ -730,6 +735,23 @@ class TestSelections:
         assert step(True, fs("M"), fs("B"), fs("A"))[0] is only_m
         assert step(True, None, fs("B"), fs("A"))[0] is not only_m
 
+    def test_a_step_that_picks_nothing_shares_one_empty_list(self):
+        # *1..3 from a Job to a Job: the band at depth 3 holds no type
+        # that a Job's out-edges lead to, so that step picks no triple
+        g = random_lineage_dag(1)
+        q = parse_query("MATCH (a:Job)-[*1..3]->(b:Job) RETURN a.id, b.id")
+        table, stats = execute(q, g)
+        assert len(table.rows) == 39
+        assert (stats.edges_expanded, stats.vertices_touched) == (69, 100)
+        assert not g._selections
+        fs = frozenset
+        nothing = g.step_edges(True, fs(["WRITES_TO"]), fs(["Job"]),
+                               fs(["Job"]))[0]
+        assert len(nothing) == g.n and not any(nothing)
+        assert g.step_edges(False, fs(["IS_READ_BY"]), None,
+                            fs(["File"]))[0] is nothing
+        assert not g._selections
+
     def test_concurrent_builds_agree(self):
         # the selections of one graph, built from four threads at once
         # with a short switch interval, equal those built alone
@@ -838,7 +860,36 @@ class TestPinnedAnchor:
         assert execute(q, toy_ext)[0].rows == []
 
 
+# chains the fold takes on a DAG: every aggregate reads one end, and the
+# group keys and the filter read only the other
+FOLD_QUERIES = [
+    # the aggregated end downstream, so the sweep walks in-edges, and
+    # upstream, so it walks out-edges
+    "MATCH (a:Job)-[*1..4]->(b:Job) RETURN a.id, sum(b.cpu_hours)",
+    "MATCH (a:Job)-[*1..4]->(b:Job) RETURN b.id, max(a.cpu_hours)",
+    # a zero-length lower bound, then a fixed edge
+    "MATCH (f:File)-[*0..3]->(g:File)-[:IS_READ_BY]->(j:Job) "
+    "RETURN f.id, min(j.cpu_hours)",
+    # two chained paths through a typed middle, into an untyped end whose
+    # Files have no cpu_hours
+    "MATCH (a:Job)-[:WRITES_TO]->(f), (f)-[*1..2]->(m:Job), (m)-[*0..3]->(b) "
+    "RETURN a.id, avg(b.cpu_hours), count(b.cpu_hours), count(b)",
+    # a filter on the group end
+    "MATCH (a:Job)-[*1..4]->(b:Job) WHERE a.cpu_hours > 20 AND NOT a.id = 'j3' "
+    "RETURN a.id, count(b)",
+    # every aggregate, grouped by a value many group vertices share
+    "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[*0..2]->(g:File)"
+    "-[:IS_READ_BY]->(b:Job) RETURN a.cpu_hours, count(b), "
+    "sum(b.cpu_hours), avg(b.cpu_hours), max(b.cpu_hours), min(b.cpu_hours)",
+    # no group key, the group end itself, and ORDER BY an aggregate
+    "MATCH (a:Job)-[*1..3]->(b:Job) RETURN sum(b.cpu_hours), count(b)",
+    "MATCH (a:Job)-[p:WRITES_TO|IS_READ_BY*2..4]->(b) RETURN b, count(a)",
+    "MATCH (a:Job)-[*1..4]->(b:Job) RETURN a.id AS s, avg(b.cpu_hours) AS x "
+    "ORDER BY x DESC LIMIT 4",
+]
+
 ORACLE_QUERIES = [
+    *FOLD_QUERIES,
     # two components: a cartesian product
     "MATCH (a:Job)-[:WRITES_TO]->(f:File), (b:Job) WHERE b.cpu_hours > 25 "
     "RETURN a.id, count(b)",
@@ -1071,12 +1122,14 @@ class TestMatcherOracle:
                 query_rows(g, q)
 
     def test_counters_are_pinned(self):
-        # the *0..8 step's dead start is summed out: one walk per q_j1,
-        # and one IS_READ_BY step per (q_j1, q_f2); only adjacency entries
-        # with the link's label count as expanded
+        # on the DAG the blast radius folds: one sweep from every q_j2
+        # back to the q_j1s; on the copy flagged cyclic the *0..8 step's
+        # dead start is summed out: one walk per q_j1, and one IS_READ_BY
+        # step per (q_j1, q_f2). Only adjacency entries with the link's
+        # label count as expanded
         g = random_lineage_dag(7)
         q = parse_query(BLAST_RADIUS_QUERY)
-        for graph, counters in ((g, (254, 251)), (as_cyclic(g), (353, 403))):
+        for graph, counters in ((g, (99, 91)), (as_cyclic(g), (353, 403))):
             table, stats = execute(q, graph)
             assert len(table.rows) == 9
             assert (stats.edges_expanded, stats.vertices_touched) == counters
@@ -1239,15 +1292,23 @@ class TestMergedSeeds:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blast_radius_walks_once_per_writing_job(self, seed, monkeypatch):
+        # on a DAG the blast radius folds into one sweep and calls no
+        # walk; a filter on q_j2 keeps it from folding
         g = random_lineage_dag(seed)
         writers = {src for _, src, _, label, _ in g.edges()
                    if label == "WRITES_TO"}
-        q = parse_query(BLAST_RADIUS_QUERY)
+        filtered = BLAST_RADIUS_QUERY.replace(
+            "RETURN", "WHERE q_j2.cpu_hours > 10 RETURN")
         calls = self.count_walks(monkeypatch)
-        for graph in (g, as_cyclic(g)):
+        for text, graph, walks in (
+                (BLAST_RADIUS_QUERY, g, 0),
+                (BLAST_RADIUS_QUERY, as_cyclic(g), len(writers)),
+                (filtered, g, len(writers)),
+                (filtered, as_cyclic(g), len(writers))):
+            q = parse_query(text)
             calls.clear()
             table, _ = execute(q, graph)
-            assert len(calls) == len(writers)
+            assert len(calls) == walks
             assert rows_close(table.rows, query_rows(graph, q))
 
     @pytest.mark.parametrize("text", [
@@ -1267,13 +1328,144 @@ class TestMergedSeeds:
             assert rows_close(table.rows, query_rows(graph, q))
 
     def test_unpinned_blast_radius_work_is_bounded(self, tmp_path):
-        # a *0..8 walk per (q_j1, q_f1), rather than one per q_j1, scans
-        # 441,927 adjacency entries here
+        # on the benchmark's lineage graph: a *0..8 walk per (q_j1, q_f1)
+        # scans 441,927 adjacency entries, one per q_j1 235,399, and the
+        # fold's one sweep 52,749. Pinned, it still walks from its job,
+        # with the counters it had before the fold
         ds = generate_lineage(tmp_path, seed=0, jobs=2000, files=4000)
         g = load_graph(ds.vertex_file, ds.edge_file, ds.schema)
         table, stats = execute(parse_query(BLAST_RADIUS_QUERY), g)
         assert len(table.rows) == 1716
-        assert stats.edges_expanded <= 250_000
+        assert stats.edges_expanded <= 120_000
+        rows = dict(table.rows)
+        for job, counters in (("j0", (94, 72)), ("j17", (180, 133)),
+                              ("j1000", (207, 153)), ("j1999", (1, 3))):
+            pinned, stats = execute(parse_query(BLAST_RADIUS_QUERY.replace(
+                "RETURN", f"WHERE q_j1.id = '{job}' RETURN")), g)
+            assert (stats.edges_expanded, stats.vertices_touched) == counters
+            assert rows_close(pinned.rows, [(job, rows[job])] if job in rows
+                              else [])
+
+
+class TestFold:
+    """A chain whose aggregates read one end and whose group keys and
+    filter read the other folds on a DAG into one sweep from the
+    aggregated end; any other query, or any cyclic graph, runs on the
+    matcher."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_shapes_fold_only_on_dags(self, seed):
+        for g in TestMatcherOracle.graphs(seed):
+            for text in FOLD_QUERIES:
+                q = parse_query(text)
+                folded = execution._fold(q, g, ExecutionStats())
+                assert (folded is None) is not g.is_acyclic, text
+                if folded is not None:
+                    assert rows_close(folded.rows, query_rows(g, q)), text
+
+    @pytest.mark.parametrize("text", [
+        # pinned, filtered on the aggregated end, or a named edge read
+        BLAST_RADIUS_QUERY.replace("RETURN", "WHERE q_j1.id = 'j2' RETURN"),
+        BLAST_RADIUS_QUERY.replace("RETURN", "WHERE q_j2.cpu_hours > 9 RETURN"),
+        "MATCH (a:Job)-[w:WRITES_TO]->(f)-[*1..2]->(b:Job) "
+        "RETURN a.id, count(w), sum(b.cpu_hours)",
+        # aggregates over both ends, a group key on the middle or on the
+        # aggregated end, no aggregate, no variable-length path
+        "MATCH (a:Job)-[*1..4]->(b:Job) RETURN sum(a.cpu_hours), count(b)",
+        "MATCH (a:Job)-[:WRITES_TO]->(f)-[*1..2]->(b:Job) "
+        "RETURN f.id, count(b)",
+        "MATCH (a:File)-[*1..3]->(b:Job) RETURN b.id, count(b)",
+        "MATCH (a:Job)-[*1..4]->(b:Job) RETURN a.id, b.id",
+        "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) "
+        "RETURN a.id, count(b)",
+        # the aggregated end in the middle, a tree, a cycle of links, and
+        # two components
+        "MATCH (a:Job)-[*1..2]->(m:Job)-[*1..2]->(b:Job) "
+        "RETURN a.id, count(m)",
+        "MATCH (a:Job)-[*1..2]->(m:Job), (m)-[*1..2]->(b:Job), "
+        "(m)-[*1..2]->(c:Job) RETURN a.id, count(b)",
+        "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job), "
+        "(a)-[p*2..2]->(b) RETURN a.id, count(b)",
+        "MATCH (a:Job)-[*1..2]->(b:Job), (c:Job) RETURN a.id, count(b)",
+    ])
+    def test_other_shapes_do_not_fold(self, text):
+        g = random_lineage_dag(3)
+        q = parse_query(text)
+        assert execution._fold(q, g, ExecutionStats()) is None
+        assert rows_close(execute(q, g)[0].rows, query_rows(g, q))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fold_over_a_path_count_view(self, seed):
+        # a 2-hop connector's edges carry their trail counts: the fold
+        # scales sums, averages and counts by them, and not extremes
+        text = BLAST_RADIUS_QUERY.replace(
+            "avg(q_j2.cpu_hours)",
+            "count(q_j2), sum(q_j2.cpu_hours), avg(q_j2.cpu_hours), "
+            "max(q_j2.cpu_hours), min(q_j2.cpu_hours)")
+        q = parse_query(text)
+        for g in (random_lineage_dag(seed), weighted_lineage_dag(seed)):
+            view = materialize(g, KHOP2)
+            assert view._path_counts is not None and view.is_acyclic
+            rewritten = rewrite_with_view(q, KHOP2, LINEAGE_SCHEMA).rewritten
+            folded = execution._fold(rewritten, view, ExecutionStats())
+            assert folded is not None
+            want = query_rows(g, q)
+            assert rows_close(folded.rows, want)
+            assert rows_close(folded.rows, query_rows(view, rewritten))
+            assert rows_close(execute(rewritten, as_cyclic(view))[0].rows, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_fixed_link_sweeps_like_a_one_hop_path(self, seed):
+        # an A's L-edges lead to Bs and to Cs: the fixed link, like the
+        # *1..1 path, reads only those into a B
+        g = multi_triple_graph(seed, acyclic=True)
+        text = ("MATCH (z:A)-[{}]->(y:B)-[p*1..2]->(x) "
+                "RETURN x.id, max(z.w), sum(z.w)")
+        runs = []
+        for link in (":L", ":L*1..1"):
+            q, stats = parse_query(text.format(link)), ExecutionStats()
+            runs.append((execution._fold(q, g, stats).rows,
+                         stats.edges_expanded, stats.vertices_touched))
+            assert rows_close(runs[-1][0], query_rows(g, q))
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def with_cpu_hours(g, job, value):
+        return PropertyGraph.build(
+            g.schema, [(vid, vtype, {**props, "cpu_hours": value})
+                       if vid == job else (vid, vtype, props)
+                       for vid, vtype, props in g.vertices()],
+            list(g.edges()))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_value_no_binding_reaches_raises_nothing(self, seed):
+        # no file is read by j0, so no q_j1 reaches it as q_j2
+        g = self.with_cpu_hours(random_lineage_dag(seed), "j0", "x")
+        for text in (BLAST_RADIUS_QUERY,
+                     BLAST_RADIUS_QUERY.replace("avg", "max")):
+            q = parse_query(text)
+            assert execution._fold(q, g, ExecutionStats()) is None
+            assert rows_close(execute(q, g)[0].rows, query_rows(g, q))
+        # count takes any value, so it folds
+        q = parse_query(BLAST_RADIUS_QUERY.replace("avg", "count"))
+        folded = execution._fold(q, g, ExecutionStats())
+        assert folded is not None
+        assert folded.rows == query_rows(g, q)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_value_a_binding_reaches_raises_in_both(self, seed):
+        dag = random_lineage_dag(seed)
+        read = sorted({dst for _, _, dst, label, _ in dag.edges()
+                       if label == "IS_READ_BY"})
+        g = self.with_cpu_hours(dag, read[0], "x")
+        for text in (BLAST_RADIUS_QUERY,
+                     BLAST_RADIUS_QUERY.replace("avg", "sum"),
+                     BLAST_RADIUS_QUERY.replace("avg", "min")):
+            q = parse_query(text)
+            with pytest.raises(PropertyTypeMismatchError):
+                execute(q, g)
+            with pytest.raises(PropertyTypeMismatchError):
+                query_rows(g, q)
 
 
 PRUNING_QUERIES = [
@@ -1390,6 +1582,24 @@ class TestPinnedConjunct:
         q = parse_query(f"MATCH (s:N)-[:L]->(t:N) WHERE {where} "
                         "RETURN s, t.id")
         assert execute(q, self.GRAPH)[0].rows == query_rows(self.GRAPH, q)
+
+    def test_a_request_leaves_no_garbage(self):
+        # nothing a request builds is a reference cycle, so its objects
+        # are freed as it returns and never wait for the cyclic collector
+        g = random_lineage_dag(1)
+        pinned = BLAST_RADIUS_QUERY.replace("RETURN", "WHERE q_j1.id = 'j2' RETURN")
+        queries = [parse_query(text) for text in (
+            pinned, BLAST_RADIUS_QUERY,
+            "MATCH (s:N)-[:L]->(t:N) WHERE s.id = '5' AND s.w > 1 RETURN s")]
+        graphs = [g, g, self.GRAPH]
+        gc.collect()
+        gc.disable()
+        try:
+            for q, graph in zip(queries, graphs):
+                execute(q, graph)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_only_the_anchors_conjunct_leaves(self):
         # t is pinned too but is no anchor: its conjunct still filters

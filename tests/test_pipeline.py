@@ -644,6 +644,42 @@ class TestReportOnlyHost:
             assert q.rewritten is not None and q.results_match is None
 
 
+class TestSharedPropagation:
+    """Report-only ops over one graph with one pass count share a label
+    propagation run, and each reports that run's counters."""
+
+    # with 3 passes, q8's raw run has the pass count of q7's run over the
+    # view, and must not take its labels
+    @pytest.mark.parametrize("q8_passes, runs", [(6, 2), (3, 4)])
+    def test_one_run_per_graph_and_passes(self, tmp_path, monkeypatch,
+                                          q8_passes, runs):
+        calls = []
+        real = pipeline.label_propagation
+
+        def counted(g, passes, stats):
+            calls.append((id(g), passes))
+            return real(g, passes, stats=stats)
+        monkeypatch.setattr(pipeline, "label_propagation", counted)
+        queries = [
+            {"name": "q1", "file": "q1.query", "weight": 2.0},
+            {"name": "q7", "op": "label_propagation", "params": {"passes": 6}},
+            {"name": "q8", "op": "largest_community",
+             "params": {"passes": q8_passes, "count_type": "Job"}}]
+        report = run_pipeline(WorkloadSpec.from_file(
+            write_workload(tmp_path, queries=queries)))
+        assert len(calls) == len(set(calls)) == runs
+        q7, q8 = report.queries[1:]
+        assert q8.view_id == "khop:Job:Job:02"
+        alone = run_pipeline(WorkloadSpec.from_file(write_workload(
+            tmp_path / "alone", queries=[queries[0], queries[2]])))
+        assert alone.queries[1].to_dict(False) == q8.to_dict(False)
+        if q8_passes == 6:
+            counters = [{key: q.to_dict(False)[key]
+                         for key in ("raw", "rewritten", "work_ratio")}
+                        for q in (q7, q8)]
+            assert counters[0] == counters[1]
+
+
 def op_specs(g, result_types, hops=(1, 2, 4)):
     """Every op from every Job and File, to each of ``result_types``."""
     specs = []
@@ -831,7 +867,7 @@ class TestReportDigests:
     plans, rows, work counters) is a fact a change must account for."""
 
     @pytest.mark.parametrize("shape, digest", [
-        ("lineage", "c3b3e40d7b7b"),
+        ("lineage", "cbfd5f1d10b1"),
         ("provenance", "991e4c0b10c9"),
         ("road", "d3d3be503540"),
     ])
