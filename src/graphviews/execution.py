@@ -133,9 +133,10 @@ def execute(q: QueryGraph, g: PropertyGraph,
         stats = ExecutionStats()
     started = time.perf_counter()
     _check_types(q, g)
-    table = _fold(q, g, stats)
+    pinned = _pinned_ids(q)
+    table = _fold(q, g, stats, pinned)
     if table is None:
-        bindings, slots, settled = _match(q, g, stats)
+        bindings, slots, settled = _match(q, g, stats, pinned)
         residual = _without(q.filters, settled)
         if residual is not None:
             test = _compile_filter(q, g, slots, residual)
@@ -145,14 +146,15 @@ def execute(q: QueryGraph, g: PropertyGraph,
     return table, stats
 
 
-def _fold_chain(q: QueryGraph, g: PropertyGraph):
+def _fold_chain(q: QueryGraph, g: PropertyGraph,
+                pinned: dict[str, Comparison]):
     """``(G, A, links)`` when ``q`` folds over ``g``, else None: its one
-    unpinned component is a chain of fixed edges and at least one
-    variable-length path, every aggregate reads the chain's end A, and
-    the group keys and the filter read only the other end G, so no named
-    edge is read; ``g`` is acyclic. ``links`` are the chain's (link,
-    forward, near name, far name) from A to G."""
-    if not q.var_length_paths or not g.is_acyclic or _pinned_ids(q):
+    component is a chain of fixed edges and at least one variable-length
+    path with no name in ``pinned``, every aggregate reads the chain's end
+    vertex A, and the group keys and the filter read only the other end
+    G, so no named edge is read; ``g`` is acyclic. ``links`` are the
+    chain's (link, forward, near name, far name) from A to G."""
+    if not q.var_length_paths or not g.is_acyclic or pinned:
         return None
     aggregates = q.aggregates()
     links = [*q.pattern_edges, *q.var_length_paths]
@@ -169,8 +171,8 @@ def _fold_chain(q: QueryGraph, g: PropertyGraph):
     if len(ends) != 1:
         return None
     (agg_end,) = ends
-    if len(touching[agg_end]) != 1:
-        return None
+    if len(touching.get(agg_end, ())) != 1:
+        return None   # a named edge, or not an end of the chain
     chain, here, previous = [], agg_end, None
     while True:
         step = [link for link in touching[here] if link is not previous]
@@ -190,8 +192,8 @@ def _fold_chain(q: QueryGraph, g: PropertyGraph):
     return group_end, agg_end, chain
 
 
-def _fold(q: QueryGraph, g: PropertyGraph,
-          stats: ExecutionStats) -> ResultTable | None:
+def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
+          pinned: dict[str, Comparison] | None = None) -> ResultTable | None:
     """The table of ``q`` from one sweep along its chain from A to G
     (:func:`_fold_chain`), or None when the fold does not apply: every
     vertex of A's type is seeded with its accumulator list (one binding
@@ -200,8 +202,9 @@ def _fold(q: QueryGraph, g: PropertyGraph,
     scales them by an edge's path_count, and each G vertex reached gives
     the bindings of its group. A value on A's candidates that an
     aggregate cannot take also means None: the matcher raises for it if,
-    and only if, a binding reaches it."""
-    chain = _fold_chain(q, g)
+    and only if, a binding reaches it. ``pinned`` is :func:`_pinned_ids`
+    of ``q``, when the caller has it."""
+    chain = _fold_chain(q, g, _pinned_ids(q) if pinned is None else pinned)
     if chain is None:
         return None
     group_end, agg_end, links = chain
@@ -287,7 +290,8 @@ class _Constraint:
     payload: object  # PatternEdge or VarLengthPath
 
 
-def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
+def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
+           pinned: dict[str, Comparison] | None = None
            ) -> tuple[list[tuple[tuple, int]], dict[str, int], list[Comparison]]:
     """Every distinct binding of the live names, those a filter, the
     projection or an aggregate reads, as (key tuple, summed
@@ -296,8 +300,10 @@ def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats
     candidates were looked up by them. Components take consecutive key
     slots, so the cartesian product across them concatenates their keys,
     base-major; a component with no live name gives one ``()`` key
-    carrying its total multiplicity."""
-    pinned = _pinned_ids(q)
+    carrying its total multiplicity. ``pinned`` is :func:`_pinned_ids`
+    of ``q``, when the caller has it."""
+    if pinned is None:
+        pinned = _pinned_ids(q)
     live = q.referenced_names()
     slots: dict[str, int] = {}
     settled = []
@@ -865,7 +871,9 @@ def _aggregate(func: str, get, at: int) -> _Algebra:
     are skipped; count, sum and avg weight each value by the binding's
     multiplicity, so their slots merge by adding and scale by
     multiplying, while min and max merge by picking and do not scale
-    (``scale`` is None)."""
+    (``scale`` is None). Of equal numbers of two types or signs, max
+    keeps the one last in cell order and min the first, as in any order
+    of adding or merging."""
     weight = at + 1
     if func == "count":
         def add(acc, binding, mult):
@@ -880,20 +888,29 @@ def _aggregate(func: str, get, at: int) -> _Algebra:
                 acc[at] += value * mult
                 acc[weight] += mult
     else:
-        pick = max if func == "max" else min
+        beats = operator.gt if func == "max" else operator.lt
+
+        def pick(best, value):
+            # of two equal numbers (1 and 1.0, 0.0 and -0.0), the one that
+            # _cell_sort_key puts last for max and first for min, so the
+            # extreme does not depend on the order values arrive in
+            if best is None or beats(value, best) or (
+                    value == best
+                    and beats(_cell_sort_key(value), _cell_sort_key(best))):
+                return value
+            return best
 
         def add(acc, binding, mult):
             value = get(binding)
             if value is not None:
                 if type(value) not in _NUMBERS:
                     _numeric(value, func)
-                best = acc[at]
-                acc[at] = value if best is None else pick(best, value)
+                acc[at] = pick(acc[at], value)
     if func in ("max", "min"):
         def merge(acc, other):
-            value, best = other[at], acc[at]
+            value = other[at]
             if value is not None:
-                acc[at] = value if best is None else pick(best, value)
+                acc[at] = pick(acc[at], value)
         scale, start = None, [None, 0]
     else:
         def merge(acc, other):

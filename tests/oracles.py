@@ -420,8 +420,10 @@ def query_rows(g, q) -> list[tuple]:
                 elif not seen:
                     row.append(None)
                 else:
+                    # of equal numbers, the last in cell order for max
+                    # and the first for min
                     pick = max if x.func == "max" else min
-                    row.append(pick(v for v, _ in seen))
+                    row.append(pick((v for v, _ in seen), key=cell_order))
             rows.append(tuple(row))
 
     rows.sort(key=lambda r: [cell_order(v) for v in r])
