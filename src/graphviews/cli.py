@@ -203,6 +203,8 @@ def cmd_run(args) -> int:
     schema = GraphSchema.load(args.schema)
     q = parse_query(Path(args.query).read_text(encoding="utf-8"))
     if args.view:
+        if args.catalog is None:
+            raise InvalidParamsError("--view needs --catalog")
         catalog = catalog_load(args.catalog)
         entry = catalog.get(args.view)
         plan = rewrite_with_view(q, entry.view, schema)

@@ -12,14 +12,16 @@ the declared type of its far end within its length range.
 
 The matcher backtracks through one mutable list of the graph's internal
 integer indices: a slot per pattern vertex, and one per named edge that
-is read. The order in which constraints expand depends only on which
-names are bound, so each component is compiled once into a fixed list
-of steps over the graph's arrays. A finished binding is keyed by its
-live names only, those a filter, the projection or an aggregate reads
-(``QueryGraph.referenced_names``), and bindings with one key sum their
-multiplicities. A name nobody reads is summed out, as in a factorised
-representation: a pattern through unread middle vertices keeps one
-entry per distinct tuple of its read names. A variable-length step
+is read. One planner, ``_plan``, orders a component's links for both
+the matcher and the fold and gives each step its labels and type bands.
+The order depends only on which names are bound, so each component is
+compiled once into a fixed list of steps over the graph's arrays. A
+finished binding is keyed by its live names only, those a filter, the
+projection or an aggregate reads (``QueryGraph.referenced_names``), and
+bindings with one key sum their multiplicities. A name nobody reads is
+summed out, as in a factorised representation: a pattern through
+unread middle vertices keeps one entry per distinct tuple of its read
+names. A variable-length step
 whose start no later step and no live name reads sums that start out
 before it walks, as eager aggregation does below a join: the steps
 before it gather {start: multiplicity} per prefix of the names still
@@ -63,7 +65,7 @@ pinned name, every aggregate reads one end of the chain (A), the group
 keys and the filter read only the other end (G), so no named edge is
 read, and the graph is acyclic, so that the sweep is exact. Every
 vertex of A's type is seeded with its group accumulator, as one binding
-of multiplicity 1; then each link, from A to G, is one frontier sweep
+of multiplicity 1; then each step, from A to G, is one frontier sweep
 (a fixed edge is a sweep of one level) whose ``plus`` merges the
 accumulators of walks that meet and whose ``extend`` scales their
 count, sum and avg slots by an edge's path_count. What a G vertex ends
@@ -102,6 +104,7 @@ from .query import (
     NameRef,
     Not,
     Or,
+    PatternEdge,
     PropertyRef,
     QueryGraph,
     ResultTable,
@@ -148,48 +151,34 @@ def execute(q: QueryGraph, g: PropertyGraph,
 
 def _fold_chain(q: QueryGraph, g: PropertyGraph,
                 pinned: dict[str, Comparison]):
-    """``(G, A, links)`` when ``q`` folds over ``g``, else None: its one
+    """``(G, A, steps)`` when ``q`` folds over ``g``, else None: its one
     component is a chain of fixed edges and at least one variable-length
     path with no name in ``pinned``, every aggregate reads the chain's end
     vertex A, and the group keys and the filter read only the other end
-    G, so no named edge is read; ``g`` is acyclic. ``links`` are the
-    chain's (link, forward, near name, far name) from A to G."""
+    G, so no named edge is read; ``g`` is acyclic. ``steps`` are
+    :func:`_plan`'s from A; the component is a chain from A exactly when
+    each step leaves from the far end of the one before and reaches a
+    name not yet bound."""
     if not q.var_length_paths or not g.is_acyclic or pinned:
         return None
-    aggregates = q.aggregates()
-    links = [*q.pattern_edges, *q.var_length_paths]
-    if (not aggregates or len(links) != len(q.pattern_vertices) - 1
-            or len(q.components()) != 1):
-        return None   # no aggregate, or not a tree, so not a chain
-    touching: dict[str, list] = {name: [] for name in q.pattern_vertices}
-    for link in links:
-        touching[link.src].append(link)
-        touching[link.dst].append(link)
-    if any(len(ls) > 2 for ls in touching.values()):
-        return None
-    ends = {item.expr.arg.name for item in aggregates}
-    if len(ends) != 1:
-        return None
+    ends = {item.expr.arg.name for item in q.aggregates()}
+    components = q.components()
+    if (len(ends) != 1 or not ends <= q.pattern_vertices.keys()
+            or len(components) != 1):
+        return None   # not one aggregated vertex, or a product
     (agg_end,) = ends
-    if len(touching.get(agg_end, ())) != 1:
-        return None   # a named edge, or not an end of the chain
-    chain, here, previous = [], agg_end, None
-    while True:
-        step = [link for link in touching[here] if link is not previous]
-        if not step:
-            break
-        (previous,) = step
-        forward = previous.src == here
-        there = previous.dst if forward else previous.src
-        chain.append((previous, forward, here, there))
-        here = there
-    group_end = here
+    steps = _plan(q, g, components[0], agg_end)
+    here = agg_end
+    for step in steps:
+        if step.here != here or step.there_bound:
+            return None   # a branch, a cycle, or A in the middle
+        here = step.there
     read = {item.expr.name for item in q.group_keys()}
     if q.filters is not None:
         read.update(_expr_names(q.filters))
-    if not read <= {group_end}:
+    if not read <= {here}:
         return None
-    return group_end, agg_end, chain
+    return here, agg_end, steps
 
 
 def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
@@ -197,7 +186,7 @@ def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
     """The table of ``q`` from one sweep along its chain from A to G
     (:func:`_fold_chain`), or None when the fold does not apply: every
     vertex of A's type is seeded with its accumulator list (one binding
-    of multiplicity 1), each link is a frontier sweep whose ``plus``
+    of multiplicity 1), each step is a frontier sweep whose ``plus``
     merges the lists of walks meeting at a vertex and whose ``extend``
     scales them by an edge's path_count, and each G vertex reached gives
     the bindings of its group. A value on A's candidates that an
@@ -207,14 +196,13 @@ def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
     chain = _fold_chain(q, g, _pinned_ids(q) if pinned is None else pinned)
     if chain is None:
         return None
-    group_end, agg_end, links = chain
+    group_end, agg_end, steps = chain
     folded = algebras, initial = _algebras(q, g, {agg_end: 0})
     add = _each([algebra.add for algebra in algebras])
     types, vtypes = q.pattern_vertices, g._vtypes
     seeds = {}
     try:
-        for v in (range(g.n) if types[agg_end] is None
-                  else g._members(types[agg_end])):
+        for v in _vertices(g, types[agg_end]):
             acc = seeds[v] = list(initial)
             add(acc, (v,), 1)
     except PropertyTypeMismatchError:
@@ -241,21 +229,12 @@ def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
                 scale(acc, n)
             return acc
 
-    index = schema_index(g.schema)
     frontier = seeds
-    for link, forward, here, there in links:
-        want = types[there]
-        if isinstance(link, VarLengthPath):
-            labels = frozenset(link.labels) if link.labels else None
-            lo, hi = link.lower, link.upper
-            bands = index.type_bands(types[here], want, lo, hi, labels,
-                                     forward)
-        else:
-            labels = None if link.label is None else frozenset((link.label,))
-            lo = hi = 1
-            bands = (None, None if want is None else frozenset((want,)))
-        frontier = _sweep(g, frontier, lo, hi, extend, plus, forward=forward,
-                          labels=labels, allowed=bands, stats=stats)
+    for step in steps:
+        frontier = _sweep(g, frontier, step.lo, step.hi, extend, plus,
+                          forward=step.forward, labels=step.labels,
+                          allowed=step.bands, stats=stats)
+        want = types[step.there]
         if want is not None:
             frontier = {v: acc for v, acc in frontier.items()
                         if vtypes[v] == want}
@@ -265,6 +244,12 @@ def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
         test = _compile_filter(q, g, slots, q.filters)
         bindings = [pair for pair in bindings if test(pair[0])]
     return _project(q, g, slots, bindings, folded)
+
+
+def _vertices(g: PropertyGraph, vtype: str | None):
+    """The internal indexes of the vertices of ``vtype`` (of every vertex
+    when None), ascending."""
+    return range(g.n) if vtype is None else g._members(vtype)
 
 
 def _check_types(q: QueryGraph, g: PropertyGraph):
@@ -279,15 +264,6 @@ def _check_types(q: QueryGraph, g: PropertyGraph):
         for label in p.labels or ():
             if label not in labels:
                 raise TypeNotInSchemaError(f"edge label {label!r} not in schema")
-
-
-@dataclass(frozen=True)
-class _Constraint:
-    index: int
-    is_edge: bool
-    src: str
-    dst: str
-    payload: object  # PatternEdge or VarLengthPath
 
 
 def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
@@ -383,13 +359,13 @@ def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
                      pin: Comparison | None,
                      stats: ExecutionStats) -> list[tuple[tuple, int]]:
     anchor_type = q.pattern_vertices[anchor]
-    vtypes = g._vtypes
-    if pin is not None:
-        candidates = [g._vindex[v] for v in g.vertices_with_id(pin.rhs.value)]
+    if pin is None:
+        candidates = _vertices(g, anchor_type)
     else:
-        candidates = range(g.n)
-    if anchor_type is not None:
-        candidates = [v for v in candidates if vtypes[v] == anchor_type]
+        candidates = [g._vindex[v] for v in g.vertices_with_id(pin.rhs.value)]
+        if anchor_type is not None:
+            candidates = [v for v in candidates
+                          if g._vtypes[v] == anchor_type]
 
     out: dict[tuple, int] = {}
     slot = {name: i for i, name in enumerate(layout)}
@@ -409,29 +385,72 @@ def _match_component(q: QueryGraph, g: PropertyGraph, names: list[str],
     return list(out.items())
 
 
-def _pick_constraint(constraints: list[_Constraint], bound: set[str]) -> int:
-    best = None
-    best_key = None
-    for idx, c in enumerate(constraints):
-        ends_bound = (c.src in bound) + (c.dst in bound)
-        if ends_bound == 0:
-            continue
-        key = (-ends_bound, 0 if c.is_edge else 1, c.index)
-        if best_key is None or key < best_key:
-            best, best_key = idx, key
-    if best is None:
-        raise ValidationError("pattern component is not connected")
-    return best
+class _Step(NamedTuple):
+    """One link of a component's plan, walked from the bound name
+    ``here`` to ``there``, along the link when ``forward``."""
+
+    link: PatternEdge | VarLengthPath
+    forward: bool
+    here: str
+    there: str
+    there_bound: bool         # ``there`` is bound before this step
+    before: frozenset[str]    # the names bound before it, named edges too
+    labels: frozenset[str] | None   # the labels it may take; None: any
+    lo: int
+    hi: int
+    bands: tuple              # per depth 0..hi, its types; None: any
+
+
+def _plan(q: QueryGraph, g: PropertyGraph, names: list[str],
+          start: str) -> list[_Step]:
+    """The steps that match the component of ``names`` from ``start``,
+    the one order both the matcher and the fold walk its links in: each
+    takes a link with both ends bound while one is left, else one with
+    one end bound, a fixed edge before a path, each kind in query order.
+    A path's bands are its schema type bands
+    (:meth:`SchemaIndex.type_bands`); a fixed edge's are the declared
+    types of its two ends."""
+    types = q.pattern_vertices
+    index = schema_index(g.schema)
+    links = [link for link in (*q.pattern_edges, *q.var_length_paths)
+             if link.src in names or link.dst in names]
+    bound = {start}
+    steps = []
+    while links:
+        ends = [(link.src in bound) + (link.dst in bound) for link in links]
+        most = max(ends)
+        if not most:
+            raise ValidationError("pattern component is not connected")
+        link = links.pop(ends.index(most))
+        forward = link.src in bound
+        here, there = (link.src, link.dst) if forward else (link.dst, link.src)
+        if isinstance(link, VarLengthPath):
+            labels = frozenset(link.labels) if link.labels else None
+            lo, hi = link.lower, link.upper
+            bands = index.type_bands(types[here], types[there], lo, hi,
+                                     labels, forward)
+        else:
+            labels = None if link.label is None else frozenset((link.label,))
+            lo = hi = 1
+            bands = tuple(None if types[name] is None
+                          else frozenset((types[name],))
+                          for name in (here, there))
+        steps.append(_Step(link, forward, here, there, there in bound,
+                           frozenset(bound), labels, lo, hi, bands))
+        bound.update((here, there))
+        if isinstance(link, PatternEdge) and link.name is not None:
+            bound.add(link.name)
+    return steps
 
 
 def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
                    keep: list[int], out: dict, stats: ExecutionStats):
     """The component's step plan as ``(first, each, last)``: one callable
-    ``first(binding, mult)`` and two lists of flushes. Steps follow the
-    order ``_pick_constraint`` gives from the anchor, each extending the
-    binding and calling the next. The last keys the finished binding by
-    its entries at the ``keep`` slots, those of the live names, and adds
-    its multiplicity to that key's in ``out``.
+    ``first(binding, mult)`` and two lists of flushes. Steps follow
+    :func:`_plan` from the anchor, each extending the binding and calling
+    the next. The last keys the finished binding by its entries at the
+    ``keep`` slots, those of the live names, and adds its multiplicity to
+    that key's in ``out``.
 
     A variable-length step whose start slot is not needed after it (it is
     no live name and no end of a later step) and is not its own far end is
@@ -444,27 +463,6 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
     each anchor candidate; the others are in ``last``, to run once after
     every candidate, so a dead anchor seeds one walk. Both lists are in
     plan order, so one flush fills later buffers before they run."""
-    constraints = []
-    for i, e in enumerate(q.pattern_edges):
-        if e.src in names or e.dst in names:
-            constraints.append(_Constraint(i, True, e.src, e.dst, e))
-    for i, p in enumerate(q.var_length_paths):
-        if p.src in names or p.dst in names:
-            constraints.append(_Constraint(100 + i, False, p.src, p.dst, p))
-    bound = {anchor}
-    filled = {slot[anchor]}
-    plan = []
-    while constraints:
-        c = constraints.pop(_pick_constraint(constraints, bound))
-        forward = c.src in bound
-        here, other = (c.src, c.dst) if forward else (c.dst, c.src)
-        plan.append((c, forward, here, other, other in bound,
-                     frozenset(filled)))
-        bound.update((c.src, c.dst))
-        filled.update((slot[c.src], slot[c.dst]))
-        if c.is_edge and c.payload.name in slot:
-            filled.add(slot[c.payload.name])
-
     key_of = _slot_getter(keep, len(slot))
     total = out.get
 
@@ -472,29 +470,20 @@ def _compile_steps(q, g, names: list[str], anchor: str, slot: dict[str, int],
         key = key_of(binding)
         out[key] = total(key, 0) + mult
 
-    types = q.pattern_vertices
-    index = schema_index(g.schema)
     step = emit
     needed = set(keep)
     each, last = [], []
-    for c, forward, here, other, other_bound, filled in reversed(plan):
-        start, end = slot[here], slot[other]
-        if c.is_edge:
-            e = c.payload
-            named = slot.get(e.name)
-            step = _edge_step(g, e.label, named, forward, start, end,
-                              other_bound, types[here], types[other], step,
-                              stats)
+    for s in reversed(_plan(q, g, names, anchor)):
+        start, end = slot[s.here], slot[s.there]
+        if not isinstance(s.link, VarLengthPath):
+            step = _edge_step(g, s, slot, step, stats)
         else:
-            p = c.payload
-            labels = frozenset(p.labels) if p.labels else None
-            bands = index.type_bands(types[here], types[other], p.lower,
-                                     p.upper, labels, forward)
-            follow = _path_walk(g, p, labels, bands, forward, end,
-                                other_bound, types[other], step, stats)
+            follow = _path_walk(g, s, slot, q.pattern_vertices[s.there],
+                                step, stats)
             if start in needed or start == end:
                 step = _path_step(start, follow)
             else:
+                filled = {slot[name] for name in s.before if name in slot}
                 prefix = sorted(filled & (needed | {end}))
                 buffer: dict[tuple, dict] = {}
                 flushes = each if slot[anchor] in prefix else last
@@ -519,19 +508,18 @@ def _slot_getter(keep: list[int], width: int):
     return lambda binding: ()
 
 
-def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
-               there: int, there_bound: bool, have, want, nxt, stats):
-    """One fixed edge from the vertex in slot ``here``, of type ``have``,
-    in ascending edge id order, over the selection of its ``label`` into
-    type ``want`` (either any when None): the far end must equal slot
-    ``there`` when that is bound, else is bound to it. A bound far end
-    has type ``want`` already, so the selection holds every edge that can
-    reach it. Each edge taken multiplies in its ``path_count``."""
-    adj, _ = g.step_edges(forward,
-                          None if label is None else frozenset((label,)),
-                          None if want is None else frozenset((want,)),
-                          None if have is None else frozenset((have,)))
-    far, counts = (g._edst if forward else g._esrc), g._path_counts
+def _edge_step(g: PropertyGraph, s: _Step, slot: dict[str, int], nxt,
+               stats):
+    """The fixed edge of step ``s`` from the vertex in its ``here`` slot,
+    in ascending edge id order, over the selection of its labels and
+    bands: the far end must equal the ``there`` slot's when that is
+    bound, else is bound to it. A bound far end has its declared type
+    already, so the selection holds every edge that can reach it. Each
+    edge taken multiplies in its ``path_count``."""
+    adj, _ = g.step_edges(s.forward, s.labels, s.bands[1], s.bands[0])
+    far, counts = (g._edst if s.forward else g._esrc), g._path_counts
+    here, there, there_bound = slot[s.here], slot[s.there], s.there_bound
+    named = slot.get(s.link.name)
 
     def step(binding: list, mult: int):
         edges = adj[binding[here]]
@@ -552,22 +540,22 @@ def _edge_step(g: PropertyGraph, label, named, forward: bool, here: int,
     return step
 
 
-def _path_walk(g: PropertyGraph, p, labels, bands, forward: bool,
-               there: int, there_bound: bool, want, nxt, stats):
-    """``follow(binding, seeds)`` for one variable-length path: walk it
-    from ``seeds``, {start vertex: multiplicity}, over ``labels`` edges
-    and within the type ``bands``, then extend the binding with every
-    trail endpoint (the one in slot ``there`` when that is bound), in
-    ascending external id order, weighted by its summed trail
-    multiplicity."""
+def _path_walk(g: PropertyGraph, s: _Step, slot: dict[str, int], want,
+               nxt, stats):
+    """``follow(binding, seeds)`` for the variable-length path of step
+    ``s``: walk it from ``seeds``, {start vertex: multiplicity}, over its
+    labels and within its bands, then extend the binding with every
+    trail endpoint of type ``want`` (any when None; the one in the
+    ``there`` slot when that is bound), in ascending external id order,
+    weighted by its summed trail multiplicity."""
     extend = _count_step(g)
-    vids, vtypes = g._vids, g._vtypes
+    vids, vtypes, there = g._vids, g._vtypes, slot[s.there]
 
     def follow(binding: list, seeds: dict):
-        reached = _walk(g, seeds, p.lower, p.upper, extend, operator.add,
-                        forward=forward, labels=labels, allowed=bands,
+        reached = _walk(g, seeds, s.lo, s.hi, extend, operator.add,
+                        forward=s.forward, labels=s.labels, allowed=s.bands,
                         stats=stats)
-        if there_bound:
+        if s.there_bound:
             count = reached.get(binding[there])
             if count is not None:
                 nxt(binding, count)

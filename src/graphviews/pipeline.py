@@ -147,6 +147,10 @@ class WorkloadSpec:
             raise InvalidParamsError("query names must be unique")
         if self.alpha not in (50, 90, 95, 100):
             raise InvalidParamsError("alpha must be one of 50, 90, 95, 100")
+        if type(self.budget) not in (int, float):   # a bool is no number
+            raise InvalidParamsError(f"budget must be a number, got {self.budget!r}")
+        if type(self.max_k) is not int:
+            raise InvalidParamsError(f"max_k must be an integer, got {self.max_k!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WorkloadSpec":

@@ -638,6 +638,10 @@ def _instance_from_dict(raw: dict) -> ViewInstance:
         raise CorruptCatalogError(
             f"edge_aggregates must be a list of edge property names, "
             f"got {edge_aggregates!r}")
+    for field in ("k", "lo", "hi"):   # a bool is no hop count
+        if type(raw.get(field, 0)) not in (int, type(None)):
+            raise CorruptCatalogError(
+                f"{field} must be an integer, got {raw[field]!r}")
     predicate = None
     if raw.get("predicate") is not None:
         p = raw["predicate"]

@@ -226,6 +226,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "stage 'parse'" in err and f"param {name!r}" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget", "abc", "budget must be a number, got 'abc'"),
+        ("budget", True, "budget must be a number, got True"),
+        ("max_k", "x", "max_k must be an integer, got 'x'"),
+        ("max_k", 2.0, "max_k must be an integer, got 2.0"),
+    ])
+    def test_select_bad_workload_numbers_exit_2(self, tmp_path, capsys, field,
+                                                value, message):
+        workload = write_workload(tmp_path)
+        raw = json.loads(workload.read_text(encoding="utf-8"))
+        raw[field] = value
+        workload.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["select", "--workload", str(workload)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_run_view_without_catalog_exits_2(self, tmp_path, dataset, capsys):
+        qfile = tmp_path / "q6.query"
+        qfile.write_text("MATCH (a:Job) RETURN count(a)", encoding="utf-8")
+        assert main(["run", *graph_flags(dataset), "--query", str(qfile),
+                     "--view", "khop:Job:Job:02"]) == 2
+        assert "--view needs --catalog" in capsys.readouterr().err
+
     def test_unknown_view_id_exits_2(self, tmp_path, capsys):
         workload = write_workload(tmp_path)
         rc = main(["materialize", "--workload", str(workload),

@@ -886,6 +886,9 @@ FOLD_QUERIES = [
     "MATCH (a:Job)-[p:WRITES_TO|IS_READ_BY*2..4]->(b) RETURN b, count(a)",
     "MATCH (a:Job)-[*1..4]->(b:Job) RETURN a.id AS s, avg(b.cpu_hours) AS x "
     "ORDER BY x DESC LIMIT 4",
+    # the path written first: the plan from j still walks the chain
+    "MATCH (f:File)-[*0..2]->(h:File), (j:Job)-[:WRITES_TO]->(f) "
+    "RETURN h.id, count(j)",
 ]
 
 ORACLE_QUERIES = [
@@ -1347,6 +1350,50 @@ class TestMergedSeeds:
                               else [])
 
 
+class TestPlan:
+    """One planner orders a component's links for the matcher and the
+    fold: a link with both ends bound first, then one with one end bound,
+    a fixed edge before a path, each kind in query order."""
+
+    QUERY = ("MATCH (a:Job)-[w:WRITES_TO]->(f:File), (f)-[*1..3]->(b:Job), "
+             "(f)-[:IS_READ_BY]->(c:Job), (a)-[*1..2]->(c), "
+             "(c)-[*1..2]->(d:Job) RETURN a.id, b.id, d.id, w.timestamp")
+
+    def test_step_order_and_what_each_step_knows(self):
+        q = parse_query(self.QUERY)
+        g = random_lineage_dag(0)
+        (names,) = q.components()
+        steps = execution._plan(q, g, names, "a")
+        # w and the path a->c compete at a, the fixed edge into c and the
+        # path f->b at f; then a->c has both ends bound
+        assert [(s.here, s.there, s.there_bound) for s in steps] == [
+            ("a", "f", False), ("f", "c", False), ("a", "c", True),
+            ("f", "b", False), ("c", "d", False)]
+        assert all(s.forward for s in steps)
+        assert [s.before for s in steps] == [
+            {"a"}, {"a", "f", "w"}, {"a", "f", "w", "c"},
+            {"a", "f", "w", "c"}, {"a", "f", "w", "c", "b"}]
+        w, read_by, a_to_c = steps[:3]
+        assert w.link.name == "w" and w.labels == {"WRITES_TO"}
+        assert (w.lo, w.hi) == (1, 1)
+        assert w.bands == ({"Job"}, {"File"})
+        assert read_by.labels == {"IS_READ_BY"}
+        assert (a_to_c.lo, a_to_c.hi, a_to_c.labels) == (1, 2, None)
+        assert a_to_c.bands == SchemaIndex(g.schema).type_bands(
+            "Job", "Job", 1, 2, None, True)
+        # from f, the fixed edge is walked against its direction
+        first = execution._plan(q, g, names, "f")[0]
+        assert (first.link.name, first.forward, first.there) == ("w", False,
+                                                                   "a")
+        table, _ = execute(q, g)
+        assert rows_close(table.rows, query_rows(g, q))
+
+    def test_a_link_that_touches_no_bound_name_fails(self):
+        q = parse_query("MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a.id")
+        with pytest.raises(ValidationError, match="not connected"):
+            execution._plan(q, random_lineage_dag(0), ["a", "f", "x"], "x")
+
+
 class TestFold:
     """A chain whose aggregates read one end and whose group keys and
     filter read the other folds on a DAG into one sweep from the
@@ -1391,6 +1438,8 @@ class TestFold:
         "(m)-[*1..2]->(c:Job) RETURN a.id, count(b)",
         "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job), "
         "(a)-[p*2..2]->(b) RETURN a.id, count(b)",
+        "MATCH (a:Job)-[*1..2]->(b:Job), (b)-[*1..2]->(a) "
+        "RETURN a.id, count(a)",
         "MATCH (a:Job)-[*1..2]->(b:Job), (c:Job) RETURN a.id, count(b)",
     ])
     def test_other_shapes_do_not_fold(self, text):

@@ -1254,6 +1254,22 @@ class TestCatalog:
         with pytest.raises(CorruptCatalogError, match="edge_aggregates"):
             catalog_load(tmp_path / "cat")
 
+    @pytest.mark.parametrize("field, stored", [
+        ("k", "2"), ("k", 2.5), ("k", True), ("lo", "1"), ("lo", 1.0),
+        ("hi", "2"), ("hi", False)])
+    def test_hop_fields_must_be_integers(self, tmp_path, toy_lineage, field,
+                                         stored):
+        catalog = ViewCatalog()
+        catalog.add(KHOP2, materialize_spanner(toy_lineage, KHOP2))
+        catalog_save(catalog, tmp_path / "cat")
+        manifest = tmp_path / "cat" / "manifest.json"
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        raw["views"][0]["instance"][field] = stored
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(CorruptCatalogError,
+                           match=f"{field} must be an integer"):
+            catalog_load(tmp_path / "cat")
+
     def test_failed_save_keeps_the_earlier_catalog(self, tmp_path,
                                                     toy_lineage, monkeypatch):
         # the new view sorts first, so a save that reused file names
