@@ -33,12 +33,10 @@ from .execution import (
     path_lengths,
 )
 from .mining import (
-    ConstraintSet,
     SchemaPath,
     mine_constraints,
     mine_query_facts,
     mine_schema_facts,
-    query_hop_bounds,
     schema_k_hop_paths,
 )
 from .pipeline import BenchReport, WorkloadSpec, run_pipeline

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .costing import (
@@ -78,8 +79,7 @@ def cmd_mine(args) -> int:
 def cmd_enumerate(args) -> int:
     schema = GraphSchema.load(args.schema)
     q = parse_query(Path(args.query).read_text(encoding="utf-8"))
-    constraints = mine_constraints(q, schema)
-    views = enumerate_views(q, schema, constraints, max_k=args.max_k)
+    views = enumerate_views(q, schema, mine_constraints(q), max_k=args.max_k)
     by_kind: dict[str, list] = {}
     for v in views:
         by_kind.setdefault(v.kind, []).append(v)
@@ -129,16 +129,10 @@ def cmd_estimate(args) -> int:
 
 
 def _workload(args) -> WorkloadSpec:
-    spec = WorkloadSpec.from_file(args.workload)
-    if args.budget is not None:
-        spec.budget = args.budget
-    if args.alpha is not None:
-        spec.alpha = args.alpha
-    if args.max_k is not None:
-        spec.max_k = args.max_k
-    if getattr(args, "seed", None) is not None:
-        spec.seed = args.seed
-    return spec
+    overrides = {"budget": args.budget, "alpha": args.alpha,
+                 "max_k": args.max_k, "seed": args.seed}
+    return replace(WorkloadSpec.from_file(args.workload),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _candidates_for(spec: WorkloadSpec):

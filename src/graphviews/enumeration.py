@@ -33,12 +33,13 @@ from .errors import (
     RewriteInfeasibleError,
     ValidationError,
 )
-from .mining import ConnectorBounds, ConstraintSet, mine_constraints, query_hop_bounds
+from .mining import ConnectorBounds, SchemaIndex, mine_constraints, schema_index
 from .query import (
     Aggregate,
     QueryGraph,
     ShapeCache,
     VarLengthPath,
+    render_query,
     shape_key,
     with_filters,
 )
@@ -256,18 +257,22 @@ class RewritePlan:
 # Enumeration
 # --------------------------------------------------------------------------
 
-def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
+def enumerate_views(q: QueryGraph, s: GraphSchema,
+                    hop_bounds: tuple[ConnectorBounds, ...],
                     max_k: int = DEFAULT_MAX_K) -> list[ViewInstance]:
-    """All template instances consistent with the query and schema
-    constraints, deterministically ordered by kind then bindings."""
-    provenance = _provenance(q)
+    """All template instances consistent with the query's ``hop_bounds``
+    (:func:`mining.mine_constraints`) and the schema, deterministically
+    ordered by kind then bindings."""
+    provenance = render_query(q)
+    index = schema_index(s)
+    sources, sinks = s.root_types(), s.leaf_types()
     instances: list[ViewInstance] = []
     projected = set()
     for item in q.projection:
         expr = item.expr.arg if isinstance(item.expr, Aggregate) else item.expr
         projected.add(expr.name)
 
-    for b in c.hop_bounds:
+    for b in hop_bounds:
         x_type = q.pattern_vertices.get(b.src)
         y_type = q.pattern_vertices.get(b.dst)
         if x_type is None or y_type is None:
@@ -280,14 +285,15 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
             continue
         # k-hop connectors: one per in-range hop count with a schema path
         for k in range(max(2, b.k_min), hi + 1):
-            if c.has_path(x_type, y_type, k):
+            if index.has_path(x_type, y_type, k):
                 instances.append(ViewInstance(
                     kind="KHopConnector", x=b.src, y=b.dst,
                     x_type=x_type, y_type=y_type, k=k,
                     provenance=provenance,
                 ))
         lo = max(1, b.k_min)
-        feasible = [k for k in range(lo, hi + 1) if c.has_path(x_type, y_type, k)]
+        feasible = [k for k in range(lo, hi + 1)
+                    if index.has_path(x_type, y_type, k)]
         if not feasible:
             continue
         # range connectors contract every feasible length at once
@@ -302,7 +308,7 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
             label_feasible = [
                 k for k in feasible
                 if any(set(p.labels) == {uniform}
-                       for p in c.paths_between(x_type, y_type, k))
+                       for p in index.paths_between(x_type, y_type, k))
             ]
             if label_feasible:
                 instances.append(ViewInstance(
@@ -310,7 +316,7 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
                     x_type=x_type, y_type=y_type, lo=lo, hi=hi,
                     label=uniform, provenance=provenance,
                 ))
-        if x_type in c.source_types and y_type in c.sink_types:
+        if x_type in sources and y_type in sinks:
             instances.append(ViewInstance(
                 kind="SourceToSinkConnector", x=b.src, y=b.dst,
                 x_type=x_type, y_type=y_type, lo=lo, hi=hi,
@@ -347,11 +353,6 @@ def enumerate_views(q: QueryGraph, s: GraphSchema, c: ConstraintSet,
 
     instances.sort(key=lambda v: (VIEW_KINDS.index(v.kind), v.view_id))
     return instances
-
-
-def _provenance(q: QueryGraph) -> str:
-    from .query import render_query
-    return render_query(q)
 
 
 def _uniform_label(b: ConnectorBounds) -> str | None:
@@ -407,9 +408,9 @@ def rewrite_with_view(q: QueryGraph, v: ViewInstance,
 
 def _rewrite(q: QueryGraph, v: ViewInstance, schema: GraphSchema) -> RewritePlan:
     if v.kind in CONNECTOR_KINDS:
-        return _rewrite_connector(q, v, schema)
+        return _rewrite_connector(q, v, schema_index(schema))
     if v.kind in ("VertexInclusion", "VertexRemoval"):
-        return _rewrite_vertex_filter(q, v, schema)
+        return _rewrite_vertex_filter(q, v, schema_index(schema))
     if v.kind in ("EdgeInclusion", "EdgeRemoval"):
         return _rewrite_edge_filter(q, v, schema)
     raise RewriteInfeasibleError(
@@ -417,10 +418,10 @@ def _rewrite(q: QueryGraph, v: ViewInstance, schema: GraphSchema) -> RewritePlan
 
 
 def _rewrite_connector(q: QueryGraph, v: ViewInstance,
-                       schema: GraphSchema) -> RewritePlan:
+                       index: SchemaIndex) -> RewritePlan:
     referenced = q.referenced_names()
-    c = mine_constraints(q, schema, referenced)
-    bounds = [b for b in c.hop_bounds if (b.src, b.dst) == (v.x, v.y)]
+    bounds = [b for b in mine_constraints(q, referenced)
+              if (b.src, b.dst) == (v.x, v.y)]
     if not bounds:
         _diagnose_eliminated_reference(q, v, referenced)
         raise RewriteInfeasibleError(
@@ -444,7 +445,8 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
             "holds nothing else")
 
     lo, hi = b.k_min, b.k_max
-    feasible = [l for l in range(lo, hi + 1) if c.has_path(v.x_type, v.y_type, l)]
+    feasible = [l for l in range(lo, hi + 1)
+                if index.has_path(v.x_type, v.y_type, l)]
     if not feasible:
         raise RewriteInfeasibleError(
             "no schema path matches the query's connector range")
@@ -468,39 +470,39 @@ def _rewrite_connector(q: QueryGraph, v: ViewInstance,
             raise RewriteInfeasibleError(
                 f"{v.k}-hop connector covers raw lengths {sorted(covered)} but "
                 f"the query needs {feasible}")
-        _check_label_soundness(c, v, b, view_hops=range(a, z + 1))
-        _check_boundary_types(c, v, b, feasible)
+        _check_label_soundness(index, v, b, view_hops=range(a, z + 1))
+        _check_boundary_types(index, v, b, feasible)
     else:
         if [l for l in feasible if not (v.lo <= l <= v.hi)]:
             raise RewriteInfeasibleError(
                 f"view contracts lengths {v.lo}..{v.hi} but the query needs "
                 f"{feasible}")
         view_feasible = [l for l in v.lengths
-                         if c.has_path(v.x_type, v.y_type, l)
-                         and _labels_possible(c, v, l)]
+                         if index.has_path(v.x_type, v.y_type, l)
+                         and _labels_possible(index, v, l)]
         if sorted(view_feasible) != sorted(feasible):
             raise RewriteInfeasibleError(
                 f"view contracts lengths {view_feasible} but the query needs "
                 f"exactly {feasible}")
         a = 0 if lo == 0 else 1
         z = 1
-        _check_label_soundness(c, v, b, view_hops=[1])
+        _check_label_soundness(index, v, b, view_hops=[1])
 
     return RewritePlan(_build_rewritten(q, v, b, a, z), z)
 
 
-def _labels_possible(c: ConstraintSet, v: ViewInstance, length: int) -> bool:
+def _labels_possible(index: SchemaIndex, v: ViewInstance, length: int) -> bool:
     if v.path_labels is None:
         return True
     allowed = set(v.path_labels)
     return any(allowed.issuperset(p.labels)
-               for p in c.paths_between(v.x_type, v.y_type, length))
+               for p in index.paths_between(v.x_type, v.y_type, length))
 
 
 def _diagnose_eliminated_reference(q: QueryGraph, v: ViewInstance,
                                    referenced: set[str]):
     """If folding fails only because of query references, say which."""
-    for b in query_hop_bounds(q, set()):
+    for b in mine_constraints(q, set()):
         if (b.src, b.dst) == (v.x, v.y):
             overlap = set(b.eliminated) & referenced
             if overlap:
@@ -508,14 +510,14 @@ def _diagnose_eliminated_reference(q: QueryGraph, v: ViewInstance,
                     f"view contracts away referenced name(s) {sorted(overlap)}")
 
 
-def _check_label_soundness(c: ConstraintSet, v: ViewInstance,
+def _check_label_soundness(index: SchemaIndex, v: ViewInstance,
                            b: ConnectorBounds, view_hops) -> None:
     """Every trail the view can produce must satisfy the query's
     positional label constraints; otherwise the view would add rows."""
     path_labels = None if v.path_labels is None else set(v.path_labels)
     for i in view_hops:
         for length in v.lengths:
-            segs = [p for p in c.paths_between(v.x_type, v.y_type, length)
+            segs = [p for p in index.paths_between(v.x_type, v.y_type, length)
                     if path_labels is None or path_labels.issuperset(p.labels)]
             raw_len = i * length
             for seg in segs:
@@ -529,7 +531,7 @@ def _check_label_soundness(c: ConstraintSet, v: ViewInstance,
                                 f"position {offset + t}, which the query forbids")
 
 
-def _check_boundary_types(c: ConstraintSet, v: ViewInstance,
+def _check_boundary_types(index: SchemaIndex, v: ViewInstance,
                           b: ConnectorBounds, feasible: list[int]) -> None:
     """Raw trails must decompose into K-segments at endpoint-type
     boundaries for multi-hop view traversals to find them."""
@@ -537,7 +539,7 @@ def _check_boundary_types(c: ConstraintSet, v: ViewInstance,
         hops = length // v.k
         if hops < 2:
             continue
-        for p in c.paths_between(v.x_type, v.y_type, length):
+        for p in index.paths_between(v.x_type, v.y_type, length):
             if not _satisfies_constraints(p, b, length):
                 continue
             seq = p.type_sequence
@@ -582,10 +584,11 @@ def _build_rewritten(q: QueryGraph, v: ViewInstance, b: ConnectorBounds,
 # -- sparsifier rewrites ------------------------------------------------
 
 def _rewrite_vertex_filter(q: QueryGraph, v: ViewInstance,
-                           schema: GraphSchema) -> RewritePlan:
+                           index: SchemaIndex) -> RewritePlan:
     if v.predicate is None or v.predicate.types is None or v.predicate.prop is not None:
         raise RewriteInfeasibleError(
             "only pure type-predicate vertex filters support rewriting")
+    schema = index.schema
     kept = v._kept_types(schema)
     pattern_types = set(q.pattern_vertices.values())
     if None in pattern_types and kept != schema.vertex_types:
@@ -599,14 +602,13 @@ def _rewrite_vertex_filter(q: QueryGraph, v: ViewInstance,
     if dropped:
         raise RewriteInfeasibleError(
             f"query names label(s) {sorted(dropped)} the view drops")
-    c = mine_constraints(q, schema)
     for p in q.var_length_paths:
         src_t = q.pattern_vertices[p.src]
         dst_t = q.pattern_vertices[p.dst]
         if src_t is None or dst_t is None:
             continue  # identity filter; the untyped check above passed
         for length in range(max(1, p.lower), p.upper + 1):
-            for sp in c.paths_between(src_t, dst_t, length):
+            for sp in index.paths_between(src_t, dst_t, length):
                 if p.labels is not None and not set(sp.labels) <= set(p.labels):
                     continue
                 if not kept.issuperset(sp.type_sequence):

@@ -182,7 +182,7 @@ def _fold_chain(q: QueryGraph, g: PropertyGraph,
 
 
 def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
-          pinned: dict[str, Comparison] | None = None) -> ResultTable | None:
+          pinned: dict[str, Comparison]) -> ResultTable | None:
     """The table of ``q`` from one sweep along its chain from A to G
     (:func:`_fold_chain`), or None when the fold does not apply: every
     vertex of A's type is seeded with its accumulator list (one binding
@@ -192,8 +192,8 @@ def _fold(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
     the bindings of its group. A value on A's candidates that an
     aggregate cannot take also means None: the matcher raises for it if,
     and only if, a binding reaches it. ``pinned`` is :func:`_pinned_ids`
-    of ``q``, when the caller has it."""
-    chain = _fold_chain(q, g, _pinned_ids(q) if pinned is None else pinned)
+    of ``q``."""
+    chain = _fold_chain(q, g, pinned)
     if chain is None:
         return None
     group_end, agg_end, steps = chain
@@ -267,7 +267,7 @@ def _check_types(q: QueryGraph, g: PropertyGraph):
 
 
 def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
-           pinned: dict[str, Comparison] | None = None
+           pinned: dict[str, Comparison]
            ) -> tuple[list[tuple[tuple, int]], dict[str, int], list[Comparison]]:
     """Every distinct binding of the live names, those a filter, the
     projection or an aggregate reads, as (key tuple, summed
@@ -277,9 +277,7 @@ def _match(q: QueryGraph, g: PropertyGraph, stats: ExecutionStats,
     slots, so the cartesian product across them concatenates their keys,
     base-major; a component with no live name gives one ``()`` key
     carrying its total multiplicity. ``pinned`` is :func:`_pinned_ids`
-    of ``q``, when the caller has it."""
-    if pinned is None:
-        pinned = _pinned_ids(q)
+    of ``q``."""
     live = q.referenced_names()
     slots: dict[str, int] = {}
     settled = []

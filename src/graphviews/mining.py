@@ -1,13 +1,14 @@
 """Structural constraint mining over queries and graph schemas.
 
 Explicit facts are read directly off the query pattern and the schema.
-Implicit constraints are derived from them: all valid k-hop chains over
-the schema edge triples, feasible end-to-end hop ranges for each
-variable-length path (folding adjacent fixed edges into the connector),
-and the schema's source/sink vertex types. Everything is deterministic
-and duplicate-free. What depends on the schema alone (its source/sink
-types and its k-hop paths, computed on demand per k) is derived once per
-``GraphSchema`` instance and kept on it, immutable.
+Implicit constraints are derived from them: the feasible end-to-end hop
+range of each contraction opportunity of a query (folding adjacent fixed
+edges into the connector, :func:`mine_constraints`), and the valid k-hop
+chains over the schema edge triples. Everything is deterministic and
+duplicate-free. What is costly to derive from the schema alone (its
+k-hop paths, computed on demand per k, and the type bands of
+:meth:`SchemaIndex.type_bands`) is derived once per ``GraphSchema``
+instance and kept on it, immutable (:func:`schema_index`).
 """
 
 from __future__ import annotations
@@ -48,37 +49,6 @@ class _Quoted:
 
     text: str
 
-    def __lt__(self, other):
-        return self.text < other.text
-
-
-def query_vertex(name: str) -> Fact:
-    return Fact("queryVertex", (name,))
-
-
-def query_vertex_type(name: str, vtype: str) -> Fact:
-    return Fact("queryVertexType", (name, _Quoted(vtype)))
-
-
-def query_edge(src: str, dst: str) -> Fact:
-    return Fact("queryEdge", (src, dst))
-
-
-def query_edge_type(src: str, dst: str, label: str) -> Fact:
-    return Fact("queryEdgeType", (src, dst, _Quoted(label)))
-
-
-def query_var_length_path(src: str, dst: str, lower: int, upper: int) -> Fact:
-    return Fact("queryVariableLengthPath", (src, dst, lower, upper))
-
-
-def schema_vertex(vtype: str) -> Fact:
-    return Fact("schemaVertex", (_Quoted(vtype),))
-
-
-def schema_edge(src: str, dst: str, label: str) -> Fact:
-    return Fact("schemaEdge", (_Quoted(src), _Quoted(dst), _Quoted(label)))
-
 
 _PREDICATE_ORDER = {
     "queryVertex": 0,
@@ -103,21 +73,23 @@ def mine_query_facts(q: QueryGraph) -> set[Fact]:
     edge facts per fixed edge, and one fact per variable-length path."""
     facts: set[Fact] = set()
     for name, vtype in q.pattern_vertices.items():
-        facts.add(query_vertex(name))
+        facts.add(Fact("queryVertex", (name,)))
         if vtype is not None:
-            facts.add(query_vertex_type(name, vtype))
+            facts.add(Fact("queryVertexType", (name, _Quoted(vtype))))
     for e in q.pattern_edges:
-        facts.add(query_edge(e.src, e.dst))
+        facts.add(Fact("queryEdge", (e.src, e.dst)))
         if e.label is not None:
-            facts.add(query_edge_type(e.src, e.dst, e.label))
+            facts.add(Fact("queryEdgeType", (e.src, e.dst, _Quoted(e.label))))
     for p in q.var_length_paths:
-        facts.add(query_var_length_path(p.src, p.dst, p.lower, p.upper))
+        facts.add(Fact("queryVariableLengthPath",
+                       (p.src, p.dst, p.lower, p.upper)))
     return facts
 
 
 def mine_schema_facts(s: GraphSchema) -> set[Fact]:
-    facts: set[Fact] = {schema_vertex(t) for t in s.vertex_types}
-    facts.update(schema_edge(src, dst, label) for src, dst, label in s.edge_types)
+    facts = {Fact("schemaVertex", (_Quoted(t),)) for t in s.vertex_types}
+    facts.update(Fact("schemaEdge", tuple(map(_Quoted, triple)))
+                 for triple in s.edge_types)
     return facts
 
 
@@ -191,10 +163,13 @@ class ConnectorBounds:
 
     ``src``/``dst`` are the pattern names surviving as connector
     endpoints after folding; ``eliminated`` are the names the contraction
-    removes. ``label_constraints`` maps connector positions to required
-    labels: ``first``/``last`` from folded fixed edges (None when
-    unconstrained) and ``middle`` from the variable-length path's label
-    alternation (None for any).
+    removes. The label fields give each connector position's required
+    labels (read through :meth:`constraint_at`): ``first_label`` and
+    ``last_label`` come from a fixed edge folded in at the start or the
+    end (None when none is, or when it is unlabelled), ``middle_labels``
+    from the variable-length path's label alternation (None for any), and
+    ``fixed_labels`` from a fixed-only chain, one label per position (None
+    unless every edge of the chain is labelled).
     """
 
     src: str
@@ -253,7 +228,7 @@ def _foldable(q: QueryGraph, endpoint: str, want_incoming: bool,
     return edge
 
 
-def query_hop_bounds(q: QueryGraph, referenced: set[str] | None = None
+def mine_constraints(q: QueryGraph, referenced: set[str] | None = None
                      ) -> tuple[ConnectorBounds, ...]:
     """Feasible connector length ranges for each variable-length path
     (folding qualifying adjacent fixed edges) and, in fixed-only
@@ -339,18 +314,16 @@ def _fixed_chain_bounds(q: QueryGraph, referenced: set[str]
 # --------------------------------------------------------------------------
 
 class SchemaIndex:
-    """What mining derives from one schema alone: its source and sink
-    types, its k-hop paths grouped by end types, sorted by triples, and
-    the type bands of :meth:`type_bands`. The paths of each k and each
-    band are computed the first time they are asked for; every value
-    handed out is a frozenset or a tuple."""
+    """What is costly to derive from one schema alone: its k-hop paths
+    grouped by end types, sorted by triples, and the type bands of
+    :meth:`type_bands`. The paths of each k and each band are computed
+    the first time they are asked for; every value handed out is a
+    frozenset or a tuple."""
 
-    __slots__ = ("schema", "source_types", "sink_types", "_paths", "_bands")
+    __slots__ = ("schema", "_paths", "_bands")
 
     def __init__(self, s: GraphSchema):
         self.schema = s
-        self.source_types = s.root_types()
-        self.sink_types = s.leaf_types()
         self._paths: dict[int, dict[tuple[str, str], tuple[SchemaPath, ...]]] = {}
         self._bands: dict[tuple, tuple[frozenset[str] | None, ...]] = {}
 
@@ -420,39 +393,3 @@ def schema_index(s: GraphSchema) -> SchemaIndex:
     if index is None:
         index = s.memo[SchemaIndex] = SchemaIndex(s)
     return index
-
-
-# --------------------------------------------------------------------------
-# Constraint set
-# --------------------------------------------------------------------------
-
-@dataclass
-class ConstraintSet:
-    """Derived structural constraints for one (query, schema) pair. The
-    schema-derived parts are shared with every other constraint set over
-    the same schema object."""
-
-    index: SchemaIndex
-    hop_bounds: tuple[ConnectorBounds, ...]
-    source_types: frozenset[str]  # no incoming schema edges
-    sink_types: frozenset[str]    # no outgoing schema edges
-
-    def paths_between(self, src_type: str, dst_type: str, k: int
-                      ) -> tuple[SchemaPath, ...]:
-        return self.index.paths_between(src_type, dst_type, k)
-
-    def has_path(self, src_type: str, dst_type: str, k: int) -> bool:
-        return self.index.has_path(src_type, dst_type, k)
-
-
-def mine_constraints(q: QueryGraph, s: GraphSchema,
-                     referenced: set[str] | None = None) -> ConstraintSet:
-    """Mine the eagerly derivable constraints for (q, s); schema paths
-    stay lazy. ``referenced`` is passed on to :func:`query_hop_bounds`."""
-    index = schema_index(s)
-    return ConstraintSet(
-        index=index,
-        hop_bounds=query_hop_bounds(q, referenced),
-        source_types=index.source_types,
-        sink_types=index.sink_types,
-    )

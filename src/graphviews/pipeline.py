@@ -126,8 +126,11 @@ class QuerySpec:
                 f"query {self.name!r} must set exactly one of file/op")
         if self.op is not None and self.op not in _OP_PARAMS:
             raise InvalidParamsError(f"unknown op {self.op!r}")
-        if self.weight <= 0:
-            raise InvalidParamsError("query weights must be positive")
+        if (type(self.weight) not in (int, float)   # a bool is no number
+                or not math.isfinite(self.weight) or self.weight <= 0):
+            raise InvalidParamsError(
+                f"query {self.name!r}: weight must be a finite positive "
+                f"number, got {self.weight!r}")
 
 
 @dataclass
@@ -149,8 +152,12 @@ class WorkloadSpec:
             raise InvalidParamsError("alpha must be one of 50, 90, 95, 100")
         if type(self.budget) not in (int, float):   # a bool is no number
             raise InvalidParamsError(f"budget must be a number, got {self.budget!r}")
+        if not math.isfinite(self.budget):
+            raise InvalidParamsError(f"budget must be finite, got {self.budget!r}")
         if type(self.max_k) is not int:
             raise InvalidParamsError(f"max_k must be an integer, got {self.max_k!r}")
+        if type(self.seed) is not int:
+            raise InvalidParamsError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WorkloadSpec":
@@ -295,8 +302,8 @@ def build_candidates(prepared: list[_Prepared], schema: GraphSchema,
         if pq.synth is None or not _starts_on_proxy(pq.spec, graph):
             continue
         raw_cost = None   # costed once, at the query's first plan
-        constraints = mine_constraints(pq.synth, schema)
-        for v in enumerate_views(pq.synth, schema, constraints, max_k=max_k):
+        hop_bounds = mine_constraints(pq.synth)
+        for v in enumerate_views(pq.synth, schema, hop_bounds, max_k=max_k):
             if v.is_identity(schema):
                 continue
             if v.view_id not in by_id:

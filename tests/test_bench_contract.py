@@ -116,6 +116,18 @@ def test_traced_names_are_pipeline_attributes():
     assert not missing, f"graphviews.pipeline lacks traced names {missing}"
 
 
+def test_traced_names_are_called_by_pipeline():
+    """A traced name the pipeline no longer calls by its bare name gets
+    no span: the tracer patches the module attribute, so a call through
+    another module or an alias bypasses it."""
+    calls = _pipeline_calls(ast.parse((BENCH / "spans.py").read_text(encoding="utf-8")))
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    missing = sorted(set(calls) - called)
+    assert not missing, f"graphviews.pipeline never calls traced names {missing}"
+
+
 def _layer_names(tree: ast.Module) -> set:
     """The string keys of ``spans.LAYERS`` and of the dicts it spreads."""
     dicts = {}

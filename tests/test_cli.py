@@ -4,7 +4,55 @@ import pytest
 
 from graphviews.cli import main
 
-from test_pipeline import BLAST, write_road_workload, write_workload
+from conftest import BLAST_RADIUS_QUERY, LINEAGE_SCHEMA, PROVENANCE_SCHEMA
+from test_pipeline import write_road_workload, write_workload
+
+
+# ``graphviews mine`` and ``graphviews enumerate --max-k 10`` for
+# BLAST_RADIUS_QUERY: the query's facts, then each schema's
+BLAST_QUERY_FACTS = (
+    "queryVertex(q_f1).\n"
+    "queryVertex(q_f2).\n"
+    "queryVertex(q_j1).\n"
+    "queryVertex(q_j2).\n"
+    "queryVertexType(q_f1, 'File').\n"
+    "queryVertexType(q_f2, 'File').\n"
+    "queryVertexType(q_j1, 'Job').\n"
+    "queryVertexType(q_j2, 'Job').\n"
+    "queryEdge(q_f2, q_j2).\n"
+    "queryEdge(q_j1, q_f1).\n"
+    "queryEdgeType(q_f2, q_j2, 'IS_READ_BY').\n"
+    "queryEdgeType(q_j1, q_f1, 'WRITES_TO').\n"
+    "queryVariableLengthPath(q_f1, q_f2, 0, 8).\n"
+)
+LINEAGE_SCHEMA_FACTS = (
+    "schemaVertex('File').\n"
+    "schemaVertex('Job').\n"
+    "schemaEdge('File', 'Job', 'IS_READ_BY').\n"
+    "schemaEdge('Job', 'File', 'WRITES_TO').\n"
+)
+PROVENANCE_SCHEMA_FACTS = (
+    "schemaVertex('File').\n"
+    "schemaVertex('Job').\n"
+    "schemaVertex('Machine').\n"
+    "schemaVertex('Task').\n"
+    "schemaEdge('File', 'Job', 'IS_READ_BY').\n"
+    "schemaEdge('Job', 'File', 'WRITES_TO').\n"
+    "schemaEdge('Job', 'Task', 'SPAWNS').\n"
+    "schemaEdge('Task', 'Machine', 'RUNS_ON').\n"
+)
+BLAST_VIEWS = (
+    "kHopConnector:\n"
+    "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=2)\n"
+    "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=4)\n"
+    "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=6)\n"
+    "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=8)\n"
+    "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=10)\n"
+    "sameVertexTypeConnector:\n"
+    "(X='q_j1', Y='q_j2', TYPE='Job', LO=2, HI=10)\n"
+    "vertexInclusion:\n"
+    "(TYPES={'File', 'Job'})\n"
+)
 
 
 @pytest.fixture
@@ -22,6 +70,15 @@ def dataset(tmp_path, capsys):
 
 def graph_flags(dataset):
     return [flag for pair in dataset.items() for flag in pair]
+
+
+def blast_flags(tmp_path, schema):
+    """``--schema`` and ``--query`` files for BLAST_RADIUS_QUERY."""
+    schema_file = tmp_path / "schema.json"
+    schema_file.write_text(schema.to_json(), encoding="utf-8")
+    qfile = tmp_path / "q.query"
+    qfile.write_text(BLAST_RADIUS_QUERY, encoding="utf-8")
+    return ["--schema", str(schema_file), "--query", str(qfile)]
 
 
 class TestCommands:
@@ -55,30 +112,20 @@ class TestCommands:
         assert main(["bench", "--workload", str(workload)]) == 2
         assert "stage 'load': line 2: edge 'e0'" in capsys.readouterr().err
 
-    def test_mine_golden_facts(self, tmp_path, dataset, capsys):
-        qfile = tmp_path / "q.query"
-        qfile.write_text(BLAST, encoding="utf-8")
-        assert main(["mine", "--schema", dataset["--schema"],
-                     "--query", str(qfile)]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert "queryVariableLengthPath(q_f1, q_f2, 0, 8)." in out
-        assert "schemaEdge('Job', 'File', 'WRITES_TO')." in out
-        assert len(out) == 13 + 4
+    @pytest.mark.parametrize("schema, schema_facts", [
+        (LINEAGE_SCHEMA, LINEAGE_SCHEMA_FACTS),
+        (PROVENANCE_SCHEMA, PROVENANCE_SCHEMA_FACTS)],
+        ids=["lineage", "provenance"])
+    def test_mine_golden_facts(self, tmp_path, capsys, schema, schema_facts):
+        assert main(["mine", *blast_flags(tmp_path, schema)]) == 0
+        assert capsys.readouterr().out == BLAST_QUERY_FACTS + schema_facts
 
-    def test_enumerate_unification_block(self, tmp_path, dataset, capsys):
-        qfile = tmp_path / "q.query"
-        qfile.write_text(BLAST, encoding="utf-8")
-        assert main(["enumerate", "--schema", dataset["--schema"],
-                     "--query", str(qfile), "--max-k", "10"]) == 0
-        out = capsys.readouterr().out
-        khop_lines = [l for l in out.splitlines() if "K=" in l]
-        assert khop_lines == [
-            "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=2)",
-            "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=4)",
-            "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=6)",
-            "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=8)",
-            "(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=10)",
-        ]
+    @pytest.mark.parametrize("schema", [LINEAGE_SCHEMA, PROVENANCE_SCHEMA],
+                             ids=["lineage", "provenance"])
+    def test_enumerate_unification_block(self, tmp_path, capsys, schema):
+        assert main(["enumerate", *blast_flags(tmp_path, schema),
+                     "--max-k", "10"]) == 0
+        assert capsys.readouterr().out == BLAST_VIEWS
 
     def test_estimate_table(self, dataset, capsys):
         assert main(["estimate", *graph_flags(dataset), "--k", "2"]) == 0
@@ -231,6 +278,11 @@ class TestCommands:
         ("budget", True, "budget must be a number, got True"),
         ("max_k", "x", "max_k must be an integer, got 'x'"),
         ("max_k", 2.0, "max_k must be an integer, got 2.0"),
+        # json writes and reads these as NaN and Infinity
+        ("budget", float("nan"), "budget must be finite, got nan"),
+        ("budget", float("inf"), "budget must be finite, got inf"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("seed", True, "seed must be an integer, got True"),
     ])
     def test_select_bad_workload_numbers_exit_2(self, tmp_path, capsys, field,
                                                 value, message):
@@ -240,6 +292,25 @@ class TestCommands:
         workload.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["select", "--workload", str(workload)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_select_bad_query_weight_exits_2(self, tmp_path, capsys, value):
+        workload = write_workload(tmp_path)
+        raw = json.loads(workload.read_text(encoding="utf-8"))
+        raw["queries"][0]["weight"] = value
+        workload.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["select", "--workload", str(workload)]) == 2
+        assert (f"query 'q1': weight must be a finite positive number, "
+                f"got {value!r}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "bench"])
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_bad_budget_override_exits_2(self, tmp_path, capsys, command,
+                                         budget):
+        workload = write_workload(tmp_path)
+        assert main([command, "--workload", str(workload),
+                     "--budget", budget]) == 2
+        assert f"budget must be finite, got {budget}" in capsys.readouterr().err
 
     def test_run_view_without_catalog_exits_2(self, tmp_path, dataset, capsys):
         qfile = tmp_path / "q6.query"

@@ -80,10 +80,9 @@ class TestEnumeratedInstanceSoundness:
     def test_every_planable_instance_is_result_preserving(self, seed):
         g = random_lineage_dag(seed, jobs=12, files=16, schema=PROVENANCE_SCHEMA)
         q = parse_query(BLAST_RADIUS_QUERY)
-        c = mine_constraints(q, PROVENANCE_SCHEMA)
         raw, _ = execute(q, g)
         plans = 0
-        for v in enumerate_views(q, PROVENANCE_SCHEMA, c):
+        for v in enumerate_views(q, PROVENANCE_SCHEMA, mine_constraints(q)):
             try:
                 plan = rewrite_with_view(q, v, PROVENANCE_SCHEMA)
             except RewriteInfeasibleError:
@@ -211,7 +210,7 @@ class TestEveryPlanIsSound:
             for text in texts:
                 q = parse_query(text)
                 raw = outcome(lambda: execute(q, g))
-                for v in enumerate_views(q, g.schema, mine_constraints(q, g.schema)):
+                for v in enumerate_views(q, g.schema, mine_constraints(q)):
                     try:
                         plan = rewrite_with_view(q, v, g.schema)
                     except (RewriteInfeasibleError,

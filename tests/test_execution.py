@@ -23,6 +23,7 @@ from graphviews.execution import (
     ExecutionStats,
     _count_step,
     _match,
+    _pinned_ids,
     _sweep,
     _trails,
     _walk,
@@ -1028,9 +1029,10 @@ class TestMatcherOracle:
         q = parse_query(BLAST_RADIUS_QUERY)
         everything = parse_query(BLAST_RADIUS_QUERY.replace(
             "RETURN", "RETURN q_f1.id, q_f2.id, "))
-        pairs, slots, _ = _match(q, g, ExecutionStats())
+        pairs, slots, _ = _match(q, g, ExecutionStats(), _pinned_ids(q))
         assert sorted(slots) == ["q_j1", "q_j2"]
-        bindings, all_slots, _ = _match(everything, g, ExecutionStats())
+        bindings, all_slots, _ = _match(everything, g, ExecutionStats(),
+                                         _pinned_ids(everything))
         assert sorted(all_slots) == ["q_f1", "q_f2", "q_j1", "q_j2"]
         summed = {}
         for binding, mult in bindings:
@@ -1151,7 +1153,7 @@ class TestResultAssembly:
         g = road_5x5(tmp_path)
         q = parse_query("MATCH (a:Junction)-[p*1..4]->(b:Junction) "
                         "WHERE a.id = 'r2c2' RETURN b.id")
-        bindings = _match(q, g, ExecutionStats())[0]
+        bindings = _match(q, g, ExecutionStats(), _pinned_ids(q))[0]
         calls = []
 
         def counted(row):
@@ -1405,7 +1407,8 @@ class TestFold:
         for g in TestMatcherOracle.graphs(seed):
             for text in FOLD_QUERIES:
                 q = parse_query(text)
-                folded = execution._fold(q, g, ExecutionStats())
+                folded = execution._fold(q, g, ExecutionStats(),
+                                         _pinned_ids(q))
                 assert (folded is None) is not g.is_acyclic, text
                 if folded is not None:
                     assert rows_close(folded.rows, query_rows(g, q)), text
@@ -1445,7 +1448,8 @@ class TestFold:
     def test_other_shapes_do_not_fold(self, text):
         g = random_lineage_dag(3)
         q = parse_query(text)
-        assert execution._fold(q, g, ExecutionStats()) is None
+        assert execution._fold(q, g, ExecutionStats(),
+                               _pinned_ids(q)) is None
         assert rows_close(execute(q, g)[0].rows, query_rows(g, q))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1461,7 +1465,8 @@ class TestFold:
             view = materialize(g, KHOP2)
             assert view._path_counts is not None and view.is_acyclic
             rewritten = rewrite_with_view(q, KHOP2, LINEAGE_SCHEMA).rewritten
-            folded = execution._fold(rewritten, view, ExecutionStats())
+            folded = execution._fold(rewritten, view, ExecutionStats(),
+                                     _pinned_ids(rewritten))
             assert folded is not None
             want = query_rows(g, q)
             assert rows_close(folded.rows, want)
@@ -1478,7 +1483,7 @@ class TestFold:
         runs = []
         for link in (":L", ":L*1..1"):
             q, stats = parse_query(text.format(link)), ExecutionStats()
-            runs.append((execution._fold(q, g, stats).rows,
+            runs.append((execution._fold(q, g, stats, _pinned_ids(q)).rows,
                          stats.edges_expanded, stats.vertices_touched))
             assert rows_close(runs[-1][0], query_rows(g, q))
         assert runs[0] == runs[1]
@@ -1505,10 +1510,11 @@ class TestFold:
         def cells(rows):
             return [[(type(c), repr(c)) for c in row] for row in rows]
         want = cells(query_rows(g, q))
-        assert cells(execution._fold(q, g, ExecutionStats()).rows) == want
+        assert cells(execution._fold(q, g, ExecutionStats(),
+                                     _pinned_ids(q)).rows) == want
         assert cells(execute(q, as_cyclic(g))[0].rows) == want
-        assert cells(execution._fold(rewritten, view,
-                                     ExecutionStats()).rows) == want
+        assert cells(execution._fold(rewritten, view, ExecutionStats(),
+                                     _pinned_ids(rewritten)).rows) == want
         assert cells(execute(rewritten, as_cyclic(view))[0].rows) == want
 
     @staticmethod
@@ -1526,11 +1532,12 @@ class TestFold:
         for text in (BLAST_RADIUS_QUERY,
                      BLAST_RADIUS_QUERY.replace("avg", "max")):
             q = parse_query(text)
-            assert execution._fold(q, g, ExecutionStats()) is None
+            assert execution._fold(q, g, ExecutionStats(),
+                                   _pinned_ids(q)) is None
             assert rows_close(execute(q, g)[0].rows, query_rows(g, q))
         # count takes any value, so it folds
         q = parse_query(BLAST_RADIUS_QUERY.replace("avg", "count"))
-        folded = execution._fold(q, g, ExecutionStats())
+        folded = execution._fold(q, g, ExecutionStats(), _pinned_ids(q))
         assert folded is not None
         assert folded.rows == query_rows(g, q)
 

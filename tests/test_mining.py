@@ -8,7 +8,6 @@ from graphviews.mining import (
     schema_index,
     mine_query_facts,
     mine_schema_facts,
-    query_hop_bounds,
     schema_k_hop_paths,
     sort_facts,
 )
@@ -160,7 +159,7 @@ def schema_paths_oracle_chains(s, k):
 class TestHopBounds:
     def test_blast_radius_folds_two_edges(self):
         q = parse_query(BLAST_RADIUS_QUERY)
-        (b,) = query_hop_bounds(q)
+        (b,) = mine_constraints(q)
         assert (b.src, b.dst) == ("q_j1", "q_j2")
         assert (b.k_min, b.k_max) == (2, 10)
         assert set(b.eliminated) == {"q_f1", "q_f2"}
@@ -169,7 +168,7 @@ class TestHopBounds:
 
     def test_lone_path_unfolded(self):
         q = parse_query("MATCH (a:Job)-[p*1..4]->(b:Job) RETURN a, b")
-        (b,) = query_hop_bounds(q)
+        (b,) = mine_constraints(q)
         assert (b.src, b.dst, b.k_min, b.k_max) == ("a", "b", 1, 4)
         assert b.folded_edges == ()
 
@@ -177,7 +176,7 @@ class TestHopBounds:
         q = parse_query(
             "MATCH (a:Job)-[:WRITES_TO]->(b:File)-[:IS_READ_BY]->(c:Job)"
             "-[:WRITES_TO]->(d:File) RETURN a, d")
-        (b,) = query_hop_bounds(q)
+        (b,) = mine_constraints(q)
         assert (b.src, b.dst, b.k_min, b.k_max) == ("a", "d", 3, 3)
         assert b.eliminated == ("b", "c")
 
@@ -185,7 +184,7 @@ class TestHopBounds:
         q = parse_query(
             "MATCH (j:Job)-[:WRITES_TO]->(f:File), (f)-[r*0..4]->(g:File) "
             "RETURN f.id, g.id")
-        (b,) = query_hop_bounds(q)
+        (b,) = mine_constraints(q)
         assert b.src == "f"
         assert (b.k_min, b.k_max) == (0, 4)
 
@@ -194,12 +193,12 @@ class TestHopBounds:
         q = parse_query(
             "MATCH (f:File)-[:IS_READ_BY]->(j:Job), (f)-[r*1..2]->(g:Job) "
             "RETURN g, j")
-        (b,) = query_hop_bounds(q)
+        (b,) = mine_constraints(q)
         assert b.src == "f"
         assert (b.k_min, b.k_max) == (1, 2)
 
 
-class TestConstraintSet:
+class TestSchemaIndex:
     def test_paths_computed_once_per_schema(self, monkeypatch):
         calls = []
 
@@ -218,27 +217,23 @@ class TestConstraintSet:
         assert calls and len(calls) == len(set(calls))
 
     def test_paths_between_and_has_path(self):
-        q = parse_query(BLAST_RADIUS_QUERY)
-        c = mine_constraints(q, LINEAGE_SCHEMA)
-        assert c.has_path("Job", "Job", 2)
-        assert not c.has_path("Job", "Job", 3)
-        assert c.has_path("Job", "Job", 0)
-        assert not c.has_path("Job", "File", 0)
-        assert [p.edges for p in c.paths_between("Job", "Job", 2)] == [(W, R)]
+        index = schema_index(LINEAGE_SCHEMA)
+        assert index.has_path("Job", "Job", 2)
+        assert not index.has_path("Job", "Job", 3)
+        assert index.has_path("Job", "Job", 0)
+        assert not index.has_path("Job", "File", 0)
+        assert [p.edges for p in index.paths_between("Job", "Job", 2)] == [(W, R)]
 
     def test_paths_between_sorted_by_triples(self):
         schema = GraphSchema.of(["A"], [("A", "A", f"L{i}") for i in range(4)])
-        c = mine_constraints(parse_query("MATCH (a:A) RETURN a"), schema)
-        paths = c.paths_between("A", "A", 2)
+        paths = schema_index(schema).paths_between("A", "A", 2)
         assert len(paths) == 16
         assert [p.edges for p in paths] == sorted(
             p.edges for p in schema_k_hop_paths(schema, 2))
 
     def test_source_sink_roles(self, provenance_schema):
-        q = parse_query("MATCH (a:Job) RETURN a")
-        c = mine_constraints(q, provenance_schema)
-        assert c.source_types == frozenset()
-        assert c.sink_types == {"Machine"}
+        assert provenance_schema.root_types() == frozenset()
+        assert provenance_schema.leaf_types() == {"Machine"}
 
     def test_types_by_depth(self, provenance_schema):
         index = schema_index(provenance_schema)

@@ -398,7 +398,7 @@ class TestOneCandidatePerContent:
         assert g.is_acyclic == (shape == "lineage")
         q = parse_query(text)
         enumerated = {v.view_id: v for v in
-                      enumerate_views(q, g.schema, mine_constraints(q, g.schema))}
+                      enumerate_views(q, g.schema, mine_constraints(q))}
         candidates = self.candidates(g, text)
         ids = {c.view.view_id for c in candidates}
         with_twins = [c for c in candidates if c.twins]

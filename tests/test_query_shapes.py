@@ -191,7 +191,7 @@ def views_of(queries, schema):
     """Every view enumerated for any of ``queries``."""
     views = []
     for q in queries:
-        for v in enumerate_views(q, schema, mine_constraints(q, schema)):
+        for v in enumerate_views(q, schema, mine_constraints(q)):
             if v not in views:
                 views.append(v)
     return views
